@@ -2,11 +2,13 @@
 
 from .config import Config, DEFAULT, from_env
 from .operators import (
+    ClockBlocks,
     ClusterSplitError,
     DenseOperator,
     DimensionCapError,
     EigenSystem,
     Register,
+    SpectrumCertificateError,
     Subspace,
     SystemLayout,
     direct_rotation,

@@ -16,10 +16,12 @@ tests assert rather than trusting index bookkeeping.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import logging
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .circuits import (
     AcceptanceOperator,
@@ -32,9 +34,11 @@ from .circuits import (
 )
 from .config import DEFAULT, Config
 from .operators import (
+    ClockBlocks,
     ClusterSplitError,
     DenseOperator,
     Register,
+    SpectrumCertificateError,
     Subspace,
     SystemLayout,
     cluster_bounds,
@@ -45,7 +49,15 @@ from .operators import (
 )
 
 # above this dimension, low-spectrum analyses switch to the subset eigensolver
+# (dense matrices) or to shift-invert subspace iteration (clock blocks)
 _PARTIAL_EIGH_DIM = 1200
+# shift-invert subspace iteration: extra block vectors, iteration cap, and the
+# distance of the shift below the spectrum's floor, relative to max(1, |floor|)
+_SI_OVERSAMPLE = 8
+_SI_MAX_ITER = 100
+_SI_MARGIN = 1e-3
+
+_log = logging.getLogger("hamuniv")
 
 
 class ClockRep(enum.Enum):
@@ -92,29 +104,43 @@ def _unary_time_index(t: int, n_clock: int) -> int:
 
 @dataclass(frozen=True)
 class KitaevHamiltonian:
-    """Components of the modified clock Hamiltonian for one verifier circuit."""
+    """Components of the modified clock Hamiltonian for one verifier circuit.
 
-    h_in: DenseOperator
-    h_prop: DenseOperator
-    h_out: DenseOperator
-    h_clock: DenseOperator
+    `parts` holds (H_in, H_prop, H_out, H_clock) as ClockBlocks in the clock
+    subspace and as dense arrays in the unary representation. The h_*
+    properties, h0() and h_mk() materialize dense operators on demand.
+    """
+
+    parts: tuple
     kappa: float
     t_steps: int
     circuit: VerifierCircuit
     rep: ClockRep
+    layout: SystemLayout
 
-    @property
-    def layout(self) -> SystemLayout:
-        return self.h_prop.layout
+    h_in = property(lambda self: self._dense(self.parts[0]))
+    h_prop = property(lambda self: self._dense(self.parts[1]))
+    h_out = property(lambda self: self._dense(self.parts[2]))
+    h_clock = property(lambda self: self._dense(self.parts[3]))
+
+    def _dense(self, m: ClockBlocks | np.ndarray) -> DenseOperator:
+        entries = m.dense() if isinstance(m, ClockBlocks) else m
+        return DenseOperator(self.layout, entries, hermitian=True, validate=False)
+
+    def h0_operator(self) -> ClockBlocks | np.ndarray:
+        h_in, h_prop, _, h_clock = self.parts
+        return h_in + h_prop + h_clock
+
+    def h_mk_operator(self) -> ClockBlocks | np.ndarray:
+        """H_MK in its stored form, as the low-spectrum solver takes it."""
+        return self.h0_operator() + self.kappa * self.parts[2]
 
     def h0(self) -> DenseOperator:
         """Unpenalized part H_in + H_prop + H_clock (annihilates history states)."""
-        m = self.h_in.entries + self.h_prop.entries + self.h_clock.entries
-        return DenseOperator(self.layout, m, hermitian=True, validate=False)
+        return self._dense(self.h0_operator())
 
     def h_mk(self) -> DenseOperator:
-        m = self.h0().entries + self.kappa * self.h_out.entries
-        return DenseOperator(self.layout, m, hermitian=True, validate=False)
+        return self._dense(self.h_mk_operator())
 
 
 def build_kitaev(
@@ -139,29 +165,29 @@ def build_kitaev(
     ]
 
     if rep is ClockRep.CLOCK_SUBSPACE:
-        total = layout.total_dim
-        eye_c = np.eye(c_dim, dtype=complex)
+        zero = scipy.sparse.csr_matrix((c_dim, c_dim), dtype=complex)
+        eye_c = scipy.sparse.identity(c_dim, dtype=complex, format="csr")
 
-        def block(h: np.ndarray, a: int, b: int) -> np.ndarray:
-            # clock is the slowest site: full index = circuit + c_dim * time
-            return h[a * c_dim : (a + 1) * c_dim, b * c_dim : (b + 1) * c_dim]
+        def blocks(diag: dict[int, object], lower: list | None = None) -> ClockBlocks:
+            # every term is positive semidefinite: floor 0
+            return ClockBlocks(
+                layout,
+                tuple(scipy.sparse.csr_matrix(diag.get(t, zero)) for t in range(t_steps + 1)),
+                tuple(lower) if lower is not None else (zero,) * t_steps,
+                0.0,
+            )
 
-        h_in = np.zeros((total, total), dtype=complex)
-        block(h_in, 0, 0)[:] = pin
-        h_out = np.zeros((total, total), dtype=complex)
-        block(h_out, t_steps, t_steps)[:] = reject
-        h_prop = np.zeros((total, total), dtype=complex)
-        for t in range(1, t_steps + 1):
-            u = embedded[t - 1]
-            block(h_prop, t, t)[:] += 0.5 * eye_c
-            block(h_prop, t - 1, t - 1)[:] += 0.5 * eye_c
-            block(h_prop, t, t - 1)[:] -= 0.5 * u
-            block(h_prop, t - 1, t)[:] -= 0.5 * u.conj().T
-        h_clock = np.zeros((total, total), dtype=complex)
+        h_in = blocks({0: pin})
+        h_out = blocks({t_steps: reject})
+        # H_prop: 1/2 on each end of every step, -U_t/2 from time t-1 to t
+        h_prop = blocks(
+            {t: (0.5 * ((t > 0) + (t < t_steps))) * eye_c for t in range(t_steps + 1)},
+            [scipy.sparse.csr_matrix(0.0 - 0.5 * u) for u in embedded],
+        )
+        h_clock = blocks({})
     else:
         total = layout.total_dim
         first_clock = circuit.layout.n_sites
-        eye2 = np.eye(2, dtype=complex)
         proj0 = np.diag([1.0, 0.0]).astype(complex)
         proj1 = np.diag([0.0, 1.0]).astype(complex)
         flip01 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
@@ -205,14 +231,12 @@ def build_kitaev(
     # every component is an elementwise-Hermitian combination of Hermitian
     # blocks and adjoint pairs, so no symmetrization pass is needed
     return KitaevHamiltonian(
-        h_in=DenseOperator(layout, h_in, hermitian=True, validate=False),
-        h_prop=DenseOperator(layout, h_prop, hermitian=True, validate=False),
-        h_out=DenseOperator(layout, h_out, hermitian=True, validate=False),
-        h_clock=DenseOperator(layout, h_clock, hermitian=True, validate=False),
+        parts=(h_in, h_prop, h_out, h_clock),
         kappa=kappa,
         t_steps=t_steps,
         circuit=circuit,
         rep=rep,
+        layout=layout,
     )
 
 
@@ -295,15 +319,119 @@ def idling_state(
     return blocks.reshape(-1) / np.sqrt(idle_steps + 1)
 
 
-def _low_spectrum(entries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs (ascending); switches solver by dimension."""
-    d = entries.shape[0]
+@dataclass(frozen=True)
+class LowSpectrum:
+    """Lowest eigenpairs in ascending order, with residuals |H v - lambda v|.
+
+    `certificate` is (mu, n) when an inertia count made apart from the
+    eigensolver showed that exactly the n lowest returned values lie below mu,
+    a point in the gap above them; None for the dense solvers.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+    residuals: np.ndarray
+    certificate: tuple[float, int] | None = None
+
+
+def _low_spectrum(
+    h: np.ndarray | ClockBlocks, k: int, n: int, config: Config | None = None
+) -> LowSpectrum:
+    """Lowest k eigenpairs (ascending); switches solver by dimension and storage.
+
+    n < k is the number of lowest pairs the caller reads as a complete low
+    space. Dense matrices and clock blocks up to _PARTIAL_EIGH_DIM go to the
+    dense eigensolver (subset eigh for larger dense matrices). Clock blocks
+    above it go to shift-invert subspace iteration, which converges the n
+    lowest pairs and certifies their count with ClockBlocks.negative_count;
+    a mismatch raises SpectrumCertificateError.
+    """
+    if isinstance(h, ClockBlocks):
+        if h.dim > _PARTIAL_EIGH_DIM:
+            return _shift_invert_spectrum(h, k, n, config or DEFAULT)
+        h = h.dense()
+    d = h.shape[0]
     k = min(k, d)
     if d <= _PARTIAL_EIGH_DIM or k == d:
-        vals, vecs = np.linalg.eigh(entries)
-        return vals[:k], vecs[:, :k]
-    vals, vecs = scipy.linalg.eigh(entries, subset_by_index=(0, k - 1), driver="evr")
-    return vals, vecs
+        vals, vecs = np.linalg.eigh(h)
+        vals, vecs = vals[:k], vecs[:, :k]
+    else:
+        vals, vecs = scipy.linalg.eigh(h, subset_by_index=(0, k - 1), driver="evr")
+    return LowSpectrum(vals, vecs, np.linalg.norm(h @ vecs - vecs * vals, axis=0))
+
+
+def _shift_invert_spectrum(h: ClockBlocks, k: int, n: int, cfg: Config) -> LowSpectrum:
+    """Block shift-invert subspace iteration with a Rayleigh-Ritz step per iteration.
+
+    Factors H - sigma once, sigma below h.floor, and iterates a fixed-seed
+    block of k + _SI_OVERSAMPLE vectors until the residuals of the n lowest
+    Ritz pairs fall below 64 u |H|_inf and stop shrinking (the round-off
+    floor). Ritz values beyond n are upper bounds of the eigenvalues with
+    their residuals; the n lowest pairs carry the count certificate.
+    """
+    # imported here: only this path needs it, and a module-level import
+    # would lengthen every process's start-up
+    import scipy.sparse.linalg
+
+    a = h.sparse()
+    d = h.dim
+    k = min(k, d)
+    m = min(k + _SI_OVERSAMPLE, d)
+    sigma = h.floor - _SI_MARGIN * max(1.0, abs(h.floor))
+    lu = scipy.sparse.linalg.splu(a - sigma * scipy.sparse.identity(d, format="csc"))
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m)))
+    tol = 64 * np.finfo(float).eps * float(abs(a).sum(axis=1).max())
+    previous = np.inf
+    for steps in range(1, _SI_MAX_ITER + 1):
+        q, _ = np.linalg.qr(lu.solve(q))
+        hq = a @ q
+        vals, rot = np.linalg.eigh(hermitize(q.conj().T @ hq))
+        q = q @ rot
+        residuals = np.linalg.norm(hq @ rot - q * vals, axis=0)
+        worst = float(residuals[:n].max())
+        if worst <= tol and worst > previous / 4:
+            break
+        previous = worst
+    else:
+        raise SpectrumCertificateError(
+            f"shift-invert iteration left residual {worst:.3e} > {tol:.3e} "
+            f"after {_SI_MAX_ITER} steps"
+        )
+    low = LowSpectrum(vals[:k], q[:, :k], residuals[:k])
+    low = replace(low, certificate=_count_certificate(h, low, n, cfg))
+    _log.debug(
+        "shift-invert D=%d block=%d steps=%d sigma=%.6g max residual of %d pairs %.3e, "
+        "%d eigenvalues below %.6g certified",
+        d, m, steps, sigma, n, worst, low.certificate[1], low.certificate[0],
+    )
+    return low
+
+
+def _count_certificate(
+    h: ClockBlocks, low: LowSpectrum, n: int, cfg: Config
+) -> tuple[float, int]:
+    """(mu, n): mu halfway between the n-th and (n+1)-th returned values holds n eigenvalues below it.
+
+    Raises ClusterSplitError when those two values are not separated by more
+    than the cluster tolerance, and SpectrumCertificateError when the inertia
+    count below mu differs from n, i.e. the solver missed or invented a pair.
+    """
+    vals = low.values
+    if not 0 < n < len(vals):
+        raise ValueError(f"certified count {n} needs 1 <= n < {len(vals)} returned values")
+    tol = cfg.cluster_rtol * max(1.0, float(np.abs(vals).max()))
+    if vals[n] - vals[n - 1] <= tol + low.residuals[n - 1]:
+        raise ClusterSplitError(
+            f"certified count {n} lands inside a cluster ({vals[n - 1]} vs {vals[n]})"
+        )
+    mu = 0.5 * float(vals[n - 1] + vals[n])
+    count = h.negative_count(mu)
+    if count != n:
+        raise SpectrumCertificateError(
+            f"{count} eigenvalues lie below {mu}, the eigensolver returned {n}"
+        )
+    return mu, count
 
 
 def ground_space(
@@ -391,7 +519,7 @@ class HmkReport:
 def check_hmk_lemma(
     kh: KitaevHamiltonian,
     config: Config | None = None,
-    _low: tuple[np.ndarray, np.ndarray] | None = None,
+    _low: LowSpectrum | None = None,
 ) -> HmkReport:
     """Compare H_MK's low spectrum and low subspace with the first-order predictions.
 
@@ -416,10 +544,8 @@ def check_hmk_lemma(
         )
 
     w = circuit.witness_dim
-    if _low is not None:
-        vals, vecs = _low
-    else:
-        vals, vecs = _low_spectrum(kh.h_mk().entries, w + 8)
+    low = _low if _low is not None else _low_spectrum(kh.h_mk_operator(), w + 8, w, cfg)
+    vals, vecs = low.values, low.vectors
 
     q_desc = np.sort(acc.eigen.values)[::-1]
     predicted = kappa * (1.0 - q_desc) / (t + 1)

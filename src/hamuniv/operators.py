@@ -1,4 +1,4 @@
-"""Dense complex operator algebra on multi-site layouts.
+"""Complex operator algebra on multi-site layouts: dense, and clock-block sparse.
 
 Conventions used throughout the package:
   * little-endian site ordering: site 0 is the fastest-varying index of the
@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
 
 from .config import DEFAULT, Config
 
@@ -26,6 +28,14 @@ class DimensionCapError(ValueError):
 
 class ClusterSplitError(ValueError):
     """A spectral threshold lands inside a degeneracy cluster."""
+
+
+class SpectrumCertificateError(ValueError):
+    """A low-spectrum result cannot be certified.
+
+    An eigenvalue count made apart from the eigensolver contradicts it, or the
+    iterative solver did not converge.
+    """
 
 
 @dataclass(frozen=True)
@@ -161,6 +171,129 @@ class DenseOperator:
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Average away sub-tolerance asymmetry accumulated by sums of products."""
     return (m + m.conj().T) / 2
+
+
+@dataclass(frozen=True)
+class ClockBlocks:
+    """Hermitian operator on a clock-subspace layout, stored by clock blocks.
+
+    The clock is the slowest site, so flat index = circuit index + c_dim * t.
+    diag[t] is the block <t|H|t> and lower[t - 1] the block <t|H|t-1>, both
+    sparse c_dim x c_dim; the upper blocks are their adjoints and blocks more
+    than one clock step apart vanish. floor is a lower bound on the spectrum
+    that the algebra below carries along (0 for the positive semidefinite
+    clock-Hamiltonian terms).
+    """
+
+    layout: SystemLayout
+    diag: tuple
+    lower: tuple
+    floor: float
+
+    @property
+    def c_dim(self) -> int:
+        return self.diag[0].shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.layout.total_dim
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim)
+
+    def __add__(self, other: "ClockBlocks") -> "ClockBlocks":
+        return ClockBlocks(
+            self.layout,
+            tuple(a + b for a, b in zip(self.diag, other.diag)),
+            tuple(a + b for a, b in zip(self.lower, other.lower)),
+            self.floor + other.floor,
+        )
+
+    def __rmul__(self, c: float) -> "ClockBlocks":
+        if c < 0:
+            raise ValueError("a negative multiple has no floor from this one")
+        return ClockBlocks(
+            self.layout,
+            tuple(c * a for a in self.diag),
+            tuple(c * b for b in self.lower),
+            c * self.floor,
+        )
+
+    def plus_diagonal(self, values: np.ndarray | float) -> "ClockBlocks":
+        """self + diag(values); a scalar shifts every diagonal entry."""
+        values = np.broadcast_to(np.asarray(values, dtype=float), (self.dim,))
+        c = self.c_dim
+        diag = tuple(
+            (a + scipy.sparse.diags(values[t * c : (t + 1) * c])).tocsr()
+            for t, a in enumerate(self.diag)
+        )
+        return ClockBlocks(self.layout, diag, self.lower, self.floor + float(values.min()))
+
+    def sparse(self) -> scipy.sparse.csc_matrix:
+        n = len(self.diag)
+        grid = [[None] * n for _ in range(n)]
+        for t, a in enumerate(self.diag):
+            grid[t][t] = a
+        for t, b in enumerate(self.lower, start=1):
+            grid[t][t - 1] = b
+            grid[t - 1][t] = b.conj().T
+        return scipy.sparse.bmat(grid, format="csc")
+
+    def dense(self) -> np.ndarray:
+        out = self.sparse().toarray()
+        # conj() turns the +0.0 imaginary parts of real entries into -0.0;
+        # adding 0.0 restores them, so the dense matrix (and a dense
+        # eigensolver's output) does not depend on which triangle held a block
+        out += 0.0
+        return out
+
+    def negative_count(self, mu: float) -> int:
+        """Number of eigenvalues below mu, from the inertia of a block LDL^dag of H - mu.
+
+        Haynsworth additivity: the inertia of H - mu is the sum of the
+        inertias of the clock-block Schur complements S_0 = A_0 - mu,
+        S_t = A_t - mu - B_t S_(t-1)^-1 B_t^dag. Each S_t is factored by
+        Bunch-Kaufman (zhetrf), whose block-diagonal factor has the inertia
+        of S_t (Sylvester); the Schur solves use an LU factorization.
+        """
+        eye = np.eye(self.c_dim)
+        count = 0
+        schur = None
+        for t, a in enumerate(self.diag):
+            s = a.toarray() - mu * eye
+            if schur is not None:
+                s -= schur
+            ldu, ipiv, info = scipy.linalg.lapack.zhetrf(s, lower=1)
+            if info != 0:
+                raise SpectrumCertificateError(f"Schur complement {t} is singular at {mu}")
+            count += _bunch_kaufman_negatives(ldu, ipiv)
+            if t < len(self.lower):
+                b = self.lower[t]
+                x = scipy.linalg.lu_solve(
+                    scipy.linalg.lu_factor(s, check_finite=False),
+                    b.conj().T.toarray(),
+                    check_finite=False,
+                )
+                schur = hermitize(np.asarray(b @ x))
+        return count
+
+
+def _bunch_kaufman_negatives(ldu: np.ndarray, ipiv: np.ndarray) -> int:
+    """Negative eigenvalues of the 1x1 / 2x2 block-diagonal factor of a lower zhetrf."""
+    d = np.real(np.diagonal(ldu))
+    sub = np.abs(np.diagonal(ldu, -1))
+    count = 0
+    k = 0
+    while k < len(d):
+        if ipiv[k] < 0:  # 2x2 block on rows k, k+1
+            det = d[k] * d[k + 1] - sub[k] ** 2
+            count += 1 if det < 0 else 2 * int(d[k] < 0)
+            k += 2
+        else:
+            count += int(d[k] < 0)
+            k += 1
+    return count
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import scipy.linalg
 
 from .config import DEFAULT, Config
 from .operators import (
+    ClockBlocks,
     ClusterSplitError,
     DenseOperator,
     DirectRotation,
@@ -221,7 +222,7 @@ class SimulationReport:
     w_rotation: "DirectRotation"
     v_tilde: np.ndarray
     h: np.ndarray
-    h_prime: np.ndarray
+    h_prime: np.ndarray | ClockBlocks
     encoding: Encoding
 
     @property
@@ -241,7 +242,7 @@ def _low_pairs(entries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def verify_simulation(
     h: DenseOperator | np.ndarray,
-    h_prime: DenseOperator | np.ndarray,
+    h_prime: DenseOperator | ClockBlocks | np.ndarray,
     enc: Encoding,
     delta: float,
     eta_target: float | None = None,
@@ -253,12 +254,18 @@ def verify_simulation(
 
     Preconditions: the number of h_prime eigenvalues at or below delta equals
     (p+q) * dim(h), and delta falls in a spectral gap (cluster-guarded).
+    A ClockBlocks h_prime comes with its low pairs in `_low`.
     """
     cfg = config or DEFAULT
     h_mat = h.entries if isinstance(h, DenseOperator) else np.asarray(h, dtype=complex)
-    hp_mat = (
-        h_prime.entries if isinstance(h_prime, DenseOperator) else np.asarray(h_prime, dtype=complex)
-    )
+    if isinstance(h_prime, ClockBlocks):
+        if _low is None:
+            raise ValueError("a ClockBlocks h_prime needs its low pairs passed in _low")
+        hp_mat = h_prime
+    elif isinstance(h_prime, DenseOperator):
+        hp_mat = h_prime.entries
+    else:
+        hp_mat = np.asarray(h_prime, dtype=complex)
     d_t = h_mat.shape[0]
     expected = d_t * enc.anc_dim
     if enc.target_dim != d_t:

@@ -40,6 +40,7 @@ from .kitaev import (
     idling_state,
 )
 from .operators import (
+    ClockBlocks,
     DenseOperator,
     Register,
     SystemLayout,
@@ -414,15 +415,19 @@ def flag_hamiltonian(f: np.ndarray) -> FlagHamiltonian:
 
 
 def build_hsim(
-    h_ls: DenseOperator,
+    h_ls: DenseOperator | ClockBlocks,
     lam_min: float,
     flag_terms: tuple[tuple[int, FlagHamiltonian], ...] | list,
     delta: float,
     a: float,
-) -> DenseOperator:
-    """Delta (H_LS - lam_min 1) + a sum_k 2^k (flag penalty on the k-th listed site)."""
+) -> DenseOperator | ClockBlocks:
+    """Delta (H_LS - lam_min 1) + a sum_k 2^k (flag penalty on the k-th listed site).
+
+    Clock-block input gives clock-block output; it takes diagonal flags only.
+    """
     layout = h_ls.layout
-    h = delta * h_ls.entries
+    blocks = isinstance(h_ls, ClockBlocks)
+    h = delta * h_ls if blocks else delta * h_ls.entries
     diag = np.zeros(layout.total_dim)
     diag -= delta * lam_min
     digit_table = None
@@ -435,8 +440,12 @@ def build_hsim(
             if digit_table is None:
                 digit_table = layout.digit_table()
             diag += weight * np.real(np.diagonal(local))[digit_table[site]]
+        elif blocks:
+            raise ValueError("a clock-block H_LS takes diagonal flag penalties only")
         else:
             h = h + weight * tensor_embed(flag.h_f, (site,), layout).entries
+    if blocks:
+        return h.plus_diagonal(diag)
     h[np.arange(layout.total_dim), np.arange(layout.total_dim)] += diag
     return DenseOperator(layout, h, hermitian=True, validate=False)
 
@@ -540,6 +549,10 @@ class PipelineReport:
     final_table: tuple[tuple[float, float, float], ...]  # (target E, simulated E, |diff|)
     eta_prime: float
     epsilon_prime: float
+    # largest residual |H v - lambda v| of the H_MK and H_sim eigenpairs the
+    # certificates read: floating-point error next to eta' and epsilon'
+    hmk_residual: float
+    hsim_residual: float
 
     @property
     def ok(self) -> bool:
@@ -583,12 +596,12 @@ def end_to_end(
     g = gap_info.gap
     kap = kappa if kappa is not None else default_kappa(g, t_prime)
     kh = build_kitaev(idled, kap, ClockRep.CLOCK_SUBSPACE, cfg)
-    h_mk = kh.h_mk()
+    h_mk = kh.h_mk_operator()
 
     w_dim = idled.witness_dim
-    mk_vals, mk_vecs = _low_spectrum(h_mk.entries, w_dim + 8)
-    hmk_report = check_hmk_lemma(kh, cfg, _low=(mk_vals, mk_vecs))
-    lam_min = float(mk_vals[0])
+    mk = _low_spectrum(h_mk, w_dim + 8, w_dim, cfg)
+    hmk_report = check_hmk_lemma(kh, cfg, _low=mk)
+    lam_min = float(mk.values[0])
     gap_mk = hmk_report.gap_above_low_space
 
     readout_sites = idled.layout.register("readout").sites
@@ -606,12 +619,9 @@ def end_to_end(
         delta_hat = delta * gap_mk
     lam_sh = target.norm + 1.0
     alignment = fam.shift + lam_sh
-    h_sim_raw = build_hsim(h_mk, lam_min, flags, delta, flag_prefactor)
-    aligned = h_sim_raw.entries.copy()
-    aligned[np.arange(h_sim_raw.dim), np.arange(h_sim_raw.dim)] -= alignment
-    h_sim = DenseOperator(h_sim_raw.layout, aligned, hermitian=True, validate=False)
-
-    sim_vals, sim_vecs = _low_spectrum(h_sim.entries, w_dim + 8)
+    h_sim = build_hsim(h_mk, lam_min, flags, delta, flag_prefactor).plus_diagonal(-alignment)
+    sim = _low_spectrum(h_sim, w_dim + 8, w_dim, cfg)
+    sim_low = (sim.values, sim.vectors)
 
     wtilde = wtilde_encodings(target, fam, cfg)
 
@@ -635,12 +645,12 @@ def end_to_end(
         enc_idle,
         bridge_delta,
         config=cfg,
-        _low=(sim_vals, sim_vecs),
+        _low=sim_low,
     )
 
     dp = delta_prime if delta_prime is not None else delta_hat / 2.0
     composite = compose_simulations(
-        wtilde.sim_report, bridge, delta=dp, config=cfg, _low=(sim_vals, sim_vecs)
+        wtilde.sim_report, bridge, delta=dp, config=cfg, _low=sim_low
     )
 
     table = tuple(
@@ -672,4 +682,6 @@ def end_to_end(
         final_table=table,
         eta_prime=float(composite.eta_measured),
         epsilon_prime=float(composite.epsilon_measured),
+        hmk_residual=float(mk.residuals[:w_dim].max()),
+        hsim_residual=float(sim.residuals[:w_dim].max()),
     )
