@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -151,9 +152,11 @@ class DenseOperator:
         if validate:
             if self.hermitian:
                 scale = np.abs(m).max()
-                if scale > 0 and np.abs(m - m.conj().T).max() > 1e-12 * scale:
+                asym = np.abs(m - m.conj().T).max()
+                if scale > 0 and asym > 1e-12 * scale:
                     raise ValueError(
-                        "operator flagged hermitian is not hermitian to 1e-12 (max norm)"
+                        "operator flagged hermitian is not hermitian to 1e-12 (max norm): "
+                        f"max asymmetry {asym:.3e}"
                     )
             m = m.copy()
         m.flags.writeable = False
@@ -162,6 +165,16 @@ class DenseOperator:
     @property
     def dim(self) -> int:
         return self.layout.total_dim
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, vectors) of np.linalg.eigh, computed once: the entries are read-only."""
+        if not self.hermitian:
+            raise ValueError("spectrum requires the hermitian flag")
+        values, vectors = np.linalg.eigh(self.entries)
+        values.flags.writeable = False
+        vectors.flags.writeable = False
+        return values, vectors
 
     @classmethod
     def identity(cls, layout: SystemLayout) -> "DenseOperator":

@@ -6,11 +6,18 @@ perturbed low spectral subspace R onto H_-, and S its principal matrix
 logarithm (valid since |S| < pi/2 by construction for admissible problems).
 Series coefficients are produced only through first order, which is all the
 low-band analysis needs; higher coefficients are out of scope.
+
+The direct rotation is the identity outside the joint span of R and H_-
+(Bravyi, DiVincenzo & Loss, Ann. Phys. 326, 2793 (2011)), a space of
+dimension r <= 2 dim H_-. The logarithm and every norm of S are taken there,
+and every other product has dim H_- columns, so no D x D factorization
+beyond the one eigendecomposition of H~ is made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -20,12 +27,17 @@ from .operators import (
     ClusterSplitError,
     DenseOperator,
     Subspace,
-    direct_rotation,
+    direct_rotation_factored,
     hermitize,
-    op_norm,
 )
 
 OFF_BLOCK_TOL = 1e-10
+SW_ORDER = 1  # the truncation order sw_exact measures
+
+
+def _norm(m: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix, from its eigenvalues."""
+    return float(np.abs(np.linalg.eigvalsh(m)).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -42,38 +54,49 @@ class SWProblem:
     delta: float
     minus: Subspace
     lambda0: float = 0.0
+    # sw_exact's bounds by config, so sw_bounds does not repeat it; floats
+    # only, since an SWExpansion here would make a reference cycle
+    _bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.h0.hermitian and self.h1.hermitian):
             raise ValueError("h0 and h1 must carry the hermitian flag")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        p_minus = self.minus.projector.entries
-        d = self.h0.dim
-        p_plus = np.eye(d) - p_minus
-        off = np.linalg.norm(p_minus @ self.h0.entries @ p_plus, 2)
+        b = self.minus.basis
+        b_h0 = b.conj().T @ self.h0.entries
+        low_block = b_h0 @ b
+        off = float(np.linalg.norm(b_h0 - low_block @ b.conj().T, 2))  # |Pi_- h0 Pi_+|
         if off > OFF_BLOCK_TOL:
             raise ValueError(f"h0 off-block norm {off:.3e} exceeds {OFF_BLOCK_TOL}")
-        b = self.minus.basis
-        low_vals = np.linalg.eigvalsh(hermitize(b.conj().T @ self.h0.entries @ b))
+        low_vals = np.linalg.eigvalsh(hermitize(low_block))
         if low_vals.size and low_vals.min() < -1e-9:
             raise ValueError("h0 has negative eigenvalues on H_-")
         lam0 = float(low_vals.max(initial=0.0))
         if lam0 >= 1.0:
             raise ValueError(f"largest h0 eigenvalue on H_- is {lam0} >= 1")
         object.__setattr__(self, "lambda0", lam0)
-        if self.minus.dim < d:
-            comp = scipy.linalg.null_space(b.conj().T)
-            high_vals = np.linalg.eigvalsh(hermitize(comp.conj().T @ self.h0.entries @ comp))
-            if high_vals.min() < 1.0 - 1e-9:
+        if self.minus.dim < self.h0.dim:
+            # lifting H_- by 2 puts it above 1, so a value below 1 lies on H_+
+            lifted = self.h0.entries + 2.0 * self.minus.projector.entries
+            high_min = float(np.linalg.eigvalsh(lifted)[0])
+            if high_min < 1.0 - 1e-9:
                 raise ValueError(
-                    f"h0 spectrum on H_+ starts at {high_vals.min()}, below the normalized gap 1"
+                    f"h0 spectrum on H_+ starts at {high_min}, below the normalized gap 1"
                 )
-        h1_norm = op_norm(self.h1)
-        if h1_norm >= self.delta / 2:
-            raise ValueError(f"|h1| = {h1_norm} is not below delta/2 = {self.delta / 2}")
+        if self.h1_norm >= self.delta / 2:
+            raise ValueError(f"|h1| = {self.h1_norm} is not below delta/2 = {self.delta / 2}")
+
+    @cached_property
+    def h1_norm(self) -> float:
+        return _norm(self.h1.entries)
 
     def perturbed(self) -> DenseOperator:
+        """H~, one operator per problem, so that its spectrum is computed once."""
+        return self._perturbed
+
+    @cached_property
+    def _perturbed(self) -> DenseOperator:
         m = self.delta * self.h0.entries + self.h1.entries
         return DenseOperator(self.h0.layout, hermitize(m), hermitian=True)
 
@@ -98,12 +121,14 @@ def sw_series(prob: SWProblem, k: int = 1) -> list[DenseOperator]:
     """Leading effective-Hamiltonian terms [Delta H0 Pi_-, Pi_- H1 Pi_-]."""
     if k > 1:
         raise ValueError("series coefficients beyond first order are out of scope")
-    p = prob.minus.projector.entries
+    b = prob.minus.basis
+    b_dag = b.conj().T
     layout = prob.h0.layout
-    order0 = DenseOperator(layout, hermitize(prob.delta * (prob.h0.entries @ p)), hermitian=True)
-    terms = [order0]
+    order0 = hermitize(prob.delta * (prob.h0.entries @ b) @ b_dag)
+    terms = [DenseOperator(layout, order0, hermitian=True)]
     if k >= 1:
-        terms.append(DenseOperator(layout, hermitize(p @ prob.h1.entries @ p), hermitian=True))
+        order1 = hermitize(b @ (b_dag @ prob.h1.entries @ b) @ b_dag)
+        terms.append(DenseOperator(layout, order1, hermitian=True))
     return terms
 
 
@@ -111,58 +136,69 @@ def sw_exact(prob: SWProblem, config: Config | None = None) -> SWExpansion:
     """Exact block-diagonalizing rotation e^S and effective Hamiltonian on H_-."""
     cfg = config or DEFAULT
     h_t = prob.perturbed()
-    vals, vecs = np.linalg.eigh(h_t.entries)
+    vals, vecs = h_t.spectrum
     k = prob.minus.dim
     d = h_t.dim
-    if 0 < k < d:
-        tol = cfg.cluster_rtol * max(1.0, float(np.abs(vals).max()))
-        if vals[k] - vals[k - 1] < tol:
-            raise ClusterSplitError(
-                "the perturbed low subspace is not spectrally separated at the cut"
-            )
-    r_space = Subspace.from_basis(h_t.layout, vecs[:, :k])
-    w = direct_rotation(r_space, prob.minus).entries
-    s = scipy.linalg.logm(w)
-    s = (s - s.conj().T) / 2  # scrub rounding: the generator is anti-Hermitian
-    s_norm = float(np.linalg.norm(s, 2))
+    h_scale = max(1.0, float(np.abs(vals).max()))
+    if 0 < k < d and vals[k] - vals[k - 1] < cfg.cluster_rtol * h_scale:
+        raise ClusterSplitError(
+            "the perturbed low subspace is not spectrally separated at the cut"
+        )
+    b = prob.minus.basis
+    rot = direct_rotation_factored(vecs[:, :k], b)
+    q, w = rot.q_span, rot.w_small
+    # e^S = 1 + q (w - 1) q^dag, so S = q log(w) q^dag
+    s_small = scipy.linalg.logm(w)
+    s_small = (s_small - s_small.conj().T) / 2  # scrub rounding: the generator is anti-Hermitian
+    s_norm = _norm(1j * s_small)
     if s_norm >= np.pi / 2:
         raise ValueError(f"|S| = {s_norm} reached pi/2: principal branch invalid")
-    p = prob.minus.projector.entries
-    p_plus = np.eye(d) - p
-    block_diag = np.linalg.norm(p @ s @ p, 2) + np.linalg.norm(p_plus @ s @ p_plus, 2)
+    # Pi_- and Pi_+ act on span(q) as bq bq^dag and 1 - bq bq^dag, with b = q bq
+    bq = q.conj().T @ b
+    plus = np.eye(q.shape[1]) - bq @ bq.conj().T
+    block_diag = _norm(1j * (bq.conj().T @ s_small @ bq)) + _norm(1j * (plus @ s_small @ plus))
     if block_diag > 1e-9:
         raise ValueError(f"generator has block-diagonal residue {block_diag:.3e}")
-    rotated = w @ h_t.entries @ w.conj().T
-    off = np.linalg.norm(p @ rotated @ p_plus, 2)
-    if off > 1e-9 * max(1.0, op_norm(h_t)):
+    # y = e^S H~ e^-S b: its part off H_- is the off-block part of the rotated H~
+    y = rot.apply_left(h_t.entries @ (b + q @ (w.conj().T @ bq - bq)))
+    m = b.conj().T @ y
+    off = float(np.linalg.norm(y - b @ m, 2))
+    if off > 1e-9 * h_scale:
         raise ValueError(f"e^S failed to block-diagonalize: off-block norm {off:.3e}")
-    h_eff = DenseOperator(h_t.layout, hermitize(p @ rotated @ p), hermitian=True)
+    h_eff = DenseOperator(h_t.layout, hermitize(b @ m @ b.conj().T), hermitian=True)
     orders = tuple(sw_series(prob, 1))
-    bounds = _bound_values(prob, s, h_eff, orders, 1, cfg)
+    bounds = _bound_values(prob, s_norm, h_eff, orders, SW_ORDER, cfg)
+    prob._bounds[cfg] = dict(bounds)
+    s = q @ s_small @ q.conj().T
     return SWExpansion(
-        s_exact=s, h_eff_exact=h_eff, h_eff_orders=orders, bounds=bounds, problem=prob
+        s_exact=(s - s.conj().T) / 2,
+        h_eff_exact=h_eff,
+        h_eff_orders=orders,
+        bounds=bounds,
+        problem=prob,
     )
 
 
 def _bound_values(
     prob: SWProblem,
-    s: np.ndarray,
+    s_norm: float,
     h_eff: DenseOperator,
     orders: tuple[DenseOperator, ...],
     k: int,
     cfg: Config,
 ) -> dict[str, float]:
-    h1_norm = op_norm(prob.h1)
     factor = 1.0 + prob.lambda0 / (np.pi * prob.delta)
-    s_bound = cfg.c_sw * h1_norm / prob.delta * factor
-    trunc_bound = cfg.c_sw * prob.delta ** (-k) * h1_norm ** (k + 1) * factor
-    truncated = sum(term.entries for term in orders[: k + 1])
-    measured_trunc = float(np.linalg.norm(h_eff.entries - truncated, 2))
+    s_bound = cfg.c_sw * prob.h1_norm / prob.delta * factor
+    trunc_bound = cfg.c_sw * prob.delta ** (-k) * prob.h1_norm ** (k + 1) * factor
+    # h_eff and the series terms all act within the span of b and h0 b
+    b = prob.minus.basis
+    span, _ = np.linalg.qr(np.hstack([b, prob.h0.entries @ b]))
+    rest = h_eff.entries - sum(term.entries for term in orders[: k + 1])
     return {
-        "s_norm_measured": float(np.linalg.norm(s, 2)),
+        "s_norm_measured": s_norm,
         "s_norm_bound": float(s_bound),
         "truncation_order": float(k),
-        "truncation_measured": measured_trunc,
+        "truncation_measured": _norm(span.conj().T @ rest @ span),
         "truncation_bound": float(trunc_bound),
     }
 
@@ -184,14 +220,24 @@ class SWBounds:
 
 
 def sw_bounds(prob: SWProblem, k: int = 1, config: Config | None = None) -> SWBounds:
-    """Evaluate the |S| and order-k truncation bounds next to their measured values."""
+    """Evaluate the |S| and order-k truncation bounds next to their measured values.
+
+    At order 1 the values sw_exact already measured on prob are reused.
+    """
     if k > 1:
         raise ValueError("series coefficients beyond first order are out of scope")
     cfg = config or DEFAULT
-    expansion = sw_exact(prob, cfg)
-    values = _bound_values(
-        prob, expansion.s_exact, expansion.h_eff_exact, expansion.h_eff_orders, k, cfg
-    )
+    values = prob._bounds.get(cfg) if k == SW_ORDER else None
+    if values is None:
+        expansion = sw_exact(prob, cfg)
+        values = _bound_values(
+            prob,
+            expansion.bounds["s_norm_measured"],
+            expansion.h_eff_exact,
+            expansion.h_eff_orders,
+            k,
+            cfg,
+        )
     return SWBounds(
         s_norm_measured=values["s_norm_measured"],
         s_norm_bound=values["s_norm_bound"],

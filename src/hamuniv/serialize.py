@@ -101,16 +101,8 @@ def operator_from_dict(
     if dim != layout.total_dim:
         raise InputFormatError(f"{path}.dim", f"dim {dim} != layout total dimension {layout.total_dim}")
     entries = pairs_to_matrix(_require(obj, "entries", path), dim, f"{path}.entries")
-    hermitian = bool(obj.get("hermitian", False))
-    if hermitian:
-        asym = float(np.abs(entries - entries.conj().T).max())
-        scale = float(np.abs(entries).max())
-        if scale > 0 and asym > 1e-12 * scale:
-            raise InputFormatError(
-                f"{path}.hermitian", f"matrix flagged hermitian has max asymmetry {asym:.3e}"
-            )
     try:
-        return DenseOperator(layout, entries, hermitian=hermitian)
+        return DenseOperator(layout, entries, hermitian=bool(obj.get("hermitian", False)))
     except ValueError as exc:
         raise InputFormatError(path, str(exc)) from exc
 

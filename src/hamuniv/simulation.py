@@ -87,12 +87,16 @@ class Encoding:
     def sim_dim(self) -> int:
         return self.v.shape[0]
 
-    def apply(self, m: np.ndarray) -> np.ndarray:
+    def core(self, m: np.ndarray) -> np.ndarray:
+        """M (x) P + conj(M) (x) Q: E(M) = V core V^dag."""
         m = np.asarray(m, dtype=complex)
         core = np.kron(m, self.p_anc)
         if self.conjugation_split:
             core = core + np.kron(m.conj(), self.q_anc)
-        return self.v @ core @ self.v.conj().T
+        return core
+
+    def apply(self, m: np.ndarray) -> np.ndarray:
+        return self.v @ self.core(m) @ self.v.conj().T
 
     def image_projector(self) -> np.ndarray:
         """E(1) = V V^dag."""
@@ -222,6 +226,7 @@ class SimulationReport:
     w_rotation: "DirectRotation"
     v_tilde: np.ndarray
     h: np.ndarray
+    h_values: np.ndarray  # ascending eigenvalues of h
     h_prime: np.ndarray | ClockBlocks
     encoding: Encoding
 
@@ -230,12 +235,19 @@ class SimulationReport:
         return all(self.conditions.values())
 
 
-def _low_pairs(entries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(op: DenseOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition; a Hermitian-flagged operator keeps its own."""
+    if isinstance(op, DenseOperator):
+        return op.spectrum if op.hermitian else np.linalg.eigh(op.entries)
+    return np.linalg.eigh(np.asarray(op, dtype=complex))
+
+
+def _low_pairs(op: DenseOperator | np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    entries = op.entries if isinstance(op, DenseOperator) else np.asarray(op, dtype=complex)
     d = entries.shape[0]
     k = min(k, d)
     if d <= _PARTIAL_EIGH_DIM or k == d:
-        vals, vecs = np.linalg.eigh(entries)
-        return vals, vecs
+        return _eigh(op)
     vals, vecs = scipy.linalg.eigh(entries, subset_by_index=(0, k - 1), driver="evr")
     return vals, vecs
 
@@ -275,7 +287,7 @@ def verify_simulation(
     if _low is not None:
         vals, vecs = _low
     else:
-        vals, vecs = _low_pairs(hp_mat, min(hp_mat.shape[0], expected + 8))
+        vals, vecs = _low_pairs(h_prime, expected + 8)
     k = int(np.searchsorted(vals, delta, side="right"))
     if k != expected:
         raise ValueError(
@@ -290,9 +302,7 @@ def verify_simulation(
     v_tilde = rotation.apply_left(enc.v)
     eta = float(np.linalg.norm(v_tilde - enc.v, 2))
 
-    core = np.kron(h_mat, enc.p_anc)
-    if enc.conjugation_split:
-        core = core + np.kron(h_mat.conj(), enc.q_anc)
+    core = enc.core(h_mat)
     # |H' P_low - V~ core V~^dag| in the joint column span, without D x D work
     q_joint, _ = np.linalg.qr(np.hstack([low_vecs, v_tilde]))
     x_low = q_joint.conj().T @ low_vecs
@@ -328,6 +338,7 @@ def verify_simulation(
         w_rotation=rotation,
         v_tilde=v_tilde,
         h=h_mat,
+        h_values=t_vals,
         h_prime=hp_mat,
         encoding=enc,
     )
@@ -344,10 +355,9 @@ def check_partition_function(
 ) -> tuple[float, float, bool]:
     """Relative partition-function error against its certified bound at inverse temperature beta."""
     rep = report if report is not None else verify_simulation(h, h_prime, enc, delta, config=config)
-    h_mat, hp_mat = rep.h, rep.h_prime
+    h_mat, hp_mat, vals_t = rep.h, rep.h_prime, rep.h_values
     pq = enc.anc_dim
-    vals_t = np.linalg.eigvalsh(h_mat)
-    vals_s = np.linalg.eigvalsh(hp_mat)
+    vals_s = _eigh(h_prime)[0] if isinstance(h_prime, DenseOperator) else np.linalg.eigvalsh(hp_mat)
     z_t = float(np.exp(-beta * vals_t).sum())
     z_s = float(np.exp(-beta * vals_s).sum())
     rel_err = abs(z_s - pq * z_t) / (pq * z_t)
@@ -369,24 +379,30 @@ def check_dynamics(
     epsilon: float,
     eta: float,
 ) -> tuple[float, float, bool]:
-    """Trace-norm deviation of time evolution under h_prime vs under E(h), against 2 eps t + 4 eta."""
+    """Trace-norm deviation of time evolution under h_prime vs under E(h), against 2 eps t + 4 eta.
+
+    rho_prime = V r V^dag lies in the encoded image, where E(h) acts as
+    V core V^dag, so e^(-i E(h) t) rho_prime e^(i E(h) t) is
+    V e^(-i core t) r e^(i core t) V^dag. Both evolved states have rank at
+    most dim r, and the trace norm of their difference is taken in the joint
+    span of their column spaces.
+    """
     rho = np.asarray(rho_prime, dtype=complex)
-    e_one = enc.image_projector()
-    if np.abs(e_one @ rho - rho).max() > 1e-9:
+    v = enc.v
+    r = v.conj().T @ rho @ v
+    if np.abs(v @ r @ v.conj().T - rho).max() > 1e-9:
         raise ValueError("rho_prime is not supported in the encoded subspace")
     h_mat = h.entries if isinstance(h, DenseOperator) else np.asarray(h, dtype=complex)
-    hp_mat = (
-        h_prime.entries if isinstance(h_prime, DenseOperator) else np.asarray(h_prime, dtype=complex)
-    )
-    h_enc = hermitize(apply_encoding(enc, h_mat))
-
-    def evolve(ham: np.ndarray, state: np.ndarray) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(ham)
-        u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-        return u @ state @ u.conj().T
-
-    diff = evolve(hp_mat, rho) - evolve(h_enc, rho)
-    distance = float(np.linalg.norm(diff, "nuc"))
+    vals, vecs = _eigh(h_prime)
+    core_vals, core_vecs = np.linalg.eigh(hermitize(enc.core(h_mat)))
+    x = vecs @ (np.exp(-1j * vals * t)[:, None] * (vecs.conj().T @ v))  # e^(-i h' t) V
+    y = v @ (core_vecs * np.exp(-1j * core_vals * t)) @ core_vecs.conj().T  # V e^(-i core t)
+    # x r x^dag - y r y^dag = q (ux r ux^dag - uy r uy^dag) q^dag with [x y] = q [ux uy]
+    _, upper = np.linalg.qr(np.hstack([x, y]))
+    n = r.shape[0]
+    upper_x, upper_y = upper[:, :n], upper[:, n:]
+    diff = upper_x @ r @ upper_x.conj().T - upper_y @ r @ upper_y.conj().T
+    distance = float(np.abs(np.linalg.eigvalsh(hermitize(diff))).sum())
     bound = 2.0 * epsilon * abs(t) + 4.0 * eta
     return distance, float(bound), bool(distance <= bound + 1e-9)
 

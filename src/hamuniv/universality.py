@@ -110,15 +110,11 @@ class WitnessFamily:
 
     def readout_basis_index(self, j: int) -> int:
         """Flat qutrit-register index of the binary string for integer j."""
-        idx, base = 0, 1
-        for k in range(self.m):
-            idx += ((j >> k) & 1) * base
-            base *= 3
-        return idx
+        return int(_binary_indices(self.m)[j])
 
     @property
     def hash_string_index(self) -> int:
-        return sum(HASH_STATE * 3**k for k in range(self.m))
+        return _hash_index(self.m)
 
 
 def witness_family(
@@ -155,16 +151,12 @@ def witness_family(
     d_state = target.dim
     d_readout = 3**m
     s_norm = np.sqrt(a**2 + 1.0)
-    hash_idx = sum(HASH_STATE * 3**k for k in range(m))
+    binary_idx = _binary_indices(m)
     states = np.zeros((d_state * d_readout, len(energies)), dtype=complex)
     for mu in range(len(energies)):
         readout_vec = np.zeros(d_readout, dtype=complex)
-        readout_vec[hash_idx] = a / s_norm
-        idx, base = 0, 1
-        for k in range(m):
-            idx += ((int(readout[mu]) >> k) & 1) * base
-            base *= 3
-        readout_vec[idx] += 1.0 / s_norm
+        readout_vec[_hash_index(m)] = a / s_norm
+        readout_vec[binary_idx[readout[mu]]] += 1.0 / s_norm
         states[:, mu] = np.kron(readout_vec, target.eigenvectors[:, mu])
     gram = states.conj().T @ states
     if np.abs(gram - np.eye(states.shape[1])).max() > 1e-9:
@@ -204,15 +196,17 @@ def _phase_readout_matrix(phase: float, m: int) -> np.ndarray:
 
 
 def _binary_indices(m: int) -> np.ndarray:
-    """Qutrit-register flat indices of all m-bit strings, ordered by integer value."""
-    out = np.zeros(2**m, dtype=np.int64)
-    for j in range(2**m):
-        idx, base = 0, 1
-        for k in range(m):
-            idx += ((j >> k) & 1) * base
-            base *= 3
-        out[j] = idx
-    return out
+    """Qutrit-register flat indices of all m-bit strings, ordered by integer value.
+
+    Bit k of the integer is the digit of qutrit k, the (k+1)-th fastest.
+    """
+    bits = (np.arange(2**m, dtype=np.int64)[:, None] >> np.arange(m)) & 1
+    return bits @ 3 ** np.arange(m, dtype=np.int64)
+
+
+def _hash_index(m: int) -> int:
+    """Qutrit-register flat index of the all-|#> string."""
+    return HASH_STATE * (3**m - 1) // 2
 
 
 def _embed_binary(g: np.ndarray, m: int) -> np.ndarray:

@@ -1,10 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from hamuniv.circuits import acceptance_operator
 from hamuniv.kitaev import build_kitaev, ground_space, history_state, spectral_gap_above
-from hamuniv.operators import DenseOperator, Subspace, SystemLayout
+from hamuniv.operators import DenseOperator, Subspace, SystemLayout, direct_rotation
 from hamuniv.schrieffer_wolff import SWProblem, sw_bounds, sw_exact, sw_series
 
 from conftest import cnot_verifier, random_hermitian
@@ -20,8 +24,11 @@ def two_level_problem(v: float, delta: float = 1.0) -> SWProblem:
     return SWProblem(h0=h0, h1=h1, delta=delta, minus=minus)
 
 
-def random_problem(rng, dim: int, ratio: float = 0.1) -> SWProblem:
-    k = int(rng.integers(1, dim))
+def random_problem(
+    rng, dim: int, ratio: float = 0.1, k: int | None = None, real_h1: bool = False
+) -> SWProblem:
+    if k is None:
+        k = int(rng.integers(1, dim))
     basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     low = np.sort(rng.uniform(0.0, 0.5, size=k))
     high = np.sort(rng.uniform(1.0, 2.0, size=dim - k))
@@ -30,6 +37,8 @@ def random_problem(rng, dim: int, ratio: float = 0.1) -> SWProblem:
     h0 = DenseOperator(lay, (h0_m + h0_m.conj().T) / 2, hermitian=True)
     delta = float(rng.uniform(1.0, 5.0))
     h1_m = random_hermitian(rng, dim)
+    if real_h1:
+        h1_m = h1_m.real.astype(complex)
     h1_m *= ratio * delta * rng.uniform(0.2, 1.0) / np.linalg.norm(h1_m, 2)
     h1 = DenseOperator(lay, h1_m, hermitian=True)
     minus = Subspace.from_basis(lay, basis[:, :k])
@@ -43,6 +52,16 @@ class TestSWProblemValidation:
         minus = Subspace.from_basis(lay, np.array([[1.0], [0.0]], dtype=complex))
         with pytest.raises(ValueError, match="off-block"):
             SWProblem(h0=h0, h1=DenseOperator(lay, np.zeros((2, 2)), hermitian=True), delta=1.0, minus=minus)
+
+    def test_high_block_below_normalized_gap_rejected(self):
+        lay = SystemLayout((3,))
+        zero = DenseOperator(lay, np.zeros((3, 3)), hermitian=True)
+        minus = Subspace.from_basis(lay, np.eye(3, dtype=complex)[:, :1])
+        low = DenseOperator(lay, np.diag([0.9, 0.5, 1.5]).astype(complex), hermitian=True)
+        with pytest.raises(ValueError, match="H_\\+ starts at 0.5"):
+            SWProblem(h0=low, h1=zero, delta=1.0, minus=minus)
+        ok = DenseOperator(lay, np.diag([0.9, 1.0, 1.5]).astype(complex), hermitian=True)
+        assert SWProblem(h0=ok, h1=zero, delta=1.0, minus=minus).lambda0 == pytest.approx(0.9)
 
     def test_large_perturbation_rejected(self):
         with pytest.raises(ValueError, match="delta/2"):
@@ -102,6 +121,74 @@ class TestSWExact:
             low = np.linalg.eigvalsh(prob.perturbed().entries)[: prob.minus.dim]
             eff = np.linalg.eigvalsh(exp.h_eff_restricted())
             assert np.abs(low - eff).max() <= 1e-9
+
+
+def dense_reference(prob: SWProblem):
+    """(S, h_eff, |S|, truncation) from D x D matrices: logm of the materialized rotation."""
+    h_t = prob.perturbed().entries
+    _, vecs = np.linalg.eigh(h_t)
+    r_space = Subspace.from_basis(prob.h0.layout, vecs[:, : prob.minus.dim])
+    w = direct_rotation(r_space, prob.minus).entries
+    s = scipy.linalg.logm(w)
+    s = (s - s.conj().T) / 2
+    p = prob.minus.projector.entries
+    h_eff = p @ w @ h_t @ w.conj().T @ p
+    first_order = prob.delta * prob.h0.entries @ p + p @ prob.h1.entries @ p
+    return s, h_eff, np.linalg.norm(s, 2), np.linalg.norm(h_eff - first_order, 2)
+
+
+class TestJointSpan:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 12),
+        low=st.integers(0, 10),
+        real_h1=st.booleans(),
+    )
+    @example(seed=1, dim=9, low=0, real_h1=False)  # dim H_- = 1, complex h1
+    def test_matches_dense_reference(self, seed, dim, low, real_h1):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, dim, k=1 + low % (dim - 1), real_h1=real_h1)
+        exp = sw_exact(prob)
+        s_ref, h_eff_ref, s_norm_ref, trunc_ref = dense_reference(prob)
+        assert np.abs(exp.s_exact - s_ref).max() <= 1e-12
+        assert np.abs(exp.h_eff_exact.entries - h_eff_ref).max() <= 1e-12
+        assert abs(exp.bounds["s_norm_measured"] - s_norm_ref) <= 1e-12
+        assert abs(exp.bounds["truncation_measured"] - trunc_ref) <= 1e-12
+
+    def test_sw_bounds_after_sw_exact_factors_nothing(self, rng, monkeypatch):
+        prob = random_problem(rng, 8)
+        exp = sw_exact(prob)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(scipy.linalg, "logm", counted("logm", scipy.linalg.logm))
+        bounds = sw_bounds(prob)
+        assert calls == []
+        assert bounds.s_norm_measured == exp.bounds["s_norm_measured"]
+        assert bounds.truncation_measured == exp.bounds["truncation_measured"]
+        sw_bounds(random_problem(rng, 8))  # a fresh problem is measured, and counted
+        assert "logm" in calls and "eigh" in calls
+
+    def test_problem_freed_without_cycle_collector(self, rng):
+        gc.disable()
+        try:
+            prob = random_problem(rng, 8)
+            exp = sw_exact(prob)
+            sw_bounds(prob)
+            ref = weakref.ref(prob)
+            del prob, exp
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestSWSeries:

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from hamuniv.circuits import idle_prefix
 from hamuniv.kitaev import build_kitaev, idling_state
-from hamuniv.operators import SystemLayout
+from hamuniv.operators import DenseOperator, SystemLayout
 from hamuniv.simulation import (
     Encoding,
     apply_encoding,
@@ -245,6 +245,36 @@ class TestDynamics:
         rho = np.eye(8, dtype=complex) / 8.0
         with pytest.raises(ValueError, match="encoded subspace"):
             check_dynamics(h, hp, enc, rho, 1.0, 0.1, 0.1)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_matches_expm_reference(self, rng, split):
+        d_t, d_sim = 3, 10
+        anc = 2 if split else 1
+        n = d_t * anc
+        h = random_hermitian(rng, d_t)
+        v, _ = np.linalg.qr(rng.normal(size=(d_sim, n)) + 1j * rng.normal(size=(d_sim, n)))
+        if split:
+            p = np.diag([1.0, 0.0]).astype(complex)
+            enc = Encoding(v=v, p_anc=p, q_anc=np.eye(2) - p, target_dim=d_t)
+        else:
+            enc = plain_encoding(v, d_t)
+        hp = random_hermitian(rng, d_sim)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        r = a @ a.conj().T
+        rho = v @ (r / np.trace(r).real) @ v.conj().T
+        h_enc = apply_encoding(enc, h)
+        for t in (0.3, 2.0):
+            u = scipy.linalg.expm(-1j * t * hp)
+            u_enc = scipy.linalg.expm(-1j * t * h_enc)
+            diff = u @ rho @ u.conj().T - u_enc @ rho @ u_enc.conj().T
+            expected = np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum()
+            for h_prime in (hp, DenseOperator(SystemLayout((d_sim,)), hp, hermitian=True)):
+                dist, bound, ok = check_dynamics(h, h_prime, enc, rho, t, 0.01, 0.02)
+                assert abs(dist - expected) <= 1e-10
+                assert bound == pytest.approx(2 * 0.01 * t + 4 * 0.02, abs=1e-15)
+                assert ok == (dist <= bound + 1e-9)
+        with pytest.raises(ValueError, match="encoded subspace"):
+            check_dynamics(h, hp, enc, np.eye(d_sim) / d_sim, 1.0, 0.01, 0.02)
 
 
 class TestCompose:

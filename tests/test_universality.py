@@ -4,6 +4,7 @@ import pytest
 from hamuniv.circuits import acceptance_gap, acceptance_operator
 from hamuniv.operators import DenseOperator, Subspace, SystemLayout, subspace_distance
 from hamuniv.universality import (
+    HASH_STATE,
     TargetHamiltonian,
     build_hprime,
     build_hsim,
@@ -48,6 +49,17 @@ class TestWitnessFamily:
     def test_tau_wraparound_rejected(self):
         with pytest.raises(ValueError, match="wrap"):
             witness_family(qubit_target([0.0, 1.0]), a=2.0, m=2, tau=2 * np.pi)
+
+    def test_readout_indices_match_digit_loop(self):
+        for m in range(1, 6):
+            fam = witness_family(qubit_target([0.0, 0.5]), a=4.0, m=m, tau=np.pi)
+            for j in range(2**m):
+                idx, base = 0, 1
+                for k in range(m):
+                    idx += ((j >> k) & 1) * base
+                    base *= 3
+                assert fam.readout_basis_index(j) == idx
+            assert fam.hash_string_index == sum(HASH_STATE * 3**k for k in range(m))
 
 
 class TestQpeVerifier:
