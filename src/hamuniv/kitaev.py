@@ -97,7 +97,7 @@ def _pinned_projector(circuit: VerifierCircuit, site: int, keep_state: int) -> n
     ).entries
 
 
-def _unary_time_index(t: int, n_clock: int) -> int:
+def _unary_time_index(t: int) -> int:
     """Flat index of |1^t 0^(T-t)> in the clock-qubit factor (clock qubit k at digit k-1)."""
     return (1 << t) - 1
 
@@ -107,7 +107,7 @@ class KitaevHamiltonian:
     """Components of the modified clock Hamiltonian for one verifier circuit.
 
     `parts` holds (H_in, H_prop, H_out, H_clock) as ClockBlocks in the clock
-    subspace and as dense arrays in the unary representation. The h_*
+    subspace and as sparse CSR matrices in the unary representation. The h_*
     properties, h0() and h_mk() materialize dense operators on demand.
     """
 
@@ -123,15 +123,15 @@ class KitaevHamiltonian:
     h_out = property(lambda self: self._dense(self.parts[2]))
     h_clock = property(lambda self: self._dense(self.parts[3]))
 
-    def _dense(self, m: ClockBlocks | np.ndarray) -> DenseOperator:
-        entries = m.dense() if isinstance(m, ClockBlocks) else m
+    def _dense(self, m: ClockBlocks | scipy.sparse.csr_matrix) -> DenseOperator:
+        entries = m.dense() if isinstance(m, ClockBlocks) else m.toarray()
         return DenseOperator(self.layout, entries, hermitian=True, validate=False)
 
-    def h0_operator(self) -> ClockBlocks | np.ndarray:
+    def h0_operator(self) -> ClockBlocks | scipy.sparse.csr_matrix:
         h_in, h_prop, _, h_clock = self.parts
         return h_in + h_prop + h_clock
 
-    def h_mk_operator(self) -> ClockBlocks | np.ndarray:
+    def h_mk_operator(self) -> ClockBlocks | scipy.sparse.csr_matrix:
         """H_MK in its stored form, as the low-spectrum solver takes it."""
         return self.h0_operator() + self.kappa * self.parts[2]
 
@@ -164,9 +164,9 @@ def build_kitaev(
         tensor_embed(g.unitary, g.targets, circuit.layout).entries for g in circuit.gates
     ]
 
+    eye_c = scipy.sparse.identity(c_dim, dtype=complex, format="csr")
     if rep is ClockRep.CLOCK_SUBSPACE:
         zero = scipy.sparse.csr_matrix((c_dim, c_dim), dtype=complex)
-        eye_c = scipy.sparse.identity(c_dim, dtype=complex, format="csr")
 
         def blocks(diag: dict[int, object], lower: list | None = None) -> ClockBlocks:
             # every term is positive semidefinite: floor 0
@@ -186,47 +186,34 @@ def build_kitaev(
         )
         h_clock = blocks({})
     else:
-        total = layout.total_dim
-        first_clock = circuit.layout.n_sites
+        eye2 = np.eye(2, dtype=complex)
         proj0 = np.diag([1.0, 0.0]).astype(complex)
         proj1 = np.diag([0.0, 1.0]).astype(complex)
         flip01 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
 
-        def embed_clock(ops: dict[int, np.ndarray]) -> np.ndarray:
-            # ops maps clock-qubit number (1-based) to a 2x2 matrix
-            sites = tuple(first_clock + k - 1 for k in sorted(ops))
-            local = None
-            for k in sorted(ops):  # ascending sites: later factors are slower
-                local = ops[k] if local is None else np.kron(ops[k], local)
-            dims = tuple(2 for _ in sites)
-            return tensor_embed(
-                DenseOperator(SystemLayout(dims), local), sites, layout
-            ).entries
+        def term(clock: dict[int, np.ndarray], circ) -> scipy.sparse.csr_matrix:
+            # clock (x) circ with the clock the slow factor; clock maps a clock
+            # qubit k (1-based, at digit k-1) to a 2x2 matrix, identity elsewhere
+            lo, hi = min(clock), max(clock)
+            local = np.ones((1, 1), dtype=complex)
+            for k in range(hi, lo - 1, -1):
+                local = np.kron(local, clock.get(k, eye2))
+            factor = scipy.sparse.kron(scipy.sparse.identity(2 ** (t_steps - hi)), local)
+            factor = scipy.sparse.kron(factor, scipy.sparse.identity(2 ** (lo - 1)))
+            return scipy.sparse.kron(factor, circ, format="csr")
 
-        def embed_circ(m: np.ndarray) -> np.ndarray:
-            return np.kron(np.eye(total // c_dim, dtype=complex), m)
-
-        h_in = embed_circ(pin) @ embed_clock({1: proj0})
-        h_out = embed_circ(reject) @ embed_clock({t_steps: proj1})
-        h_clock = np.zeros((total, total), dtype=complex)
+        h_in = term({1: proj0}, pin)
+        h_out = term({t_steps: proj1}, reject)
+        h_clock = scipy.sparse.csr_matrix((layout.total_dim,) * 2, dtype=complex)
         for t in range(1, t_steps):
-            h_clock += embed_clock({t: proj0, t + 1: proj1})
-        h_prop = np.zeros((total, total), dtype=complex)
+            h_clock += term({t: proj0, t + 1: proj1}, eye_c)
+        h_prop = scipy.sparse.csr_matrix((layout.total_dim,) * 2, dtype=complex)
         for t in range(1, t_steps + 1):
-            u_full = embed_circ(embedded[t - 1])
-            before: dict[int, np.ndarray] = {t: proj0}
-            after: dict[int, np.ndarray] = {t: proj1}
-            move: dict[int, np.ndarray] = {t: flip01}
-            if t > 1:
-                for d in (before, after, move):
-                    d[t - 1] = proj1
-            if t < t_steps:
-                for d in (before, after, move):
-                    d[t + 1] = proj0
-            fwd = u_full @ embed_clock(move)
-            h_prop += 0.5 * (
-                embed_clock(before) + embed_clock(after) - fwd - fwd.conj().T
-            )
+            # qubit t-1 is 1 and qubit t+1 is 0 around step t; the endpoints drop one
+            window = ({t - 1: proj1} if t > 1 else {}) | ({t + 1: proj0} if t < t_steps else {})
+            fwd = term(window | {t: flip01}, embedded[t - 1])
+            stay = term(window | {t: proj0}, eye_c) + term(window | {t: proj1}, eye_c)
+            h_prop += 0.5 * (stay - fwd - fwd.conj().T)
 
     # every component is an elementwise-Hermitian combination of Hermitian
     # blocks and adjoint pairs, so no symmetrization pass is needed
@@ -272,7 +259,7 @@ def _clock_block_matrix(
         return np.asarray(snapshots)
     blocks = np.zeros((2**t_steps, c_dim), dtype=complex)
     for t, snap in enumerate(snapshots):
-        blocks[_unary_time_index(t, t_steps)] = snap
+        blocks[_unary_time_index(t)] = snap
     return blocks
 
 
@@ -314,7 +301,7 @@ def idling_state(
     n_clock = t_steps + 1 if rep is ClockRep.CLOCK_SUBSPACE else 2**t_steps
     blocks = np.zeros((n_clock, c_dim), dtype=complex)
     for t in range(idle_steps + 1):
-        row = t if rep is ClockRep.CLOCK_SUBSPACE else _unary_time_index(t, t_steps)
+        row = t if rep is ClockRep.CLOCK_SUBSPACE else _unary_time_index(t)
         blocks[row] = snap0
     return blocks.reshape(-1) / np.sqrt(idle_steps + 1)
 
@@ -335,21 +322,26 @@ class LowSpectrum:
 
 
 def _low_spectrum(
-    h: np.ndarray | ClockBlocks, k: int, n: int, config: Config | None = None
+    h: ClockBlocks | np.ndarray | scipy.sparse.csr_matrix,
+    k: int,
+    n: int,
+    config: Config | None = None,
 ) -> LowSpectrum:
     """Lowest k eigenpairs (ascending); switches solver by dimension and storage.
 
     n < k is the number of lowest pairs the caller reads as a complete low
-    space. Dense matrices and clock blocks up to _PARTIAL_EIGH_DIM go to the
-    dense eigensolver (subset eigh for larger dense matrices). Clock blocks
-    above it go to shift-invert subspace iteration, which converges the n
-    lowest pairs and certifies their count with ClockBlocks.negative_count;
-    a mismatch raises SpectrumCertificateError.
+    space. Dense and sparse matrices, and clock blocks up to _PARTIAL_EIGH_DIM,
+    go to the dense eigensolver (subset eigh above it), made dense first.
+    Clock blocks above it go to shift-invert subspace iteration, which
+    converges the n lowest pairs and certifies their count with
+    ClockBlocks.negative_count; a mismatch raises SpectrumCertificateError.
     """
     if isinstance(h, ClockBlocks):
         if h.dim > _PARTIAL_EIGH_DIM:
             return _shift_invert_spectrum(h, k, n, config or DEFAULT)
         h = h.dense()
+    elif scipy.sparse.issparse(h):
+        h = h.toarray()
     d = h.shape[0]
     k = min(k, d)
     if d <= _PARTIAL_EIGH_DIM or k == d:

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from hamuniv.circuits import Gate, VerifierCircuit, idle_prefix
 from hamuniv.kitaev import (
@@ -76,6 +79,66 @@ class TestBuildKitaev:
             low1, low2 = v1[v1 < 0.5], v2[v2 < 0.5]
             assert len(low1) == len(low2)
             assert np.abs(low1 - low2).max() <= 1e-9
+
+    def test_unary_legal_block_is_clock_subspace_bit_for_bit(self, rng):
+        # legal clock states |1^t 0^(T-t)> carry the clock-subspace H_MK exactly;
+        # nothing couples them to illegal states, which H_clock lifts to >= 1
+        for circuit in (cnot_verifier(), identity_verifier(6), random_verifier(rng, 4, 2)):
+            kappa = 0.9 * kappa_limit(circuit.n_steps) / 2
+            subs = build_kitaev(circuit, kappa, ClockRep.CLOCK_SUBSPACE).h_mk().entries
+            unary = build_kitaev(circuit, kappa, ClockRep.UNARY_FULL_SPACE).h_mk().entries
+            c_dim = circuit.layout.total_dim
+            legal = np.array(
+                [(2**t - 1) * c_dim + c for t in range(circuit.n_steps + 1) for c in range(c_dim)]
+            )
+            illegal = np.setdiff1d(np.arange(len(unary)), legal)
+            assert unary[np.ix_(legal, legal)].tobytes() == subs.tobytes()
+            assert not unary[np.ix_(legal, illegal)].any()
+            if illegal.size:
+                assert np.linalg.eigvalsh(unary[np.ix_(illegal, illegal)])[0] >= 1.0
+
+    def test_unary_assembly_allocates_no_dense_matrix(self, rng):
+        circuit = random_verifier(rng, 8)  # D = 4 * 2^8
+        tracemalloc.start()
+        try:
+            kh = build_kitaev(circuit, 0.5 * kappa_limit(8), ClockRep.UNARY_FULL_SPACE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d = kh.layout.total_dim
+        assert d >= 512
+        assert all(scipy.sparse.issparse(part) for part in kh.parts)
+        assert peak < d * d * 16 / 8
+
+    @pytest.mark.parametrize("trailing_idles", [0, 2])
+    def test_unary_parts_match_kron_reference(self, trailing_idles):
+        circuit = cnot_verifier(trailing_idles)
+        t_steps = circuit.n_steps
+        kh = build_kitaev(circuit, 0.01, ClockRep.UNARY_FULL_SPACE)
+        eye, p0, p1 = np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        up = np.array([[0.0, 0.0], [1.0, 0.0]])  # |1><0|
+        # circuit index flag + 2 witness; the CNOT flips the flag when the witness is 1
+        gates = [np.eye(4)[[0, 1, 3, 2]]] + [np.eye(4)] * trailing_idles
+
+        def term(clock_ops, circ):
+            # clock qubit k is digit k-1 of the clock index, the slow factor
+            clock = np.ones((1, 1))
+            for k in range(t_steps, 0, -1):
+                clock = np.kron(clock, clock_ops.get(k, eye))
+            return np.kron(clock, circ)
+
+        h_in = term({1: p0}, np.kron(eye, p1))  # flag pinned to |0> at t = 0
+        h_out = term({t_steps: p1}, np.kron(eye, p0))  # flag |0> rejects at t = T
+        h_clock = sum((term({t: p0, t + 1: p1}, np.eye(4)) for t in range(1, t_steps)), 0 * h_in)
+        h_prop = 0 * h_in
+        for t in range(1, t_steps + 1):
+            window = ({t - 1: p1} if t > 1 else {}) | ({t + 1: p0} if t < t_steps else {})
+            hop = term(window | {t: up}, gates[t - 1])
+            h_prop = h_prop + 0.5 * (
+                term(window | {t: p0}, np.eye(4)) + term(window | {t: p1}, np.eye(4)) - hop - hop.T
+            )
+        for part, ref in zip(kh.parts, (h_in, h_prop, h_out, h_clock)):
+            assert np.array_equal(part.toarray(), ref)
 
     def test_x_flag_circuit_kernel_regime(self):
         # every witness accepts with probability 1, so H_MK keeps the full kernel
