@@ -35,7 +35,6 @@ from .circuits import (
 from .config import DEFAULT, Config
 from .operators import (
     ClockBlocks,
-    ClusterSplitError,
     DenseOperator,
     Register,
     SpectrumCertificateError,
@@ -43,6 +42,7 @@ from .operators import (
     SystemLayout,
     cluster_bounds,
     eigh,
+    guard_cut,
     hermitize,
     projector_distance_from_bases,
     tensor_embed,
@@ -322,7 +322,7 @@ class LowSpectrum:
 
 
 def _low_spectrum(
-    h: ClockBlocks | np.ndarray | scipy.sparse.csr_matrix,
+    h: ClockBlocks | DenseOperator | np.ndarray | scipy.sparse.csr_matrix,
     k: int,
     n: int,
     config: Config | None = None,
@@ -331,21 +331,25 @@ def _low_spectrum(
 
     n < k is the number of lowest pairs the caller reads as a complete low
     space. Dense and sparse matrices, and clock blocks up to _PARTIAL_EIGH_DIM,
-    go to the dense eigensolver (subset eigh above it), made dense first.
-    Clock blocks above it go to shift-invert subspace iteration, which
-    converges the n lowest pairs and certifies their count with
-    ClockBlocks.negative_count; a mismatch raises SpectrumCertificateError.
+    go to the dense eigensolver (subset eigh above it), made dense first; a
+    Hermitian DenseOperator there reuses its cached spectrum. Clock blocks
+    above it go to shift-invert subspace iteration, which converges the n
+    lowest pairs and certifies their count with ClockBlocks.negative_count;
+    a mismatch raises SpectrumCertificateError.
     """
+    op = h if isinstance(h, DenseOperator) and h.hermitian else None
     if isinstance(h, ClockBlocks):
         if h.dim > _PARTIAL_EIGH_DIM:
             return _shift_invert_spectrum(h, k, n, config or DEFAULT)
         h = h.dense()
+    elif isinstance(h, DenseOperator):
+        h = h.entries
     elif scipy.sparse.issparse(h):
         h = h.toarray()
     d = h.shape[0]
     k = min(k, d)
     if d <= _PARTIAL_EIGH_DIM or k == d:
-        vals, vecs = np.linalg.eigh(h)
+        vals, vecs = op.spectrum if op is not None else np.linalg.eigh(h)
         vals, vecs = vals[:k], vecs[:, :k]
     else:
         vals, vecs = scipy.linalg.eigh(h, subset_by_index=(0, k - 1), driver="evr")
@@ -406,17 +410,14 @@ def _count_certificate(
     """(mu, n): mu halfway between the n-th and (n+1)-th returned values holds n eigenvalues below it.
 
     Raises ClusterSplitError when those two values are not separated by more
-    than the cluster tolerance, and SpectrumCertificateError when the inertia
-    count below mu differs from n, i.e. the solver missed or invented a pair.
+    than the cluster tolerance plus the n-th residual, and
+    SpectrumCertificateError when the inertia count below mu differs from n,
+    i.e. the solver missed or invented a pair.
     """
     vals = low.values
     if not 0 < n < len(vals):
         raise ValueError(f"certified count {n} needs 1 <= n < {len(vals)} returned values")
-    tol = cfg.cluster_rtol * max(1.0, float(np.abs(vals).max()))
-    if vals[n] - vals[n - 1] <= tol + low.residuals[n - 1]:
-        raise ClusterSplitError(
-            f"certified count {n} lands inside a cluster ({vals[n - 1]} vs {vals[n]})"
-        )
+    guard_cut(vals, n, cfg, slack=float(low.residuals[n - 1]))
     mu = 0.5 * float(vals[n - 1] + vals[n])
     count = h.negative_count(mu)
     if count != n:
@@ -430,16 +431,9 @@ def ground_space(
     h: DenseOperator, threshold: float, config: Config | None = None
 ) -> Subspace:
     """Span of eigenvectors with eigenvalue <= threshold (cluster-guarded cut)."""
-    cfg = config or DEFAULT
-    es = eigh(h, cfg)
-    vals = es.values
-    k = int(np.searchsorted(vals, threshold, side="right"))
-    tol = cfg.cluster_rtol * max(1.0, float(np.abs(vals).max()))
-    if 0 < k < len(vals) and vals[k] - vals[k - 1] < tol:
-        raise ClusterSplitError(
-            f"threshold {threshold} splits a degeneracy cluster "
-            f"({vals[k-1]} vs {vals[k]} within {tol})"
-        )
+    es = eigh(h, config)
+    k = int(np.searchsorted(es.values, threshold, side="right"))
+    guard_cut(es.values, k, config)
     return Subspace.from_basis(h.layout, es.vectors[:, :k])
 
 
@@ -447,17 +441,13 @@ def spectral_gap_above(
     h: DenseOperator, threshold: float, config: Config | None = None
 ) -> float:
     """lambda_(k+1) - lambda_k where k = dim ground_space(h, threshold)."""
-    cfg = config or DEFAULT
-    es = eigh(h, cfg)
-    vals = es.values
+    vals = eigh(h, config).values
     k = int(np.searchsorted(vals, threshold, side="right"))
-    tol = cfg.cluster_rtol * max(1.0, float(np.abs(vals).max()))
     if k == len(vals):
         raise ValueError("threshold above the full spectrum: no gap is defined")
     if k == 0:
         raise ValueError("no eigenvalue at or below the threshold")
-    if vals[k] - vals[k - 1] < tol:
-        raise ClusterSplitError(f"threshold {threshold} splits a degeneracy cluster")
+    guard_cut(vals, k, config)
     return float(vals[k] - vals[k - 1])
 
 
@@ -556,9 +546,7 @@ def check_hmk_lemma(
 
     threshold = kappa * (1.0 - circuit.completeness) / (t + 1) + t**3 * kappa**2
     k_low = int(np.searchsorted(vals, threshold, side="right"))
-    scale = max(1.0, float(np.abs(vals).max()))
-    if 0 < k_low < len(vals) and vals[k_low] - vals[k_low - 1] < cfg.cluster_rtol * scale:
-        raise ClusterSplitError("low-space threshold lands inside a degeneracy cluster")
+    guard_cut(vals, k_low, cfg)
     s0_basis = vecs[:, :k_low]
     c0_basis = _accepting_history_basis(circuit, acc, kh.rep)
     proj_distance = projector_distance_from_bases(s0_basis, c0_basis)

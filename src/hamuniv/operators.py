@@ -367,6 +367,24 @@ def cluster_bounds(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return bounds
 
 
+def guard_cut(
+    values: np.ndarray, k: int, config: Config | None = None, slack: float = 0.0
+) -> None:
+    """Raise ClusterSplitError when a cut after the k lowest ascending values splits a cluster.
+
+    The cut is sound when values[k] - values[k-1] exceeds
+    cluster_rtol * max(1, max |values|) + slack; a cut at either end is.
+    """
+    if not 0 < k < len(values):
+        return
+    tol = (config or DEFAULT).cluster_rtol * max(1.0, float(np.abs(values).max())) + slack
+    if values[k] - values[k - 1] <= tol:
+        raise ClusterSplitError(
+            f"cut after {k} eigenvalues splits a degeneracy cluster: "
+            f"{values[k - 1]} and {values[k]} lie within {tol:.3e}"
+        )
+
+
 def eigh(op: DenseOperator, config: Config | None = None) -> EigenSystem:
     """Full Hermitian eigendecomposition with the deterministic ordering/phase convention."""
     if not op.hermitian:

@@ -24,10 +24,10 @@ import scipy.linalg
 
 from .config import DEFAULT, Config
 from .operators import (
-    ClusterSplitError,
     DenseOperator,
     Subspace,
     direct_rotation_factored,
+    guard_cut,
     hermitize,
 )
 
@@ -138,12 +138,8 @@ def sw_exact(prob: SWProblem, config: Config | None = None) -> SWExpansion:
     h_t = prob.perturbed()
     vals, vecs = h_t.spectrum
     k = prob.minus.dim
-    d = h_t.dim
+    guard_cut(vals, k, cfg)
     h_scale = max(1.0, float(np.abs(vals).max()))
-    if 0 < k < d and vals[k] - vals[k - 1] < cfg.cluster_rtol * h_scale:
-        raise ClusterSplitError(
-            "the perturbed low subspace is not spectrally separated at the cut"
-        )
     b = prob.minus.basis
     rot = direct_rotation_factored(vecs[:, :k], b)
     q, w = rot.q_span, rot.w_small

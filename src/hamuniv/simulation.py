@@ -17,21 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT, Config
+from .kitaev import LowSpectrum, _low_spectrum
 from .operators import (
     ClockBlocks,
-    ClusterSplitError,
     DenseOperator,
     DirectRotation,
     SystemLayout,
     direct_rotation_factored,
+    guard_cut,
     hermitize,
     tensor_embed,
 )
-
-_PARTIAL_EIGH_DIM = 1200
 
 
 @dataclass(frozen=True)
@@ -242,16 +240,6 @@ def _eigh(op: DenseOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(np.asarray(op, dtype=complex))
 
 
-def _low_pairs(op: DenseOperator | np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    entries = op.entries if isinstance(op, DenseOperator) else np.asarray(op, dtype=complex)
-    d = entries.shape[0]
-    k = min(k, d)
-    if d <= _PARTIAL_EIGH_DIM or k == d:
-        return _eigh(op)
-    vals, vecs = scipy.linalg.eigh(entries, subset_by_index=(0, k - 1), driver="evr")
-    return vals, vecs
-
-
 def verify_simulation(
     h: DenseOperator | np.ndarray,
     h_prime: DenseOperator | ClockBlocks | np.ndarray,
@@ -260,43 +248,35 @@ def verify_simulation(
     eta_target: float | None = None,
     epsilon_target: float | None = None,
     config: Config | None = None,
-    _low: tuple[np.ndarray, np.ndarray] | None = None,
+    _low: LowSpectrum | None = None,
 ) -> SimulationReport:
     """Certify h_prime as a simulation of h below the cutoff delta.
 
     Preconditions: the number of h_prime eigenvalues at or below delta equals
     (p+q) * dim(h), and delta falls in a spectral gap (cluster-guarded).
-    A ClockBlocks h_prime comes with its low pairs in `_low`.
+    The lowest (p+q) dim(h) + 8 pairs of h_prime come from _low_spectrum,
+    or from `_low` when the caller already solved for them.
     """
     cfg = config or DEFAULT
     h_mat = h.entries if isinstance(h, DenseOperator) else np.asarray(h, dtype=complex)
-    if isinstance(h_prime, ClockBlocks):
-        if _low is None:
-            raise ValueError("a ClockBlocks h_prime needs its low pairs passed in _low")
-        hp_mat = h_prime
-    elif isinstance(h_prime, DenseOperator):
-        hp_mat = h_prime.entries
-    else:
-        hp_mat = np.asarray(h_prime, dtype=complex)
+    if not isinstance(h_prime, (DenseOperator, ClockBlocks)):
+        h_prime = np.asarray(h_prime, dtype=complex)
+    hp_mat = h_prime.entries if isinstance(h_prime, DenseOperator) else h_prime
     d_t = h_mat.shape[0]
     expected = d_t * enc.anc_dim
     if enc.target_dim != d_t:
         raise ValueError(f"encoding target dimension {enc.target_dim} != dim(h) = {d_t}")
     if enc.sim_dim != hp_mat.shape[0]:
         raise ValueError("encoding simulator dimension does not match h_prime")
-    if _low is not None:
-        vals, vecs = _low
-    else:
-        vals, vecs = _low_pairs(h_prime, expected + 8)
+    low = _low if _low is not None else _low_spectrum(h_prime, expected + 8, expected, cfg)
+    vals = low.values
     k = int(np.searchsorted(vals, delta, side="right"))
     if k != expected:
         raise ValueError(
             f"low-energy dimension below delta = {delta} is {k}, expected (p+q) dim(h) = {expected}"
         )
-    scale = max(1.0, float(np.abs(vals).max()))
-    if k < len(vals) and vals[k] - vals[k - 1] < cfg.cluster_rtol * scale:
-        raise ClusterSplitError(f"delta = {delta} lands inside a degeneracy cluster")
-    low_vals, low_vecs = vals[:k], vecs[:, :k]
+    guard_cut(vals, k, cfg)
+    low_vals, low_vecs = vals[:k], low.vectors[:, :k]
 
     rotation = direct_rotation_factored(enc.v, low_vecs)
     v_tilde = rotation.apply_left(enc.v)
@@ -432,7 +412,7 @@ def compose_simulations(
     report_bc: SimulationReport,
     delta: float | None = None,
     config: Config | None = None,
-    _low: tuple[np.ndarray, np.ndarray] | None = None,
+    _low: LowSpectrum | None = None,
 ) -> SimulationReport:
     """Certify the composite encoding directly on (H_A, H_C).
 

@@ -44,7 +44,6 @@ from .operators import (
     DenseOperator,
     Register,
     SystemLayout,
-    direct_rotation_factored,
     eigh,
     hermitize,
     op_norm,
@@ -495,26 +494,15 @@ def first_order_sim_check(
         raise ValueError(
             f"first-order requirement violated: measured {requirement:.3e} > eps/2 = {epsilon / 2:.3e}"
         )
+    # the conclusions are the (eta, epsilon) certificate of H_sim below delta/2
     h_sim = hermitize(delta * h0.entries + h1.entries)
-    vals, vecs = np.linalg.eigh(h_sim)
-    k = int(np.searchsorted(vals, delta / 2.0, side="right"))
-    if k != rank:
-        raise ValueError(f"low space below delta/2 has dimension {k}, expected {rank}")
-    rot = direct_rotation_factored(u, vecs[:, :k])
-    v_tilde = rot.apply_left(u)
-    iso_err = float(np.linalg.norm(u - v_tilde, 2))
+    sim = verify_simulation(h_target, h_sim, plain_encoding(u), delta / 2.0, config=cfg)
     h1_norm = op_norm(h1)
-    iso_bound = cfg.c_first_order * h1_norm / delta
-    h_sim_low = (vecs[:, :k] * vals[:k]) @ vecs[:, :k].conj().T
-    energy_err = float(
-        np.linalg.norm(v_tilde @ np.asarray(h_target) @ v_tilde.conj().T - h_sim_low, 2)
-    )
-    energy_bound = cfg.c_first_order * h1_norm**2 / delta + epsilon / 2.0
     return FirstOrderReport(
-        isometry_error=iso_err,
-        isometry_bound=float(iso_bound),
-        energy_error=energy_err,
-        energy_bound=float(energy_bound),
+        isometry_error=sim.eta_measured,
+        isometry_bound=float(cfg.c_first_order * h1_norm / delta),
+        energy_error=sim.epsilon_measured,
+        energy_bound=float(cfg.c_first_order * h1_norm**2 / delta + epsilon / 2.0),
         requirement_slack=requirement,
     )
 
@@ -615,7 +603,6 @@ def end_to_end(
     alignment = fam.shift + lam_sh
     h_sim = build_hsim(h_mk, lam_min, flags, delta, flag_prefactor).plus_diagonal(-alignment)
     sim = _low_spectrum(h_sim, w_dim + 8, w_dim, cfg)
-    sim_low = (sim.values, sim.vectors)
 
     wtilde = wtilde_encodings(target, fam, cfg)
 
@@ -639,12 +626,12 @@ def end_to_end(
         enc_idle,
         bridge_delta,
         config=cfg,
-        _low=sim_low,
+        _low=sim,
     )
 
     dp = delta_prime if delta_prime is not None else delta_hat / 2.0
     composite = compose_simulations(
-        wtilde.sim_report, bridge, delta=dp, config=cfg, _low=sim_low
+        wtilde.sim_report, bridge, delta=dp, config=cfg, _low=sim
     )
 
     table = tuple(

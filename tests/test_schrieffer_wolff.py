@@ -10,6 +10,7 @@ from hamuniv.circuits import acceptance_operator
 from hamuniv.kitaev import build_kitaev, ground_space, history_state, spectral_gap_above
 from hamuniv.operators import DenseOperator, Subspace, SystemLayout, direct_rotation
 from hamuniv.schrieffer_wolff import SWProblem, sw_bounds, sw_exact, sw_series
+from hamuniv.simulation import plain_encoding, verify_simulation
 
 from conftest import cnot_verifier, random_hermitian
 
@@ -177,6 +178,29 @@ class TestJointSpan:
         assert bounds.truncation_measured == exp.bounds["truncation_measured"]
         sw_bounds(random_problem(rng, 8))  # a fresh problem is measured, and counted
         assert "logm" in calls and "eigh" in calls
+
+    def test_verify_simulation_after_sw_exact_decomposes_no_full_matrix(self, rng, monkeypatch):
+        prob = random_problem(rng, 12)
+        exp = sw_exact(prob)
+        h_tilde = prob.perturbed()
+        shapes = []
+
+        def recorded(fn):
+            def wrapper(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        for module in (np.linalg, scipy.linalg):
+            for name in ("eigh", "eigvalsh"):
+                monkeypatch.setattr(module, name, recorded(getattr(module, name)))
+        enc = plain_encoding(prob.minus.basis, prob.minus.dim)
+        # the low band of H~ lies below 0.6 delta, the rest above 0.9 delta
+        report = verify_simulation(exp.h_eff_restricted(), h_tilde, enc, 0.75 * prob.delta)
+        assert shapes  # the counters see the target's own small eigvalsh
+        assert (h_tilde.dim, h_tilde.dim) not in shapes
+        assert report.epsilon_measured <= 1e-10 * prob.delta
 
     def test_problem_freed_without_cycle_collector(self, rng):
         gc.disable()
