@@ -208,11 +208,16 @@ def _cmd_sw(run: RunConfig, obj: dict) -> tuple[dict, list, bool]:
                                       dim_cap=run.config.dim_cap)
     delta = float(serialize._require(obj, "delta", "input"))
     minus_dim = int(serialize._require(obj, "minus_dim", "input"))
+    if not 1 <= minus_dim <= h0.dim:
+        raise InputFormatError("input.minus_dim", f"{minus_dim} outside [1, dim h0 = {h0.dim}]")
+    order = int(obj.get("order", 1))
+    if order not in (0, 1):
+        raise InputFormatError("input.order", f"{order} is not 0 or 1")
     es = eigh(h0, run.config)
     minus = Subspace.from_basis(h0.layout, es.vectors[:, :minus_dim])
     prob = SWProblem(h0=h0, h1=h1, delta=delta, minus=minus)
     expansion = sw_exact(prob, run.config)
-    bounds = sw_bounds(prob, int(obj.get("order", 1)), run.config)
+    bounds = sw_bounds(prob, order, run.config)
     low = np.linalg.eigvalsh(expansion.h_eff_restricted())
     out = {
         "lambda0": prob.lambda0,

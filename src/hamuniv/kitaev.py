@@ -5,7 +5,8 @@ H_clock for a verifier circuit, in either of two clock representations:
 
   * CLOCK_SUBSPACE: one clock site of dimension T+1 (default; H_clock = 0);
   * UNARY_FULL_SPACE: T clock qubits with time t encoded as |1^t 0^(T-t)>,
-    plus the penalty H_clock that pushes illegal clock states to energy >= 1.
+    plus the penalty H_clock that pushes illegal clock states to energy >= 1;
+    below 1 its H_MK has the clock-subspace spectrum (see check_hmk_lemma).
 
 The propagation term uses the standard endpoint forms (at t = 1 condition
 only on clock qubit 2 being 0, at t = T only on qubit T-1 being 1); history
@@ -48,8 +49,8 @@ from .operators import (
     tensor_embed,
 )
 
-# above this dimension, low-spectrum analyses switch to the subset eigensolver
-# (dense matrices) or to shift-invert subspace iteration (clock blocks)
+# above this dimension, dense inputs (a verify-sim h_prime) go to the subset
+# eigensolver and clock blocks (every H_MK, H_sim) to shift-invert iteration
 _PARTIAL_EIGH_DIM = 1200
 # shift-invert subspace iteration: extra block vectors, iteration cap, and the
 # distance of the shift below the spectrum's floor, relative to max(1, |floor|)
@@ -95,11 +96,6 @@ def _pinned_projector(circuit: VerifierCircuit, site: int, keep_state: int) -> n
     return tensor_embed(
         DenseOperator(SystemLayout((d,)), local, hermitian=True), (site,), circuit.layout
     ).entries
-
-
-def _unary_time_index(t: int) -> int:
-    """Flat index of |1^t 0^(T-t)> in the clock-qubit factor (clock qubit k at digit k-1)."""
-    return (1 << t) - 1
 
 
 @dataclass(frozen=True)
@@ -252,14 +248,15 @@ def _circuit_snapshots(circuit: VerifierCircuit, witness: np.ndarray) -> list[np
 def _clock_block_matrix(
     circuit: VerifierCircuit, snapshots: list[np.ndarray], rep: ClockRep
 ) -> np.ndarray:
-    """Rows indexed by the clock factor, columns by the circuit space."""
-    t_steps = circuit.n_steps
-    c_dim = circuit.layout.total_dim
+    """Rows indexed by the clock factor, columns by the circuit space.
+
+    Unary: time t is row 2^t - 1, |1^t 0^(T-t)> with clock qubit k at digit k-1.
+    """
     if rep is ClockRep.CLOCK_SUBSPACE:
         return np.asarray(snapshots)
-    blocks = np.zeros((2**t_steps, c_dim), dtype=complex)
+    blocks = np.zeros((2**circuit.n_steps, circuit.layout.total_dim), dtype=complex)
     for t, snap in enumerate(snapshots):
-        blocks[_unary_time_index(t)] = snap
+        blocks[(1 << t) - 1] = snap
     return blocks
 
 
@@ -295,14 +292,9 @@ def idling_state(
     for g in circuit.gates[:idle_steps]:
         if not g.is_identity():
             raise ValueError(f"gate {g.label!r} inside the idle window is not the identity")
-    witness = np.asarray(witness, dtype=complex).reshape(-1)
     snap0 = initial_state(circuit, witness)
-    c_dim = circuit.layout.total_dim
-    n_clock = t_steps + 1 if rep is ClockRep.CLOCK_SUBSPACE else 2**t_steps
-    blocks = np.zeros((n_clock, c_dim), dtype=complex)
-    for t in range(idle_steps + 1):
-        row = t if rep is ClockRep.CLOCK_SUBSPACE else _unary_time_index(t)
-        blocks[row] = snap0
+    snapshots = [snap0] * (idle_steps + 1) + [np.zeros_like(snap0)] * (t_steps - idle_steps)
+    blocks = _clock_block_matrix(circuit, snapshots, rep)
     return blocks.reshape(-1) / np.sqrt(idle_steps + 1)
 
 
@@ -322,7 +314,7 @@ class LowSpectrum:
 
 
 def _low_spectrum(
-    h: ClockBlocks | DenseOperator | np.ndarray | scipy.sparse.csr_matrix,
+    h: ClockBlocks | DenseOperator | np.ndarray,
     k: int,
     n: int,
     config: Config | None = None,
@@ -330,12 +322,12 @@ def _low_spectrum(
     """Lowest k eigenpairs (ascending); switches solver by dimension and storage.
 
     n < k is the number of lowest pairs the caller reads as a complete low
-    space. Dense and sparse matrices, and clock blocks up to _PARTIAL_EIGH_DIM,
-    go to the dense eigensolver (subset eigh above it), made dense first; a
-    Hermitian DenseOperator there reuses its cached spectrum. Clock blocks
-    above it go to shift-invert subspace iteration, which converges the n
-    lowest pairs and certifies their count with ClockBlocks.negative_count;
-    a mismatch raises SpectrumCertificateError.
+    space. Dense matrices, and clock blocks up to _PARTIAL_EIGH_DIM made
+    dense, go to the dense eigensolver (subset eigh above it); a Hermitian
+    DenseOperator there reuses its cached spectrum. Clock blocks above it go
+    to shift-invert subspace iteration, which converges the n lowest pairs
+    and certifies their count with ClockBlocks.negative_count; a mismatch
+    raises SpectrumCertificateError.
     """
     op = h if isinstance(h, DenseOperator) and h.hermitian else None
     if isinstance(h, ClockBlocks):
@@ -344,8 +336,6 @@ def _low_spectrum(
         h = h.dense()
     elif isinstance(h, DenseOperator):
         h = h.entries
-    elif scipy.sparse.issparse(h):
-        h = h.toarray()
     d = h.shape[0]
     k = min(k, d)
     if d <= _PARTIAL_EIGH_DIM or k == d:
@@ -452,18 +442,13 @@ def spectral_gap_above(
 
 
 def _accepting_history_basis(
-    kh_circuit: VerifierCircuit, acc: AcceptanceOperator, rep: ClockRep, tol: float = 1e-9
+    kh_circuit: VerifierCircuit, acc: AcceptanceOperator, tol: float = 1e-9
 ) -> np.ndarray:
+    """Accepting history states as columns, in clock-subspace coordinates."""
     phis = accepting_eigenvectors(acc, kh_circuit.completeness, tol)
-    cols = [
-        history_state(kh_circuit, phis[:, i], rep).vector for i in range(phis.shape[1])
-    ]
+    cols = [history_state(kh_circuit, phis[:, i]).vector for i in range(phis.shape[1])]
     if not cols:
-        dim = kh_circuit.layout.total_dim * (
-            kh_circuit.n_steps + 1
-            if rep is ClockRep.CLOCK_SUBSPACE
-            else 2**kh_circuit.n_steps
-        )
+        dim = kh_circuit.layout.total_dim * (kh_circuit.n_steps + 1)
         return np.zeros((dim, 0), dtype=complex)
     return np.stack(cols, axis=1)
 
@@ -510,6 +495,12 @@ def check_hmk_lemma(
     from kappa (1 - lambda)/(T+1) against C_dev T^3 kappa^2, and the distance
     between the measured low subspace and the accepting history-state span
     against C_proj T^3 kappa.
+
+    Both representations read the clock-subspace H_MK (`_low`: its low pairs,
+    when the caller has them). The unary H_MK is block diagonal: the legal
+    clock strings carry the clock-subspace H_MK, and on the illegal ones
+    H_clock >= 1 and the other terms are PSD. So the spectra agree below 1,
+    and a read value at or above 1 raises SpectrumCertificateError.
     """
     cfg = config or DEFAULT
     circuit = kh.circuit
@@ -526,8 +517,11 @@ def check_hmk_lemma(
         )
 
     w = circuit.witness_dim
-    low = _low if _low is not None else _low_spectrum(kh.h_mk_operator(), w + 8, w, cfg)
-    vals, vecs = low.values, low.vectors
+    unary = kh.rep is ClockRep.UNARY_FULL_SPACE
+    if _low is None:
+        clock = build_kitaev(circuit, kappa, config=cfg) if unary else kh
+        _low = _low_spectrum(clock.h_mk_operator(), w + 8, w, cfg)
+    vals, vecs = _low.values, _low.vectors
 
     q_desc = np.sort(acc.eigen.values)[::-1]
     predicted = kappa * (1.0 - q_desc) / (t + 1)
@@ -546,9 +540,14 @@ def check_hmk_lemma(
 
     threshold = kappa * (1.0 - circuit.completeness) / (t + 1) + t**3 * kappa**2
     k_low = int(np.searchsorted(vals, threshold, side="right"))
+    read = float(vals[: max(w, k_low + 1)].max())
+    if unary and read >= 1.0:
+        raise SpectrumCertificateError(
+            f"H_MK value {read} read by the report is not below the illegal-clock floor 1"
+        )
     guard_cut(vals, k_low, cfg)
     s0_basis = vecs[:, :k_low]
-    c0_basis = _accepting_history_basis(circuit, acc, kh.rep)
+    c0_basis = _accepting_history_basis(circuit, acc)
     proj_distance = projector_distance_from_bases(s0_basis, c0_basis)
     proj_bound = cfg.c_proj * t**3 * kappa
     gap_above = float(vals[k_low] - vals[k_low - 1]) if k_low > 0 else float(vals[0])

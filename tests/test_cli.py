@@ -99,23 +99,37 @@ class TestHmkCheck:
 
 
 class TestSw:
-    def test_two_level_instance(self, tmp_path):
+    @staticmethod
+    def two_level_doc():
         lay = SystemLayout((2,))
         h0 = DenseOperator(lay, np.diag([0.0, 1.0]).astype(complex), hermitian=True)
         h1 = DenseOperator(lay, 0.2 * np.array([[0, 1], [1, 0]], dtype=complex), hermitian=True)
-        obj = {
+        return {
             "h0": operator_to_dict(h0),
             "h1": operator_to_dict(h1),
             "delta": 1.0,
             "minus_dim": 1,
         }
-        inp = write_json(tmp_path / "sw.json", obj)
+
+    def test_two_level_instance(self, tmp_path):
+        inp = write_json(tmp_path / "sw.json", self.two_level_doc())
         out = tmp_path / "sw_report.json"
         assert main(["sw", "--input", inp, "--output", str(out)]) == 0
         report = json.loads(out.read_text())
         closed = (1.0 - np.sqrt(1.0 + 4 * 0.2**2)) / 2
         assert report["h_eff_spectrum"][0] == pytest.approx(closed, abs=1e-12)
         assert report["pass"] is True
+
+    @pytest.mark.parametrize(
+        "field, value", [("minus_dim", -1), ("minus_dim", 0), ("minus_dim", 3), ("order", -1)]
+    )
+    def test_out_of_range_field_rejected(self, tmp_path, capsys, field, value):
+        # dim h0 = 2: minus_dim must lie in [1, 2] and order in {0, 1}
+        inp = write_json(tmp_path / "sw.json", self.two_level_doc() | {field: value})
+        out = tmp_path / "sw_report.json"
+        assert main(["sw", "--input", inp, "--output", str(out)]) == 2
+        assert f"input.{field}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifySim:

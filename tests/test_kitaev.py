@@ -1,10 +1,18 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse
 
-from hamuniv.circuits import Gate, VerifierCircuit, idle_prefix
+from hamuniv import kitaev
+from hamuniv.circuits import (
+    Gate,
+    VerifierCircuit,
+    acceptance_gap,
+    acceptance_operator,
+    idle_prefix,
+)
 from hamuniv.kitaev import (
     ClockRep,
     build_kitaev,
@@ -21,6 +29,7 @@ from hamuniv.kitaev import (
 from hamuniv.operators import (
     ClusterSplitError,
     DenseOperator,
+    SpectrumCertificateError,
     Subspace,
     SystemLayout,
     subspace_distance,
@@ -36,6 +45,13 @@ from conftest import (
 )
 
 BOTH_REPS = (ClockRep.CLOCK_SUBSPACE, ClockRep.UNARY_FULL_SPACE)
+
+
+def hmk_kappa(circuit):
+    """default_kappa at the measured acceptance gap; half the kappa limit when ungapped."""
+    gap = acceptance_gap(acceptance_operator(circuit), circuit.completeness)
+    t_steps = circuit.n_steps
+    return default_kappa(gap.gap, t_steps) if gap.gapped else 0.5 * kappa_limit(t_steps)
 
 
 def one_site_op(diag):
@@ -86,7 +102,8 @@ class TestBuildKitaev:
         for circuit in (cnot_verifier(), identity_verifier(6), random_verifier(rng, 4, 2)):
             kappa = 0.9 * kappa_limit(circuit.n_steps) / 2
             subs = build_kitaev(circuit, kappa, ClockRep.CLOCK_SUBSPACE).h_mk().entries
-            unary = build_kitaev(circuit, kappa, ClockRep.UNARY_FULL_SPACE).h_mk().entries
+            unary_kh = build_kitaev(circuit, kappa, ClockRep.UNARY_FULL_SPACE)
+            unary = unary_kh.h_mk().entries
             c_dim = circuit.layout.total_dim
             legal = np.array(
                 [(2**t - 1) * c_dim + c for t in range(circuit.n_steps + 1) for c in range(c_dim)]
@@ -96,6 +113,13 @@ class TestBuildKitaev:
             assert not unary[np.ix_(legal, illegal)].any()
             if illegal.size:
                 assert np.linalg.eigvalsh(unary[np.ix_(illegal, illegal)])[0] >= 1.0
+            # the reason for that floor: H_clock is diagonal, >= 1 on every illegal string,
+            # and the other terms are positive semidefinite
+            h_clock = unary_kh.parts[3]
+            floor = h_clock.diagonal()
+            assert not (h_clock - scipy.sparse.diags(floor)).count_nonzero() and np.all(
+                floor[illegal].real >= 1.0
+            )
 
     def test_unary_assembly_allocates_no_dense_matrix(self, rng):
         circuit = random_verifier(rng, 8)  # D = 4 * 2^8
@@ -295,6 +319,49 @@ class TestCheckHmkLemma:
         assert report.low_space_dim == 1
         assert 0 < report.projector_distance <= report.projector_bound
         assert report.ok
+
+    @staticmethod
+    def unary_fixtures(rng):
+        return (idle_prefix(cnot_verifier(), 2), identity_verifier(6), random_verifier(rng, 4, 2))
+
+    def test_unary_report_equals_clock_subspace(self, rng):
+        for circuit in self.unary_fixtures(rng):
+            kappa = hmk_kappa(circuit)
+            subs = check_hmk_lemma(build_kitaev(circuit, kappa))
+            unary = check_hmk_lemma(build_kitaev(circuit, kappa, ClockRep.UNARY_FULL_SPACE))
+            assert dataclasses.asdict(unary) == dataclasses.asdict(subs)
+
+    def test_unary_solve_stays_in_clock_subspace(self, rng, monkeypatch):
+        solve, dims = kitaev._low_spectrum, []
+
+        def spy(h, *args, **kwargs):
+            dims.append(h.shape[0])
+            return solve(h, *args, **kwargs)
+
+        monkeypatch.setattr(kitaev, "_low_spectrum", spy)
+        for circuit in self.unary_fixtures(rng):
+            dims.clear()
+            kh = build_kitaev(circuit, hmk_kappa(circuit), ClockRep.UNARY_FULL_SPACE)
+            check_hmk_lemma(kh)
+            assert dims == [(circuit.n_steps + 1) * circuit.layout.total_dim]
+
+    # cnot: k_low = 1 < w, so a matched value sits at the floor; x_flag: k_low = w,
+    # so only the value above the cut does
+    @pytest.mark.parametrize("verifier", [cnot_verifier, x_flag_verifier])
+    def test_unary_read_value_at_illegal_floor_raises(self, verifier):
+        circuit = idle_prefix(verifier(), 2)
+        kappa = hmk_kappa(circuit)
+        subs = build_kitaev(circuit, kappa)
+        unary = build_kitaev(circuit, kappa, ClockRep.UNARY_FULL_SPACE)
+        w = circuit.witness_dim
+        low = kitaev._low_spectrum(subs.h_mk_operator(), w + 8, w)
+        k_low = check_hmk_lemma(unary, _low=low).low_space_dim
+        values = low.values.copy()
+        values[k_low:] = 1.0
+        lifted = dataclasses.replace(low, values=values)
+        assert check_hmk_lemma(subs, _low=lifted).low_space_dim == k_low
+        with pytest.raises(SpectrumCertificateError, match="illegal-clock floor"):
+            check_hmk_lemma(unary, _low=lifted)
 
 
 class TestIdlingFaithfulness:
