@@ -111,10 +111,6 @@ class VerifierCircuit:
         return tuple(s for s in range(self.layout.n_sites) if s not in witness)
 
     @property
-    def ancilla_count(self) -> int:
-        return len(self.ancilla_sites)
-
-    @property
     def witness_dim(self) -> int:
         return int(np.prod([self.layout.site_dims[s] for s in self.witness_sites], dtype=np.int64))
 

@@ -178,7 +178,7 @@ def _cmd_hmk_check(run: RunConfig, obj: dict) -> tuple[dict, list, bool]:
         if not gap_info.gapped:
             raise InputFormatError("circuit", "acceptance operator is ungapped; provide kappa")
         kappa = default_kappa(gap_info.gap, circuit.n_steps)
-    kh = build_kitaev(circuit, kappa, rep, run.config)
+    kh = build_kitaev(circuit, kappa, rep)
     report = check_hmk_lemma(kh, run.config)
     out = _hmk_dict(report)
     out["rep"] = rep.value

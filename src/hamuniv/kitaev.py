@@ -46,7 +46,7 @@ from .operators import (
     guard_cut,
     hermitize,
     projector_distance_from_bases,
-    tensor_embed,
+    sparse_embed,
 )
 
 # above this dimension, dense inputs (a verify-sim h_prime) go to the subset
@@ -88,23 +88,15 @@ def _kitaev_layout(circuit: VerifierCircuit, rep: ClockRep) -> SystemLayout:
     return SystemLayout(base.site_dims + clock_dims, registers, dim_cap=base.dim_cap)
 
 
-def _pinned_projector(circuit: VerifierCircuit, site: int, keep_state: int) -> np.ndarray:
-    """1 - |keep><keep| on one circuit site, embedded in the circuit space."""
-    d = circuit.layout.site_dims[site]
-    local = np.eye(d, dtype=complex)
-    local[keep_state, keep_state] = 0.0
-    return tensor_embed(
-        DenseOperator(SystemLayout((d,)), local, hermitian=True), (site,), circuit.layout
-    ).entries
-
-
 @dataclass(frozen=True)
 class KitaevHamiltonian:
     """Components of the modified clock Hamiltonian for one verifier circuit.
 
     `parts` holds (H_in, H_prop, H_out, H_clock) as ClockBlocks in the clock
-    subspace and as sparse CSR matrices in the unary representation. The h_*
-    properties, h0() and h_mk() materialize dense operators on demand.
+    subspace and as sparse CSR matrices in the unary representation. Each gate
+    enters through its sparse embedding and the pin and reject penalties as
+    diagonals without stored zeros, so no dense c_dim x c_dim array is formed.
+    The h_* properties, h0() and h_mk() materialize dense operators on demand.
     """
 
     parts: tuple
@@ -143,7 +135,6 @@ def build_kitaev(
     circuit: VerifierCircuit,
     kappa: float,
     rep: ClockRep = ClockRep.CLOCK_SUBSPACE,
-    config: Config | None = None,
 ) -> KitaevHamiltonian:
     t_steps = circuit.n_steps
     if not 0 < kappa < kappa_limit(t_steps):
@@ -151,14 +142,13 @@ def build_kitaev(
     layout = _kitaev_layout(circuit, rep)
     c_dim = circuit.layout.total_dim
 
-    pin = np.zeros((c_dim, c_dim), dtype=complex)
-    for site in circuit.ancilla_sites:  # flag qubit and ancillas, all pinned to |0> at t = 0
-        pin += _pinned_projector(circuit, site, keep_state=0)
-    reject = _pinned_projector(circuit, circuit.output_site, keep_state=1)
-
-    embedded = [
-        tensor_embed(g.unitary, g.targets, circuit.layout).entries for g in circuit.gates
-    ]
+    # diagonal penalties, stored without zeros: at t = 0 one unit for each of the
+    # flag qubit and ancillas off |0>, at t = T one for an output qubit off |1>
+    digits = circuit.layout.digit_table()
+    pin_count = (digits[list(circuit.ancilla_sites)] != 0).sum(axis=0)
+    pin = scipy.sparse.diags(pin_count.astype(complex), format="csr")
+    reject = scipy.sparse.diags((digits[circuit.output_site] != 1).astype(complex), format="csr")
+    embedded = [sparse_embed(g.unitary, g.targets, circuit.layout) for g in circuit.gates]
 
     eye_c = scipy.sparse.identity(c_dim, dtype=complex, format="csr")
     if rep is ClockRep.CLOCK_SUBSPACE:
@@ -168,17 +158,18 @@ def build_kitaev(
             # every term is positive semidefinite: floor 0
             return ClockBlocks(
                 layout,
-                tuple(scipy.sparse.csr_matrix(diag.get(t, zero)) for t in range(t_steps + 1)),
+                tuple(diag.get(t, zero) for t in range(t_steps + 1)),
                 tuple(lower) if lower is not None else (zero,) * t_steps,
                 0.0,
             )
 
         h_in = blocks({0: pin})
         h_out = blocks({t_steps: reject})
+        for u in embedded:  # -U_t/2 as 0.0 - 0.5 U_t, not -0.5 U_t: every zero part is +0.0
+            u.data = 0.0 - 0.5 * u.data
         # H_prop: 1/2 on each end of every step, -U_t/2 from time t-1 to t
         h_prop = blocks(
-            {t: (0.5 * ((t > 0) + (t < t_steps))) * eye_c for t in range(t_steps + 1)},
-            [scipy.sparse.csr_matrix(0.0 - 0.5 * u) for u in embedded],
+            {t: (0.5 * ((t > 0) + (t < t_steps))) * eye_c for t in range(t_steps + 1)}, embedded
         )
         h_clock = blocks({})
     else:
@@ -275,6 +266,15 @@ def history_state(
     return HistoryState(vector=vec, witness=witness, rep=rep, idle_split=idle_split)
 
 
+def _check_idle_window(circuit: VerifierCircuit, idle_steps: int) -> None:
+    """Raise ValueError unless 0 <= L <= T and the first L gates are identities."""
+    if not 0 <= idle_steps <= circuit.n_steps:
+        raise ValueError(f"idle window {idle_steps} outside [0, {circuit.n_steps}]")
+    for g in circuit.gates[:idle_steps]:
+        if not g.is_identity():
+            raise ValueError(f"gate {g.label!r} inside the idle window is not the identity")
+
+
 def idling_state(
     circuit: VerifierCircuit,
     witness: np.ndarray,
@@ -286,12 +286,8 @@ def idling_state(
     Requires the first L gates to act as the identity, so every retained
     snapshot equals the input configuration.
     """
+    _check_idle_window(circuit, idle_steps)
     t_steps = circuit.n_steps
-    if not 0 <= idle_steps <= t_steps:
-        raise ValueError(f"idle window {idle_steps} outside [0, {t_steps}]")
-    for g in circuit.gates[:idle_steps]:
-        if not g.is_identity():
-            raise ValueError(f"gate {g.label!r} inside the idle window is not the identity")
     snap0 = initial_state(circuit, witness)
     snapshots = [snap0] * (idle_steps + 1) + [np.zeros_like(snap0)] * (t_steps - idle_steps)
     blocks = _clock_block_matrix(circuit, snapshots, rep)
@@ -519,7 +515,7 @@ def check_hmk_lemma(
     w = circuit.witness_dim
     unary = kh.rep is ClockRep.UNARY_FULL_SPACE
     if _low is None:
-        clock = build_kitaev(circuit, kappa, config=cfg) if unary else kh
+        clock = build_kitaev(circuit, kappa) if unary else kh
         _low = _low_spectrum(clock.h_mk_operator(), w + 8, w, cfg)
     vals, vecs = _low.values, _low.vectors
 
@@ -595,12 +591,8 @@ def check_idling_faithfulness(
     accepting eigenvector phi to |phi, 0> (x) uniform clock over times 0..L.
     """
     cfg = config or DEFAULT
+    _check_idle_window(circuit, idle_steps)
     t_prime = circuit.n_steps
-    if not 0 <= idle_steps <= t_prime:
-        raise ValueError(f"idle window {idle_steps} outside [0, {t_prime}]")
-    for g in circuit.gates[:idle_steps]:
-        if not g.is_identity():
-            raise ValueError(f"gate {g.label!r} inside the idle window is not the identity")
     completeness = circuit.completeness if c is None else c
     acc = acceptance_operator(circuit, cfg)
     gap_info = acceptance_gap(acc, completeness)

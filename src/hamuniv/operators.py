@@ -268,27 +268,37 @@ class ClockBlocks:
         inertias of the clock-block Schur complements S_0 = A_0 - mu,
         S_t = A_t - mu - B_t S_(t-1)^-1 B_t^dag. Each S_t is factored by
         Bunch-Kaufman (zhetrf), whose block-diagonal factor has the inertia
-        of S_t (Sylvester); the Schur solves use an LU factorization.
+        of S_t (Sylvester); the Schur solves use an LU factorization. The
+        dense c_dim x c_dim arrays are shifted, factored, solved and
+        symmetrized in place and dropped after their last read, so at most
+        three are live at once.
         """
-        eye = np.eye(self.c_dim)
         count = 0
         schur = None
         for t, a in enumerate(self.diag):
-            s = a.toarray() - mu * eye
+            s = a.toarray(order="F")  # Fortran order: the LU below overwrites it
+            s[np.diag_indices_from(s)] -= mu
             if schur is not None:
                 s -= schur
+                schur = None
             ldu, ipiv, info = scipy.linalg.lapack.zhetrf(s, lower=1)
             if info != 0:
                 raise SpectrumCertificateError(f"Schur complement {t} is singular at {mu}")
             count += _bunch_kaufman_negatives(ldu, ipiv)
+            del ldu
             if t < len(self.lower):
                 b = self.lower[t]
                 x = scipy.linalg.lu_solve(
-                    scipy.linalg.lu_factor(s, check_finite=False),
-                    b.conj().T.toarray(),
+                    scipy.linalg.lu_factor(s, overwrite_a=True, check_finite=False),
+                    b.conj().T.toarray(order="F"),
+                    overwrite_b=True,
                     check_finite=False,
                 )
-                schur = hermitize(np.asarray(b @ x))
+                del s
+                schur = np.asarray(b @ x)
+                del x
+                schur += schur.conj().T  # hermitize(schur), in place
+                schur /= 2
         return count
 
 
@@ -342,9 +352,7 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     out = vectors.copy()
     for i in range(out.shape[1]):
         col = out[:, i]
-        sig = np.nonzero(np.abs(col) > PHASE_TOL)[0]
-        anchor = sig[0] if sig.size else int(np.argmax(np.abs(col)))
-        a = col[anchor]
+        a = col[_first_significant(col)]
         if abs(a) > 0:
             out[:, i] = col * (a.conjugate() / abs(a))
     return out
@@ -419,13 +427,15 @@ def expm_i(op: DenseOperator, t: float) -> DenseOperator:
     return DenseOperator(op.layout, u, hermitian=False)
 
 
-def tensor_embed(
+def sparse_embed(
     local_op: DenseOperator, target_sites: tuple[int, ...] | list[int], layout: SystemLayout
-) -> DenseOperator:
-    """Embed an operator on target_sites into the full layout (identity elsewhere).
+) -> scipy.sparse.csr_matrix:
+    """CSR matrix of an operator on target_sites embedded in the full layout (identity elsewhere).
 
     The local operator's own layout lists the target sites' dimensions in
-    target order, with target_sites[0] the fastest-varying local index.
+    target order, with target_sites[0] the fastest-varying local index. Each
+    nonzero local entry is stored once per basis state of the other sites,
+    bit for bit; zero local entries are not stored.
     """
     targets = tuple(int(t) for t in target_sites)
     if len(set(targets)) != len(targets):
@@ -439,27 +449,27 @@ def tensor_embed(
             f"local operator dims {local_op.layout.site_dims} do not match "
             f"target site dims {local_dims}"
         )
-    d_loc = local_op.dim
-    total = layout.total_dim
-    digits = layout.digit_table()
-    loc_strides = np.concatenate(([1], np.cumprod(local_dims[:-1]))).astype(np.int64)
-    loc_index = np.zeros(total, dtype=np.int64)
-    for site, stride in zip(targets, loc_strides):
-        loc_index += digits[site] * stride
-    rest_sites = [s for s in range(layout.n_sites) if s not in targets]
-    rest_index = np.zeros(total, dtype=np.int64)
-    stride = 1
-    for s in rest_sites:
-        rest_index += digits[s] * stride
-        stride *= layout.site_dims[s]
-    order = np.lexsort((rest_index, loc_index))
-    groups = order.reshape(d_loc, total // d_loc)
-    out = np.zeros((total, total), dtype=complex)
-    loc = local_op.entries
-    for a in range(d_loc):
-        for b in range(d_loc):
-            if loc[a, b] != 0:
-                out[groups[a], groups[b]] = loc[a, b]
+    # flat index = offset of the target sites' digits + offset of the other sites' digits
+    strides = layout.strides()
+    rest = [s for s in range(layout.n_sites) if s not in targets]
+    rest_layout = SystemLayout(tuple(layout.site_dims[s] for s in rest), dim_cap=layout.dim_cap)
+    loc_offset = local_op.layout.digit_table().T @ strides[list(targets)]
+    rest_offset = rest_layout.digit_table().T @ strides[rest]
+    a, b = np.nonzero(local_op.entries)
+    rows = (loc_offset[a, None] + rest_offset).ravel()
+    cols = (loc_offset[b, None] + rest_offset).ravel()
+    data = np.repeat(local_op.entries[a, b], rest_offset.size)
+    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(layout.total_dim,) * 2)
+
+
+def tensor_embed(
+    local_op: DenseOperator, target_sites: tuple[int, ...] | list[int], layout: SystemLayout
+) -> DenseOperator:
+    """sparse_embed(local_op, target_sites, layout) as a dense operator."""
+    emb = sparse_embed(local_op, target_sites, layout).tocoo()
+    out = np.zeros(emb.shape, dtype=complex)
+    # assigned, not summed into zeros as toarray() does, which would turn -0.0 into +0.0
+    out[emb.row, emb.col] = emb.data
     return DenseOperator(layout, out, hermitian=local_op.hermitian)
 
 

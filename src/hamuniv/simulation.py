@@ -70,10 +70,6 @@ class Encoding:
         return self.p_anc.shape[0]
 
     @property
-    def p_rank(self) -> int:
-        return int(round(float(np.real(np.trace(self.p_anc)))))
-
-    @property
     def q_rank(self) -> int:
         return int(round(float(np.real(np.trace(self.q_anc)))))
 

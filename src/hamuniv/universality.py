@@ -577,7 +577,7 @@ def end_to_end(
         raise ValueError("verifier acceptance operator is ungapped")
     g = gap_info.gap
     kap = kappa if kappa is not None else default_kappa(g, t_prime)
-    kh = build_kitaev(idled, kap, ClockRep.CLOCK_SUBSPACE, cfg)
+    kh = build_kitaev(idled, kap, ClockRep.CLOCK_SUBSPACE)
     h_mk = kh.h_mk_operator()
 
     w_dim = idled.witness_dim

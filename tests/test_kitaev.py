@@ -134,6 +134,22 @@ class TestBuildKitaev:
         assert all(scipy.sparse.issparse(part) for part in kh.parts)
         assert peak < d * d * 16 / 8
 
+    def test_clock_subspace_assembly_allocates_no_dense_matrix(self, rng):
+        circuit = random_verifier(rng, 4, 8)  # c_dim = 2^9
+        tracemalloc.start()
+        try:
+            kh = build_kitaev(circuit, 0.5 * kappa_limit(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        c_dim = circuit.layout.total_dim
+        assert c_dim >= 512
+        for part in kh.parts:
+            for block in part.diag + part.lower:
+                # sparse, and no stored zeros: the sparse LU orders by the stored pattern
+                assert scipy.sparse.issparse(block) and np.all(block.data != 0)
+        assert peak < c_dim * c_dim * 16 / 8
+
     @pytest.mark.parametrize("trailing_idles", [0, 2])
     def test_unary_parts_match_kron_reference(self, trailing_idles):
         circuit = cnot_verifier(trailing_idles)

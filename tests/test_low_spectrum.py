@@ -1,5 +1,7 @@
 """Low-spectrum solvers: dense agreement, determinism and the inertia count certificate."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +181,21 @@ class TestCountCertificate:
         )
         with pytest.raises(SpectrumCertificateError):
             _count_certificate(h, feigned, n, DEFAULT)
+
+    def test_negative_count_holds_few_dense_blocks(self):
+        # three clock blocks of c_dim = 512: the Schur complement carried from one
+        # step to the next is released, and no step keeps more than three arrays
+        h, _ = spectator_hmk(seed=3, n_spectators=3, n_ancilla=4, t_steps=2)
+        c_dim = h.c_dim
+        assert c_dim >= 512 and len(h.diag) == 3
+        tracemalloc.start()
+        try:
+            count = h.negative_count(0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * c_dim * c_dim * 16
+        assert count == int(np.sum(np.linalg.eigvalsh(h.dense()) < 0.3))
 
     @settings(max_examples=25, deadline=None)
     @given(hw=small_hmk, frac=st.floats(0.0, 1.0))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamuniv.operators import (
     DenseOperator,
@@ -12,6 +13,7 @@ from hamuniv.operators import (
     eigh,
     expm_i,
     op_norm,
+    sparse_embed,
     subspace_distance,
     tensor_embed,
 )
@@ -112,6 +114,51 @@ class TestTensorEmbed:
         lay = SystemLayout((2, 3))
         with pytest.raises(ValueError, match="match"):
             tensor_embed(one_site(X), (1,), lay)
+
+
+# zeros of both signs, and nonzero entries whose real or imaginary part is -0.0
+_EMBED_ENTRIES = st.sampled_from(
+    [0j, complex(-0.0, -0.0), complex(1.0, -0.0), complex(-0.0, 2.5), complex(-0.5, 0.75)]
+)
+
+
+@st.composite
+def embed_cases(draw):
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4)))
+    order = draw(st.permutations(range(len(dims))))
+    targets = tuple(order[: draw(st.integers(1, min(2, len(dims))))])
+    local_dims = tuple(dims[t] for t in targets)
+    d_loc = int(np.prod(local_dims))
+    entries = draw(st.lists(_EMBED_ENTRIES, min_size=d_loc**2, max_size=d_loc**2))
+    local = DenseOperator(SystemLayout(local_dims), np.array(entries).reshape(d_loc, d_loc))
+    return local, targets, SystemLayout(dims)
+
+
+class TestSparseEmbed:
+    @settings(max_examples=60, deadline=None)
+    @given(case=embed_cases())
+    def test_matches_dense_embedding_and_digit_oracle(self, case):
+        local, targets, lay = case
+        emb = sparse_embed(local, targets, lay).tocoo()
+        dense = tensor_embed(local, targets, lay).entries
+        # oracle: <r|O|c> = local[r's target digits, c's target digits] when r and
+        # c agree on every other site, else 0
+        digits = lay.digit_table()
+        loc_strides = np.cumprod((1,) + local.layout.site_dims[:-1])
+        loc_index = sum(digits[t] * stride for t, stride in zip(targets, loc_strides))
+        rest = [s for s in range(lay.n_sites) if s not in targets]
+        same_rest = np.all(digits[rest][:, :, None] == digits[rest][:, None, :], axis=0)
+        oracle = np.where(same_rest, local.entries[np.ix_(loc_index, loc_index)], 0)
+        pattern = set(zip(*np.nonzero(oracle)))
+        assert set(zip(emb.row, emb.col)) == pattern == set(zip(*np.nonzero(dense)))
+        assert emb.nnz == len(pattern)  # no explicit zeros
+        # the same entries, bit for bit, signs of zero parts included
+        assert emb.data.tobytes() == oracle[emb.row, emb.col].tobytes()
+        assert emb.data.tobytes() == dense[emb.row, emb.col].tobytes()
+        # and the entries left unassigned are +0.0, as np.zeros made them
+        dense = dense.copy()
+        dense[emb.row, emb.col] = 1.0
+        assert not np.signbit(dense.view(float)).any()
 
 
 class TestEigh:
