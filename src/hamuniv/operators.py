@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import logging
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -21,6 +22,8 @@ import scipy.sparse
 from .config import DEFAULT, Config
 
 PHASE_TOL = 1e-8  # first component above this magnitude anchors the phase
+
+_log = logging.getLogger("hamuniv")
 
 
 class DimensionCapError(ValueError):
@@ -266,46 +269,110 @@ class ClockBlocks:
 
         Haynsworth additivity: the inertia of H - mu is the sum of the
         inertias of the clock-block Schur complements S_0 = A_0 - mu,
-        S_t = A_t - mu - B_t S_(t-1)^-1 B_t^dag. Each S_t is factored by
-        Bunch-Kaufman (zhetrf), whose block-diagonal factor has the inertia
-        of S_t (Sylvester); the Schur solves use an LU factorization. The
-        dense c_dim x c_dim arrays are shifted, factored, solved and
-        symmetrized in place and dropped after their last read, so at most
-        three are live at once.
+        S_t = A_t - mu - B_t S_(t-1)^-1 B_t^dag. Each S_t stays sparse and is
+        split into the connected components of its sparsity pattern; a
+        permutation similarity makes it block diagonal, so its inertia is
+        the sum of the components' (Sylvester, Haynsworth). A one-index
+        component is read off the diagonal; a larger one is factored once by
+        Bunch-Kaufman (zhetrf), whose block-diagonal factor has its inertia,
+        and zhetri turns that factor into the component's inverse. The
+        block-diagonal S_t^-1 keeps the next update a sparse product. When
+        nothing splits, S_t is one component with one dense factorization.
         """
         count = 0
+        largest = []
         schur = None
+        identity = scipy.sparse.identity(self.c_dim, format="csr")
         for t, a in enumerate(self.diag):
-            s = a.toarray(order="F")  # Fortran order: the LU below overwrites it
-            s[np.diag_indices_from(s)] -= mu
+            s = a - mu * identity
             if schur is not None:
-                s -= schur
-                schur = None
-            ldu, ipiv, info = scipy.linalg.lapack.zhetrf(s, lower=1)
-            if info != 0:
-                raise SpectrumCertificateError(f"Schur complement {t} is singular at {mu}")
-            count += _bunch_kaufman_negatives(ldu, ipiv)
-            del ldu
-            if t < len(self.lower):
+                s = s - schur
+            invert = t < len(self.lower)
+            try:
+                negatives, size, inverse = _component_inertia(s.tocsr(), invert)
+            except np.linalg.LinAlgError:
+                raise SpectrumCertificateError(
+                    f"Schur complement {t} is singular at {mu}"
+                ) from None
+            count += negatives
+            largest.append(size)
+            if invert:
                 b = self.lower[t]
-                x = scipy.linalg.lu_solve(
-                    scipy.linalg.lu_factor(s, overwrite_a=True, check_finite=False),
-                    b.conj().T.toarray(order="F"),
-                    overwrite_b=True,
-                    check_finite=False,
-                )
-                del s
-                schur = np.asarray(b @ x)
-                del x
-                schur += schur.conj().T  # hermitize(schur), in place
-                schur /= 2
+                schur = b @ inverse @ b.conj().T
+        _log.debug(
+            "inertia count: %d eigenvalues below %.6g, %d Schur steps, "
+            "largest component per step %s",
+            count, mu, len(largest), largest,
+        )
         return count
 
 
-def _bunch_kaufman_negatives(ldu: np.ndarray, ipiv: np.ndarray) -> int:
-    """Negative eigenvalues of the 1x1 / 2x2 block-diagonal factor of a lower zhetrf."""
-    d = np.real(np.diagonal(ldu))
-    sub = np.abs(np.diagonal(ldu, -1))
+def _component_inertia(
+    s: scipy.sparse.csr_matrix, invert: bool
+) -> tuple[int, int, scipy.sparse.csr_matrix | None]:
+    """(negative eigenvalues, largest component, s^-1 or None) of a sparse Hermitian s.
+
+    The components of s's sparsity pattern are gathered, grouped by size, into
+    dense blocks and each block is factored once; raises LinAlgError when s is
+    singular.
+    """
+    # imported here: only the count needs it, and csgraph brings
+    # scipy.sparse.linalg with it, about 3 MB resident in every process
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = scipy.sparse.csr_matrix(
+        (np.ones(s.nnz, dtype=np.int8), s.indices, s.indptr), shape=s.shape
+    )
+    _, labels = connected_components(pattern, directed=False)
+    node_size = np.bincount(labels)[labels]  # the size of each node's component
+
+    single = np.flatnonzero(node_size == 1)
+    d = np.real(s.diagonal()[single])
+    if np.any(d == 0):
+        raise np.linalg.LinAlgError("zero pivot")
+    negatives = int(np.count_nonzero(d < 0))
+    rows, cols, values = [single], [single], [1.0 / d]
+
+    for k in np.unique(node_size[node_size > 1]):
+        nodes = np.flatnonzero(node_size == k)
+        # one row per component, its nodes ascending
+        members = nodes[np.argsort(labels[nodes], kind="stable")].reshape(-1, k)
+        part = s[members.ravel()][:, members.ravel()].tocoo()  # block diagonal
+        blocks = np.zeros((len(members), k, k), dtype=complex)
+        blocks[part.row // k, part.row % k, part.col % k] = part.data
+        # the Bunch-Kaufman factors' diagonals, subdiagonals and pivots, end to end
+        diag = np.empty((len(members), k))
+        sub = np.zeros((len(members), k))
+        pivots = np.empty((len(members), k), dtype=np.intc)
+        lwork = int(scipy.linalg.lapack.zhetrf_lwork(k, lower=1)[0].real)
+        for j, block in enumerate(blocks):
+            ldu, ipiv, info = scipy.linalg.lapack.zhetrf(block, lower=1, lwork=lwork)
+            if info != 0:
+                raise np.linalg.LinAlgError("zero pivot")
+            diag[j], sub[j, :-1], pivots[j] = ldu.diagonal().real, np.abs(ldu.diagonal(-1)), ipiv
+            if invert:  # zhetri fills the lower triangle of the inverse
+                block[:] = scipy.linalg.lapack.zhetri(ldu, ipiv, lower=1, overwrite_a=1)[0]
+        negatives += _bunch_kaufman_negatives(diag.ravel(), sub.ravel(), pivots.ravel())
+        if invert:
+            upper = np.triu_indices(k, 1)
+            blocks[:, upper[0], upper[1]] = blocks[:, upper[1], upper[0]].conj()
+            rows.append(np.broadcast_to(members[:, :, None], blocks.shape).ravel())
+            cols.append(np.broadcast_to(members[:, None, :], blocks.shape).ravel())
+            values.append(blocks.ravel())
+    inverse = None
+    if invert:
+        inverse = scipy.sparse.csr_matrix(
+            (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))), shape=s.shape
+        )
+    return negatives, int(node_size.max()), inverse
+
+
+def _bunch_kaufman_negatives(d: np.ndarray, sub: np.ndarray, ipiv: np.ndarray) -> int:
+    """Negative eigenvalues of the 1x1 / 2x2 block-diagonal factors of lower zhetrf calls.
+
+    d is the real diagonal, sub the absolute subdiagonal and ipiv the pivots
+    of one factor or of several laid end to end; no 2x2 block straddles two.
+    """
     count = 0
     k = 0
     while k < len(d):

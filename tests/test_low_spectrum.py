@@ -1,12 +1,14 @@
 """Low-spectrum solvers: dense agreement, determinism and the inertia count certificate."""
 
+import logging
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from hamuniv.circuits import Gate, VerifierCircuit
+from hamuniv.circuits import Gate, VerifierCircuit, idle_prefix
 from hamuniv.config import DEFAULT
 from hamuniv.kitaev import (
     _PARTIAL_EIGH_DIM,
@@ -24,8 +26,9 @@ from hamuniv.operators import (
     SpectrumCertificateError,
     SystemLayout,
 )
+from hamuniv.universality import TargetHamiltonian, qpe_verifier
 
-from conftest import random_unitary
+from conftest import random_hermitian, random_unitary
 
 
 def spectator_verifier(seed: int, n_spectators: int, n_ancilla: int, t_steps: int) -> VerifierCircuit:
@@ -206,3 +209,63 @@ class TestCountCertificate:
         if np.abs(vals - mu).min() < 1e-8:
             return
         assert h.negative_count(mu) == int(np.sum(vals < mu))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_blocks_count_as_eigvalsh(self, seed):
+        # dense random blocks: every Schur complement is one component, factored whole
+        rng = np.random.default_rng(seed)
+        c_dim, n_clock = 12, 4
+        shape = (c_dim, c_dim)
+        h = ClockBlocks(
+            SystemLayout((c_dim, n_clock)),
+            tuple(scipy.sparse.csr_matrix(random_hermitian(rng, c_dim)) for _ in range(n_clock)),
+            tuple(
+                scipy.sparse.csr_matrix(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                for _ in range(n_clock - 1)
+            ),
+            floor=-np.inf,
+        )
+        vals = np.linalg.eigvalsh(h.dense())
+        for mu in np.linspace(vals[0] - 1.0, vals[-1] + 1.0, 41):
+            if np.abs(vals - mu).min() > 1e-8:
+                assert h.negative_count(mu) == int(np.sum(vals < mu))
+
+    def test_shift_on_isolated_diagonal_entry_raises(self):
+        h, _ = spectator_hmk(seed=2, n_spectators=1, n_ancilla=1, t_steps=3)
+        s_0 = h.diag[0]
+        off_diagonal = abs(s_0 - scipy.sparse.diags(s_0.diagonal()))
+        isolated = np.flatnonzero(
+            (np.asarray(off_diagonal.sum(axis=0)).ravel() == 0)
+            & (np.asarray(off_diagonal.sum(axis=1)).ravel() == 0)
+        )
+        assert len(isolated) > 0
+        mu = float(np.real(s_0.diagonal()[isolated[0]]))
+        # S_0 alone is also the last complement, whose zero pivot no later step meets
+        first_block = ClockBlocks(SystemLayout((h.c_dim,)), h.diag[:1], (), h.floor)
+        for blocks in (h, first_block):
+            with pytest.raises(SpectrumCertificateError):
+                blocks.negative_count(mu)
+
+    def test_roadmap_count_holds_less_than_one_dense_block(self):
+        target = TargetHamiltonian.from_matrix(np.diag([0.0, 0.5]).astype(complex), (2,))
+        circuit = idle_prefix(qpe_verifier(target, 2.0, 2, tau=np.pi), 1)
+        h = build_kitaev(
+            circuit, 0.5 * kappa_limit(circuit.n_steps), ClockRep.CLOCK_SUBSPACE
+        ).h_mk_operator()
+        assert h.c_dim == 648
+        assert h.negative_count(0.025) == 18  # the first count also imports csgraph
+        tracemalloc.start()
+        try:
+            h.negative_count(0.025)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < h.c_dim * h.c_dim * 16
+
+    def test_count_logs_one_debug_record(self, caplog):
+        h, _ = spectator_hmk(seed=4, n_spectators=1, n_ancilla=1, t_steps=3)
+        with caplog.at_level(logging.DEBUG, logger="hamuniv"):
+            h.negative_count(0.3)
+        records = [r for r in caplog.records if "Schur steps" in r.getMessage()]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        assert "4 Schur steps" in records[0].getMessage()
