@@ -56,7 +56,7 @@ _PARTIAL_EIGH_DIM = 1200
 # distance of the shift below the spectrum's floor, relative to max(1, |floor|)
 _SI_OVERSAMPLE = 8
 _SI_MAX_ITER = 100
-_SI_MARGIN = 1e-3
+_SI_MARGIN = 1e-5
 
 _log = logging.getLogger("hamuniv")
 
@@ -314,6 +314,7 @@ def _low_spectrum(
     k: int,
     n: int,
     config: Config | None = None,
+    start: np.ndarray | None = None,
 ) -> LowSpectrum:
     """Lowest k eigenpairs (ascending); switches solver by dimension and storage.
 
@@ -323,12 +324,14 @@ def _low_spectrum(
     DenseOperator there reuses its cached spectrum. Clock blocks above it go
     to shift-invert subspace iteration, which converges the n lowest pairs
     and certifies their count with ClockBlocks.negative_count; a mismatch
-    raises SpectrumCertificateError.
+    raises SpectrumCertificateError. `start`, orthonormal columns near the
+    low space (a nearby operator's eigenvectors), seeds that iteration; the
+    dense solvers ignore it.
     """
     op = h if isinstance(h, DenseOperator) and h.hermitian else None
     if isinstance(h, ClockBlocks):
         if h.dim > _PARTIAL_EIGH_DIM:
-            return _shift_invert_spectrum(h, k, n, config or DEFAULT)
+            return _shift_invert_spectrum(h, k, n, config or DEFAULT, start)
         h = h.dense()
     elif isinstance(h, DenseOperator):
         h = h.entries
@@ -342,14 +345,23 @@ def _low_spectrum(
     return LowSpectrum(vals, vecs, np.linalg.norm(h @ vecs - vecs * vals, axis=0))
 
 
-def _shift_invert_spectrum(h: ClockBlocks, k: int, n: int, cfg: Config) -> LowSpectrum:
+def _shift_invert_spectrum(
+    h: ClockBlocks, k: int, n: int, cfg: Config, start: np.ndarray | None = None
+) -> LowSpectrum:
     """Block shift-invert subspace iteration with a Rayleigh-Ritz step per iteration.
 
-    Factors H - sigma once, sigma below h.floor, and iterates a fixed-seed
-    block of k + _SI_OVERSAMPLE vectors until the residuals of the n lowest
-    Ritz pairs fall below 64 u |H|_inf and stop shrinking (the round-off
-    floor). Ritz values beyond n are upper bounds of the eigenvalues with
-    their residuals; the n lowest pairs carry the count certificate.
+    Factors H - sigma once, sigma just below h.floor, and iterates a block of
+    k + _SI_OVERSAMPLE vectors, the columns of `start` first and fixed-seed
+    random ones after them. Each step solves Z = (H - sigma)^-1 Q and takes
+    the Ritz pairs of H in span(Z) through the Cholesky factor of Z's Gram
+    matrix (_cholesky_ritz). The first Z, solved from a (partly) random
+    start, is ill-conditioned, so Householder QR orthonormalizes it first.
+    The iteration stops when the residuals of the n lowest Ritz pairs fall
+    below 64 u |H|_inf and stop shrinking (the round-off floor). Ritz values
+    beyond n are upper bounds of the eigenvalues with their residuals; the n
+    lowest pairs carry the count certificate. A Cholesky breakdown, or a
+    returned block that is not orthonormal to 1e-12, raises
+    SpectrumCertificateError.
     """
     # imported here: only this path needs it, and a module-level import
     # would lengthen every process's start-up
@@ -362,32 +374,78 @@ def _shift_invert_spectrum(h: ClockBlocks, k: int, n: int, cfg: Config) -> LowSp
     sigma = h.floor - _SI_MARGIN * max(1.0, abs(h.floor))
     lu = scipy.sparse.linalg.splu(a - sigma * scipy.sparse.identity(d, format="csc"))
     rng = np.random.default_rng(0)
-    q, _ = np.linalg.qr(rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m)))
+    q = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+    warm = 0 if start is None else min(start.shape[1], m)
+    if warm:
+        q[:, :warm] = start[:, :warm]
     tol = 64 * np.finfo(float).eps * float(abs(a).sum(axis=1).max())
     previous = np.inf
     for steps in range(1, _SI_MAX_ITER + 1):
-        q, _ = np.linalg.qr(lu.solve(q))
-        hq = a @ q
-        vals, rot = np.linalg.eigh(hermitize(q.conj().T @ hq))
-        q = q @ rot
-        residuals = np.linalg.norm(hq @ rot - q * vals, axis=0)
+        # at most three D x m blocks are live: z, its C-ordered conjugate
+        # (a @ z would copy the Fortran-ordered solve) and H z
+        z = lu.solve(q)
+        del q
+        if steps == 1:
+            z = np.linalg.qr(z)[0]
+        zc = np.array(z, order="C")
+        hz = a @ zc
+        np.conjugate(zc, out=zc)
+        vals, c = _cholesky_ritz(zc.T @ z, hermitize(zc.T @ hz), steps)
+        q = np.matmul(z, c, out=zc)
+        del z
+        hq = hz @ c
+        np.multiply(q, vals, out=hz)
+        np.subtract(hq, hz, out=hz)
+        del hq
+        # column norms through one real scratch block (np.linalg.norm takes two complex ones)
+        squares = np.square(hz.view(float)).sum(axis=0)
+        residuals = np.sqrt(squares[0::2] + squares[1::2])
         worst = float(residuals[:n].max())
         if worst <= tol and worst > previous / 4:
             break
         previous = worst
+        del hz
     else:
         raise SpectrumCertificateError(
             f"shift-invert iteration left residual {worst:.3e} > {tol:.3e} "
             f"after {_SI_MAX_ITER} steps"
         )
-    low = LowSpectrum(vals[:k], q[:, :k], residuals[:k])
+    drift = float(np.abs(np.conjugate(q, out=hz).T @ q - np.eye(m)).max())
+    if drift > 1e-12:
+        raise SpectrumCertificateError(
+            f"shift-invert block lost orthonormality: max |Q^H Q - I| = {drift:.3e}"
+        )
+    # a compact copy: the block and its scratch are freed before the count runs
+    low = LowSpectrum(vals[:k], q[:, :k].copy(), residuals[:k])
+    del q, hz
     low = replace(low, certificate=_count_certificate(h, low, n, cfg))
     _log.debug(
-        "shift-invert D=%d block=%d steps=%d sigma=%.6g max residual of %d pairs %.3e, "
-        "%d eigenvalues below %.6g certified",
-        d, m, steps, sigma, n, worst, low.certificate[1], low.certificate[0],
+        "shift-invert D=%d block=%d warm=%d steps=%d sigma=%.6g max residual of %d pairs "
+        "%.3e, %d eigenvalues below %.6g certified",
+        d, m, warm, steps, sigma, n, worst, low.certificate[1], low.certificate[0],
     )
     return low
+
+
+def _cholesky_ritz(gram: np.ndarray, proj: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz values and coefficients c, with Q = Z c orthonormal, from Z^H Z and Z^H H Z.
+
+    Z is first scaled to unit columns, D = diag(gram)^-1/2, which acts on the
+    m x m matrices only. With D gram D = L L^H, the Ritz values are the
+    eigenvalues of L^-1 (D proj D) L^-H = rot diag(vals) rot^H, and c is
+    D L^-H rot (Stathopoulos & Wu, SIAM J. Sci. Comput. 23 (2002); Yamamoto
+    et al., ETNA 44 (2015)).
+    """
+    s = 1.0 / np.sqrt(gram.diagonal().real)
+    scale = np.outer(s, s)
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(gram * scale))
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumCertificateError(
+            f"Cholesky Rayleigh-Ritz broke down at step {step}: {exc}"
+        ) from None
+    vals, rot = np.linalg.eigh(hermitize(inv @ (proj * scale) @ inv.conj().T))
+    return vals, s[:, None] * (inv.conj().T @ rot)
 
 
 def _count_certificate(

@@ -35,6 +35,16 @@ OFF_BLOCK_TOL = 1e-10
 SW_ORDER = 1  # the truncation order sw_exact measures
 
 
+def _unitary_log(w: np.ndarray) -> np.ndarray:
+    """Principal logarithm of a unitary matrix, through its complex Schur form.
+
+    A unitary matrix is normal, so its Schur form w = z t z^dag has a
+    diagonal t up to rounding, and log(w) = z log(diag t) z^dag.
+    """
+    t, z = scipy.linalg.schur(w, output="complex")
+    return (z * np.log(t.diagonal())) @ z.conj().T
+
+
 def _norm(m: np.ndarray) -> float:
     """Spectral norm of a Hermitian matrix, from its eigenvalues."""
     return float(np.abs(np.linalg.eigvalsh(m)).max(initial=0.0))
@@ -144,7 +154,7 @@ def sw_exact(prob: SWProblem, config: Config | None = None) -> SWExpansion:
     rot = direct_rotation_factored(vecs[:, :k], b)
     q, w = rot.q_span, rot.w_small
     # e^S = 1 + q (w - 1) q^dag, so S = q log(w) q^dag
-    s_small = scipy.linalg.logm(w)
+    s_small = _unitary_log(w)
     s_small = (s_small - s_small.conj().T) / 2  # scrub rounding: the generator is anti-Hermitian
     s_norm = _norm(1j * s_small)
     if s_norm >= np.pi / 2:

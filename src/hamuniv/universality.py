@@ -602,7 +602,8 @@ def end_to_end(
     lam_sh = target.norm + 1.0
     alignment = fam.shift + lam_sh
     h_sim = build_hsim(h_mk, lam_min, flags, delta, flag_prefactor).plus_diagonal(-alignment)
-    sim = _low_spectrum(h_sim, w_dim + 8, w_dim, cfg)
+    # H_sim's low space lies near H_MK's: its eigenvectors start the solve
+    sim = _low_spectrum(h_sim, w_dim + 8, w_dim, cfg, start=mk.vectors)
 
     wtilde = wtilde_encodings(target, fam, cfg)
 

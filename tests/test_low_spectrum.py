@@ -1,6 +1,7 @@
 """Low-spectrum solvers: dense agreement, determinism and the inertia count certificate."""
 
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
+import hamuniv.kitaev as kitaev
 from hamuniv.circuits import Gate, VerifierCircuit, idle_prefix
 from hamuniv.config import DEFAULT
 from hamuniv.kitaev import (
     _PARTIAL_EIGH_DIM,
+    _SI_OVERSAMPLE,
     ClockRep,
     LowSpectrum,
     _count_certificate,
@@ -26,7 +29,7 @@ from hamuniv.operators import (
     SpectrumCertificateError,
     SystemLayout,
 )
-from hamuniv.universality import TargetHamiltonian, qpe_verifier
+from hamuniv.universality import TargetHamiltonian, end_to_end, qpe_verifier
 
 from conftest import random_hermitian, random_unitary
 
@@ -84,6 +87,19 @@ def large_hmk():
     return h, w, dense, vals, vecs
 
 
+ROADMAP_TARGET = TargetHamiltonian.from_matrix(np.diag([0.0, 0.5]).astype(complex), (2,))
+
+
+@pytest.fixture(scope="module")
+def roadmap_hmk():
+    """The ROADMAP instance's clock-subspace H_MK (c_dim = 648, T' = 4, D = 3240)."""
+    circuit = idle_prefix(qpe_verifier(ROADMAP_TARGET, 2.0, 2, tau=np.pi), 1)
+    h = build_kitaev(
+        circuit, 0.5 * kappa_limit(circuit.n_steps), ClockRep.CLOCK_SUBSPACE
+    ).h_mk_operator()
+    return h, circuit.witness_dim
+
+
 class TestShiftInvertAgreesWithDense:
     def test_certified_pairs_match_dense(self, large_hmk):
         h, w, dense, vals, vecs = large_hmk
@@ -115,6 +131,72 @@ class TestShiftInvertAgreesWithDense:
         for name in ("values", "vectors", "residuals"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
         assert first.certificate == second.certificate
+
+
+class TestShiftInvertSteps:
+    @pytest.mark.parametrize("a", [2.0, 32.0])
+    def test_roadmap_solves_take_few_steps(self, a, caplog):
+        # the tight shift converges H_MK in at most six steps, and H_sim,
+        # started from H_MK's eigenvectors, in at most four
+        with caplog.at_level(logging.DEBUG, logger="hamuniv"):
+            end_to_end(ROADMAP_TARGET, a, 2, idle_steps=1, tau=np.pi)
+        solves = [
+            r.getMessage() for r in caplog.records if r.getMessage().startswith("shift-invert")
+        ]
+        steps = [int(re.search(r"steps=(\d+)", msg).group(1)) for msg in solves]
+        warm = [int(re.search(r"warm=(\d+)", msg).group(1)) for msg in solves]
+        assert len(solves) == 2 and warm[0] == 0 and warm[1] > 0
+        assert steps[0] <= 6 and steps[1] <= 4
+
+    def test_warm_start_is_bit_identical_and_exact(self, large_hmk):
+        h, w, dense, vals, _ = large_hmk
+        start = _low_spectrum(h, w + 8, w).vectors
+        first, second = (_low_spectrum(h, w + 8, w, start=start) for _ in range(2))
+        for name in ("values", "vectors", "residuals"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+        assert first.certificate == second.certificate
+        norm = float(np.abs(dense).sum(axis=1).max())
+        assert np.abs(first.values[:w] - vals[:w]).max() <= 1e-12 * norm
+
+    def test_cholesky_breakdown_raises(self, large_hmk, monkeypatch):
+        h, w = large_hmk[:2]
+        cholesky, calls = np.linalg.cholesky, []
+
+        def indefinite_third_gram(gram):
+            calls.append(gram)
+            if len(calls) == 3:  # the scaled Gram matrix has a unit diagonal
+                gram = gram - 2.0 * np.eye(len(gram))
+            return cholesky(gram)
+
+        monkeypatch.setattr(np.linalg, "cholesky", indefinite_third_gram)
+        with pytest.raises(SpectrumCertificateError, match="broke down at step 3"):
+            _low_spectrum(h, w + 8, w)
+
+    def test_lost_orthonormality_raises(self, large_hmk, monkeypatch):
+        h, w = large_hmk[:2]
+        ritz = kitaev._cholesky_ritz
+
+        def stretched(*args):
+            vals, c = ritz(*args)
+            return vals, c * (1.0 + 1e-9)
+
+        monkeypatch.setattr(kitaev, "_cholesky_ritz", stretched)
+        with pytest.raises(SpectrumCertificateError, match="orthonormality"):
+            _low_spectrum(h, w + 8, w)
+
+    def test_roadmap_solve_holds_three_blocks(self, roadmap_hmk):
+        # z, its conjugate (then the new block) and H z are the only D x m
+        # arrays live at once; a fourth would break the bound, which is
+        # 7.05 MB here and so under 9 MB
+        h, w = roadmap_hmk
+        _low_spectrum(h, w + 8, w)  # imports scipy.sparse.linalg and csgraph
+        tracemalloc.start()
+        try:
+            _low_spectrum(h, w + 8, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * h.dim * (w + 8 + _SI_OVERSAMPLE) * 16
 
 
 def test_small_clock_blocks_take_the_dense_path():
@@ -246,12 +328,8 @@ class TestCountCertificate:
             with pytest.raises(SpectrumCertificateError):
                 blocks.negative_count(mu)
 
-    def test_roadmap_count_holds_less_than_one_dense_block(self):
-        target = TargetHamiltonian.from_matrix(np.diag([0.0, 0.5]).astype(complex), (2,))
-        circuit = idle_prefix(qpe_verifier(target, 2.0, 2, tau=np.pi), 1)
-        h = build_kitaev(
-            circuit, 0.5 * kappa_limit(circuit.n_steps), ClockRep.CLOCK_SUBSPACE
-        ).h_mk_operator()
+    def test_roadmap_count_holds_less_than_one_dense_block(self, roadmap_hmk):
+        h, _ = roadmap_hmk
         assert h.c_dim == 648
         assert h.negative_count(0.025) == 18  # the first count also imports csgraph
         tracemalloc.start()

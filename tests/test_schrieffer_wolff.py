@@ -8,8 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from hamuniv.circuits import acceptance_operator
 from hamuniv.kitaev import build_kitaev, ground_space, history_state, spectral_gap_above
-from hamuniv.operators import DenseOperator, Subspace, SystemLayout, direct_rotation
-from hamuniv.schrieffer_wolff import SWProblem, sw_bounds, sw_exact, sw_series
+from hamuniv.operators import (
+    DenseOperator,
+    Subspace,
+    SystemLayout,
+    direct_rotation,
+    direct_rotation_factored,
+)
+from hamuniv.schrieffer_wolff import SWProblem, _unitary_log, sw_bounds, sw_exact, sw_series
 from hamuniv.simulation import plain_encoding, verify_simulation
 
 from conftest import cnot_verifier, random_hermitian
@@ -138,6 +144,26 @@ def dense_reference(prob: SWProblem):
     return s, h_eff, np.linalg.norm(s, 2), np.linalg.norm(h_eff - first_order, 2)
 
 
+class TestUnitaryLog:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), ratio=st.floats(0.01, 0.2))
+    def test_rotation_block_log_matches_logm(self, seed, dim, ratio):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, dim, ratio=ratio)
+        vecs = prob.perturbed().spectrum[1]
+        w = direct_rotation_factored(vecs[:, : prob.minus.dim], prob.minus.basis).w_small
+        assert np.abs(_unitary_log(w) - scipy.linalg.logm(w)).max() <= 1e-13
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_degenerate_phases_match_logm(self, seed):
+        # repeated eigenphases, the identity's among them, and phases near +-pi/2
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        phases = np.array([0.0, 0.0, 0.0, 0.3, 0.3, -1.5, 1.5, -0.7])
+        w = (basis * np.exp(1j * phases)) @ basis.conj().T
+        assert np.abs(_unitary_log(w) - scipy.linalg.logm(w)).max() <= 1e-13
+
+
 class TestJointSpan:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -171,13 +197,13 @@ class TestJointSpan:
 
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-        monkeypatch.setattr(scipy.linalg, "logm", counted("logm", scipy.linalg.logm))
+        monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
         bounds = sw_bounds(prob)
         assert calls == []
         assert bounds.s_norm_measured == exp.bounds["s_norm_measured"]
         assert bounds.truncation_measured == exp.bounds["truncation_measured"]
         sw_bounds(random_problem(rng, 8))  # a fresh problem is measured, and counted
-        assert "logm" in calls and "eigh" in calls
+        assert "schur" in calls and "eigh" in calls
 
     def test_verify_simulation_after_sw_exact_decomposes_no_full_matrix(self, rng, monkeypatch):
         prob = random_problem(rng, 12)
