@@ -134,11 +134,15 @@ class AcceptanceOperator:
 
 
 def apply_gate_to_vector(vec: np.ndarray, gate: Gate, layout: SystemLayout) -> np.ndarray:
-    """Apply an embedded gate to a statevector without forming the full matrix."""
+    """Apply an embedded gate to a statevector without forming the full matrix.
+
+    `vec` is one (D,) state or a (D, n) block of states as columns; the column
+    axis trails through the contraction, so a block costs one pass.
+    """
     dims = layout.site_dims
     n = len(dims)
     k = len(gate.targets)
-    psi = vec.reshape(tuple(reversed(dims)))  # tensor axis a holds site n-1-a
+    psi = vec.reshape(tuple(reversed(dims)) + vec.shape[1:])  # tensor axis a holds site n-1-a
     local_dims = gate.unitary.layout.site_dims
     g = gate.unitary.entries.reshape(tuple(reversed(local_dims)) * 2)
     # column axis k+i of g corresponds to target[k-1-i]
@@ -146,7 +150,7 @@ def apply_gate_to_vector(vec: np.ndarray, gate: Gate, layout: SystemLayout) -> n
     out = np.tensordot(g, psi, axes=(list(range(k, 2 * k)), axes_psi))
     # row axis i of out corresponds to target[k-1-i]; put it back in place
     dest = [n - 1 - gate.targets[k - 1 - i] for i in range(k)]
-    return np.moveaxis(out, list(range(k)), dest).reshape(-1)
+    return np.moveaxis(out, list(range(k)), dest).reshape(vec.shape)
 
 
 def compile_gates(layout: SystemLayout, gates: tuple[Gate, ...] | list[Gate]) -> DenseOperator:
@@ -162,8 +166,12 @@ def compile_unitary(circuit: VerifierCircuit) -> DenseOperator:
 
 
 def initial_state(circuit: VerifierCircuit, witness: np.ndarray) -> np.ndarray:
-    """Full-space state with ancillas in |0> and the witness register in `witness`."""
-    witness = np.asarray(witness, dtype=complex).reshape(-1)
+    """Full-space state with ancillas in |0> and the witness register in `witness`.
+
+    A (w,) witness gives a (D,) state; a (w, n) block of witnesses as columns
+    gives the (D, n) block of their states.
+    """
+    witness = np.asarray(witness, dtype=complex)
     if witness.shape[0] != circuit.witness_dim:
         raise ValueError(f"witness dimension {witness.shape[0]} != {circuit.witness_dim}")
     layout = circuit.layout
@@ -171,7 +179,7 @@ def initial_state(circuit: VerifierCircuit, witness: np.ndarray) -> np.ndarray:
     positions = np.zeros(1, dtype=np.int64)
     for s in circuit.witness_sites:  # ascending, so each new site is the slower local digit
         positions = (positions[None, :] + (np.arange(layout.site_dims[s]) * strides[s])[:, None]).reshape(-1)
-    vec = np.zeros(layout.total_dim, dtype=complex)
+    vec = np.zeros((layout.total_dim,) + witness.shape[1:], dtype=complex)
     vec[positions] = witness
     return vec
 
@@ -184,14 +192,12 @@ def run_circuit(circuit: VerifierCircuit, witness: np.ndarray) -> np.ndarray:
 
 
 def acceptance_operator(circuit: VerifierCircuit, config: Config | None = None) -> AcceptanceOperator:
-    """Q(U) = <0|_anc U^dag P_out U |0>_anc on the witness space, via statevector columns."""
-    w = circuit.witness_dim
-    layout = circuit.layout
-    columns = np.empty((layout.total_dim, w), dtype=complex)
-    basis = np.eye(w, dtype=complex)
-    for i in range(w):
-        columns[:, i] = run_circuit(circuit, basis[:, i])
-    accept_mask = layout.digit_table()[circuit.output_site] == 1
+    """Q(U) = <0|_anc U^dag P_out U |0>_anc on the witness space.
+
+    The circuit runs once, on the (D, w) block of all witness basis states.
+    """
+    columns = run_circuit(circuit, np.eye(circuit.witness_dim, dtype=complex))
+    accept_mask = circuit.layout.digit_table()[circuit.output_site] == 1
     q = hermitize(columns.conj().T @ (accept_mask[:, None] * columns))
     q_op = DenseOperator(circuit.witness_layout(), q, hermitian=True)
     return AcceptanceOperator(q=q_op, eigen=eigh(q_op, config), completeness_ref=circuit.completeness)

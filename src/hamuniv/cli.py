@@ -58,12 +58,10 @@ class RunConfig:
         cfg = with_constants(self.config, self.constants) if self.constants else self.config
         if self.dim_cap is not None:
             cfg = with_constants(cfg, {"dim_cap": self.dim_cap})
-        if self.seed is not None:
-            cfg = with_constants(cfg, {"seed": self.seed})
-        self.config = cfg
+        self.config = with_constants(cfg, {"seed": self.seed})
 
 
-def validate_input(path: str, kind: str = "json") -> tuple[dict | None, list[str]]:
+def validate_input(path: str) -> tuple[dict | None, list[str]]:
     """Load and parse an input file; diagnostics instead of exceptions."""
     try:
         with open(path) as fh:
@@ -129,23 +127,23 @@ def _hmk_dict(report) -> dict:
     }
 
 
-def _cmd_spectrum(run: RunConfig, obj: dict) -> tuple[dict | None, list[list], bool]:
+def _cmd_spectrum(run: RunConfig, obj: dict) -> tuple[dict | None, bool]:
     op = serialize.operator_from_dict(obj.get("operator", obj), dim_cap=run.config.dim_cap)
     if not op.hermitian:
         raise InputFormatError("operator.hermitian", "spectrum requires a Hermitian operator")
     values = eigh(op, run.config).values
     rows = [[float(v)] for v in values]
     serialize.write_csv(run.output_path, rows)
-    return None, rows, True
+    return None, True
 
 
-def _cmd_compile(run: RunConfig, obj: dict) -> tuple[dict, list, bool]:
+def _cmd_compile(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     circuit = serialize.circuit_from_dict(obj.get("circuit", obj), dim_cap=run.config.dim_cap)
     unitary = compile_unitary(circuit)
-    return {"compiled_unitary": serialize.operator_to_dict(unitary), "pass": True}, [], True
+    return {"compiled_unitary": serialize.operator_to_dict(unitary), "pass": True}, True
 
 
-def _cmd_history(run: RunConfig, obj: dict) -> tuple[dict, list, bool]:
+def _cmd_history(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     circuit = serialize.circuit_from_dict(obj.get("circuit", obj), dim_cap=run.config.dim_cap)
     rep = ClockRep(obj.get("rep", "clock-subspace"))
     if "witness" in obj:
@@ -153,20 +151,11 @@ def _cmd_history(run: RunConfig, obj: dict) -> tuple[dict, list, bool]:
     else:
         witness = np.zeros(circuit.witness_dim, dtype=complex)
         witness[0] = 1.0
-    state = history_state(circuit, witness, rep)
-    return (
-        {
-            "rep": rep.value,
-            "t_steps": circuit.n_steps,
-            "vector": serialize.vector_to_pairs(state.vector),
-            "pass": True,
-        },
-        [],
-        True,
-    )
+    vector = serialize.matrix_to_pairs(history_state(circuit, witness, rep).vector)
+    return {"rep": rep.value, "t_steps": circuit.n_steps, "vector": vector, "pass": True}, True
 
 
-def _cmd_hmk_check(run: RunConfig, obj: dict) -> tuple[dict, list, bool]:
+def _cmd_hmk_check(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     circuit = serialize.circuit_from_dict(serialize._require(obj, "circuit", "input"),
                                           dim_cap=run.config.dim_cap)
     rep = ClockRep(obj.get("rep", "clock-subspace"))
@@ -198,10 +187,10 @@ def _cmd_hmk_check(run: RunConfig, obj: dict) -> tuple[dict, list, bool]:
         }
         out["pass"] = bool(out["pass"] and idling.ok)
         all_ok = all_ok and idling.ok
-    return out, [], all_ok
+    return out, all_ok
 
 
-def _cmd_sw(run: RunConfig, obj: dict) -> tuple[dict, list, bool]:
+def _cmd_sw(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     h0 = serialize.operator_from_dict(serialize._require(obj, "h0", "input"), "input.h0",
                                       dim_cap=run.config.dim_cap)
     h1 = serialize.operator_from_dict(serialize._require(obj, "h1", "input"), "input.h1",
@@ -229,7 +218,7 @@ def _cmd_sw(run: RunConfig, obj: dict) -> tuple[dict, list, bool]:
         "h_eff_spectrum": [float(v) for v in low],
         "pass": bounds.ok,
     }
-    return out, [], bounds.ok
+    return out, bounds.ok
 
 
 def _parse_encoding(obj: dict, sim_dim: int, target_dim: int) -> Encoding:
@@ -259,7 +248,7 @@ def _parse_encoding(obj: dict, sim_dim: int, target_dim: int) -> Encoding:
         raise InputFormatError("input.v", str(exc)) from exc
 
 
-def _cmd_verify_sim(run: RunConfig, obj: dict) -> tuple[dict, list, bool]:
+def _cmd_verify_sim(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     h = serialize.operator_from_dict(serialize._require(obj, "h", "input"), "input.h",
                                      dim_cap=run.config.dim_cap)
     h_prime = serialize.operator_from_dict(serialize._require(obj, "h_prime", "input"),
@@ -309,10 +298,10 @@ def _cmd_verify_sim(run: RunConfig, obj: dict) -> tuple[dict, list, bool]:
         csv_rows,
         header=["i", "lambda_target", "j", "lambda_sim", "difference"],
     )
-    return out, csv_rows, checks_ok
+    return out, checks_ok
 
 
-def _cmd_universal_demo(run: RunConfig, obj: dict) -> tuple[dict, list, bool]:
+def _cmd_universal_demo(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     h_target = serialize.operator_from_dict(serialize._require(obj, "h_target", "input"),
                                             "input.h_target", dim_cap=run.config.dim_cap)
     target = TargetHamiltonian.from_operator(h_target, run.config)
@@ -365,7 +354,7 @@ def _cmd_universal_demo(run: RunConfig, obj: dict) -> tuple[dict, list, bool]:
         csv_rows,
         header=["lambda_target", "lambda_sim", "difference"],
     )
-    return out, csv_rows, report.ok
+    return out, report.ok
 
 
 _HANDLERS = {
@@ -386,7 +375,7 @@ def run(run_config: RunConfig) -> int:
             print(line, file=sys.stderr)
         return 2
     try:
-        report, _, all_ok = _HANDLERS[run_config.command](run_config, obj)
+        report, all_ok = _HANDLERS[run_config.command](run_config, obj)
     except (InputFormatError, DimensionCapError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -50,5 +50,10 @@ def with_constants(cfg: Config, constants: dict[str, float]) -> Config:
         key = name.lower()
         if key not in known:
             raise KeyError(f"unknown constant {name!r}; known: {sorted(known)}")
-        overrides[key] = int(value) if key in ("dim_cap", "seed") else float(value)
+        if key not in ("dim_cap", "seed"):
+            overrides[key] = float(value)
+        elif float(value).is_integer():
+            overrides[key] = int(value)
+        else:
+            raise ValueError(f"constant {name!r} must be an integer, got {value!r}")
     return replace(cfg, **overrides)

@@ -25,7 +25,6 @@ import scipy.linalg
 import scipy.sparse
 
 from .circuits import (
-    AcceptanceOperator,
     VerifierCircuit,
     acceptance_gap,
     acceptance_operator,
@@ -229,26 +228,31 @@ class HistoryState:
             raise ValueError(f"history state norm {norm} deviates from 1 beyond 1e-12")
 
 
-def _circuit_snapshots(circuit: VerifierCircuit, witness: np.ndarray) -> list[np.ndarray]:
-    states = [initial_state(circuit, witness)]
-    for gate in circuit.gates:
-        states.append(apply_gate_to_vector(states[-1], gate, circuit.layout))
-    return states
-
-
-def _clock_block_matrix(
-    circuit: VerifierCircuit, snapshots: list[np.ndarray], rep: ClockRep
+def _history_columns(
+    circuit: VerifierCircuit,
+    witnesses: np.ndarray,
+    rep: ClockRep,
+    idle_steps: int | None = None,
 ) -> np.ndarray:
-    """Rows indexed by the clock factor, columns by the circuit space.
+    """History states of a (w,) witness or the columns of a (w, n) block, in one circuit pass.
 
-    Unary: time t is row 2^t - 1, |1^t 0^(T-t)> with clock qubit k at digit k-1.
+    The clock factor is the slow index: rows of the clock x circuit matrix are
+    clock states, time t at row t in the clock subspace and at row 2^t - 1,
+    |1^t 0^(T-t)> with clock qubit k at digit k-1, in the unary representation.
+    With `idle_steps` = L, only the normalized part over times 0..L is kept;
+    the caller guarantees that the first L gates are identities, so each of
+    those snapshots is the input configuration.
     """
-    if rep is ClockRep.CLOCK_SUBSPACE:
-        return np.asarray(snapshots)
-    blocks = np.zeros((2**circuit.n_steps, circuit.layout.total_dim), dtype=complex)
-    for t, snap in enumerate(snapshots):
-        blocks[(1 << t) - 1] = snap
-    return blocks
+    t_steps = circuit.n_steps
+    last = t_steps if idle_steps is None else idle_steps
+    state = initial_state(circuit, witnesses)
+    clock_dim = t_steps + 1 if rep is ClockRep.CLOCK_SUBSPACE else 2**t_steps
+    blocks = np.zeros((clock_dim,) + state.shape, dtype=complex)
+    for t in range(last + 1):
+        blocks[t if rep is ClockRep.CLOCK_SUBSPACE else (1 << t) - 1] = state
+        if idle_steps is None and t < t_steps:
+            state = apply_gate_to_vector(state, circuit.gates[t], circuit.layout)
+    return blocks.reshape((clock_dim * state.shape[0],) + state.shape[1:]) / np.sqrt(last + 1)
 
 
 def history_state(
@@ -260,9 +264,7 @@ def history_state(
     witness = np.asarray(witness, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(witness) - 1.0) > 1e-12:
         raise ValueError("witness state must be normalized")
-    snapshots = _circuit_snapshots(circuit, witness)
-    blocks = _clock_block_matrix(circuit, snapshots, rep)
-    vec = blocks.reshape(-1) / np.sqrt(circuit.n_steps + 1)
+    vec = _history_columns(circuit, witness, rep)
     return HistoryState(vector=vec, witness=witness, rep=rep, idle_split=idle_split)
 
 
@@ -284,14 +286,11 @@ def idling_state(
     """Normalized component of the history state over clock times 0..L.
 
     Requires the first L gates to act as the identity, so every retained
-    snapshot equals the input configuration.
+    snapshot equals the input configuration. A (w, n) block of witnesses
+    gives the n idling states as columns.
     """
     _check_idle_window(circuit, idle_steps)
-    t_steps = circuit.n_steps
-    snap0 = initial_state(circuit, witness)
-    snapshots = [snap0] * (idle_steps + 1) + [np.zeros_like(snap0)] * (t_steps - idle_steps)
-    blocks = _clock_block_matrix(circuit, snapshots, rep)
-    return blocks.reshape(-1) / np.sqrt(idle_steps + 1)
+    return _history_columns(circuit, witness, rep, idle_steps)
 
 
 @dataclass(frozen=True)
@@ -495,18 +494,6 @@ def spectral_gap_above(
     return float(vals[k] - vals[k - 1])
 
 
-def _accepting_history_basis(
-    kh_circuit: VerifierCircuit, acc: AcceptanceOperator, tol: float = 1e-9
-) -> np.ndarray:
-    """Accepting history states as columns, in clock-subspace coordinates."""
-    phis = accepting_eigenvectors(acc, kh_circuit.completeness, tol)
-    cols = [history_state(kh_circuit, phis[:, i]).vector for i in range(phis.shape[1])]
-    if not cols:
-        dim = kh_circuit.layout.total_dim * (kh_circuit.n_steps + 1)
-        return np.zeros((dim, 0), dtype=complex)
-    return np.stack(cols, axis=1)
-
-
 @dataclass(frozen=True)
 class HmkRow:
     q_eigenvalue: float
@@ -601,7 +588,9 @@ def check_hmk_lemma(
         )
     guard_cut(vals, k_low, cfg)
     s0_basis = vecs[:, :k_low]
-    c0_basis = _accepting_history_basis(circuit, acc)
+    c0_basis = _history_columns(
+        circuit, accepting_eigenvectors(acc, circuit.completeness), ClockRep.CLOCK_SUBSPACE
+    )
     proj_distance = projector_distance_from_bases(s0_basis, c0_basis)
     proj_bound = cfg.c_proj * t**3 * kappa
     gap_above = float(vals[k_low] - vals[k_low - 1]) if k_low > 0 else float(vals[0])
@@ -662,22 +651,15 @@ def check_idling_faithfulness(
                 f"2 T'^3 (T'+1) kappa = {hypothesis}"
             )
     phis = accepting_eigenvectors(acc, completeness)
-    n_acc = phis.shape[1]
-    bound = 2.0 * (1.0 - np.sqrt(idle_steps / t_prime)) if t_prime else 0.0
-    if n_acc == 0:
-        return IdlingReport(idle_steps, t_prime, 0, 0.0, 0.0, float(bound), True)
-    c0 = np.stack(
-        [history_state(circuit, phis[:, i], rep).vector for i in range(n_acc)], axis=1
-    )
-    enc = np.stack(
-        [idling_state(circuit, phis[:, i], idle_steps, rep) for i in range(n_acc)], axis=1
-    )
+    bound = 2.0 * (1.0 - np.sqrt(idle_steps / t_prime))
+    c0 = _history_columns(circuit, phis, rep)
+    enc = idling_state(circuit, phis, idle_steps, rep)
     distance = projector_distance_from_bases(c0, enc)
     squared = distance**2
     return IdlingReport(
         idle_steps=idle_steps,
         t_steps=t_prime,
-        accepting_dim=n_acc,
+        accepting_dim=phis.shape[1],
         measured_distance=float(distance),
         measured_squared=float(squared),
         bound=float(bound),

@@ -8,6 +8,7 @@ serialize/parse cycle is lossless and byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 import numpy as np
@@ -44,12 +45,7 @@ def matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
 def pairs_to_matrix(pairs: list, dim: int, path: str) -> np.ndarray:
     if not isinstance(pairs, list) or len(pairs) != dim * dim:
         raise InputFormatError(path, f"expected {dim * dim} [re, im] pairs")
-    out = np.empty(dim * dim, dtype=complex)
-    for i, pair in enumerate(pairs):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise InputFormatError(f"{path}[{i}]", "expected a [re, im] pair")
-        out[i] = complex(pair[0], pair[1])
-    return out.reshape(dim, dim)
+    return pairs_to_vector(pairs, path).reshape(dim, dim)
 
 
 def layout_to_dict(layout: SystemLayout) -> dict:
@@ -107,10 +103,6 @@ def operator_from_dict(
         raise InputFormatError(path, str(exc)) from exc
 
 
-def vector_to_pairs(v: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex).reshape(-1)]
-
-
 def pairs_to_vector(pairs: list, path: str) -> np.ndarray:
     if not isinstance(pairs, list):
         raise InputFormatError(path, "expected a list of [re, im] pairs")
@@ -118,6 +110,9 @@ def pairs_to_vector(pairs: list, path: str) -> np.ndarray:
     for i, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InputFormatError(f"{path}[{i}]", "expected a [re, im] pair")
+        # bool is no number here, and a JSON integer may exceed the float range
+        if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in pair):
+            raise InputFormatError(f"{path}[{i}]", f"[re, im] parts must be finite numbers: {pair}")
         out[i] = complex(pair[0], pair[1])
     return out
 

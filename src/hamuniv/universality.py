@@ -607,15 +607,8 @@ def end_to_end(
 
     wtilde = wtilde_encodings(target, fam, cfg)
 
-    idle_cols = np.stack(
-        [
-            idling_state(idled, np.eye(w_dim, dtype=complex)[:, i], idle_steps)
-            for i in range(w_dim)
-        ],
-        axis=1,
-    )
     enc_idle = plain_encoding(
-        idle_cols,
+        idling_state(idled, np.eye(w_dim, dtype=complex), idle_steps),
         w_dim,
         target_layout=idled.witness_layout(),
         sim_layout=kh.layout,

@@ -37,6 +37,21 @@ class TestSpectrum:
         assert main(["spectrum", "--input", inp, "--output", str(out)]) == 2
 
 
+    @pytest.mark.parametrize(
+        "part",
+        ["a", None, float("nan"), float("inf"), True, 10**400],
+        ids=["str", "null", "nan", "inf", "bool", "huge-int"],
+    )
+    def test_malformed_pair_part_rejected(self, tmp_path, capsys, part):
+        doc = diag_operator_doc([0.0, 1.0])
+        doc["entries"][3] = [part, 0.0]
+        inp = write_json(tmp_path / "in.json", {"operator": doc})
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--input", inp, "--output", str(out)]) == 2
+        assert "operator.entries[3]: " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCompileAndHistory:
     def test_compile_round_trip(self, tmp_path):
         inp = write_json(tmp_path / "c.json", {"circuit": circuit_to_dict(cnot_verifier())})
@@ -232,6 +247,14 @@ class TestValidateInputAndErrors:
         )
         assert code == 0
         assert main(["hmk-check", "--input", inp, "--output", str(out), "--const", "bogus=1"]) == 2
+
+    @pytest.mark.parametrize("const", ["dim_cap=2.9", "seed=2.7", "seed=inf"])
+    def test_non_integral_integer_constant_rejected(self, tmp_path, capsys, const):
+        inp = write_json(tmp_path / "in.json", {"operator": diag_operator_doc([0.0, 1.0])})
+        out = tmp_path / "out.csv"
+        assert main(["spectrum", "--input", inp, "--output", str(out), "--const", const]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminism:

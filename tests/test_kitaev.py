@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
 from hamuniv import kitaev
 from hamuniv.circuits import (
@@ -12,6 +13,7 @@ from hamuniv.circuits import (
     acceptance_gap,
     acceptance_operator,
     idle_prefix,
+    run_circuit,
 )
 from hamuniv.kitaev import (
     ClockRep,
@@ -233,6 +235,38 @@ class TestHistoryState:
         weight = np.linalg.norm(comp)
         assert weight == pytest.approx(np.sqrt((t_steps - idle) / (t_steps + 1)), abs=1e-12)
         assert abs(np.vdot(idling, comp)) <= 1e-12
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t_steps=st.integers(1, 3),
+        n_witness=st.integers(1, 2),
+        idle=st.integers(0, 2),
+        n_cols=st.integers(0, 4),
+        rep=st.sampled_from(BOTH_REPS),
+    )
+    def test_block_matches_stacked_columns(self, seed, t_steps, n_witness, idle, n_cols, rep):
+        # one pass over a (w, n) block of witnesses gives the n single-column
+        # results as columns; a (w, 0) block gives a (dim, 0) one
+        rng = np.random.default_rng(seed)
+        circuit = idle_prefix(random_verifier(rng, t_steps, n_witness), idle)
+        w = circuit.witness_dim
+        block = np.zeros((w, n_cols), dtype=complex)
+        for j in range(n_cols):
+            block[:, j] = random_state(rng, w)
+        paths = (
+            lambda x: run_circuit(circuit, x),
+            lambda x: kitaev._history_columns(circuit, x, rep),
+            lambda x: idling_state(circuit, x, idle, rep),
+        )
+        for path in paths:
+            expected = np.zeros((path(np.ones(w)).shape[0], n_cols), dtype=complex)
+            for j in range(n_cols):
+                expected[:, j] = path(block[:, j])
+            got = path(block)
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max(initial=0.0) <= 1e-15
 
 
 class TestGroundSpace:
