@@ -72,6 +72,8 @@ def validate_input(path: str) -> tuple[dict | None, list[str]]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         return None, [f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        return None, [f"{path}: {exc}"]
     if not isinstance(obj, dict):
         return None, [f"{path}: top-level JSON value must be an object"]
     return obj, []
@@ -159,6 +161,9 @@ def _cmd_hmk_check(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     circuit = serialize.circuit_from_dict(serialize._require(obj, "circuit", "input"),
                                           dim_cap=run.config.dim_cap)
     rep = ClockRep(obj.get("rep", "clock-subspace"))
+    idle_steps = None
+    if "idle_steps" in obj:
+        idle_steps = serialize._integer(obj["idle_steps"], "input.idle_steps")
     if "kappa" in obj:
         kappa = float(obj["kappa"])
     else:
@@ -172,10 +177,8 @@ def _cmd_hmk_check(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     out = _hmk_dict(report)
     out["rep"] = rep.value
     all_ok = report.ok
-    if "idle_steps" in obj:
-        idling = check_idling_faithfulness(
-            circuit, int(obj["idle_steps"]), kappa, rep=rep, config=run.config
-        )
+    if idle_steps is not None:
+        idling = check_idling_faithfulness(circuit, idle_steps, kappa, rep=rep, config=run.config)
         out["idling"] = {
             "idle_steps": idling.idle_steps,
             "t_steps": idling.t_steps,
@@ -196,10 +199,11 @@ def _cmd_sw(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     h1 = serialize.operator_from_dict(serialize._require(obj, "h1", "input"), "input.h1",
                                       dim_cap=run.config.dim_cap)
     delta = float(serialize._require(obj, "delta", "input"))
-    minus_dim = int(serialize._require(obj, "minus_dim", "input"))
+    minus_dim = serialize._integer(serialize._require(obj, "minus_dim", "input"),
+                                   "input.minus_dim")
     if not 1 <= minus_dim <= h0.dim:
         raise InputFormatError("input.minus_dim", f"{minus_dim} outside [1, dim h0 = {h0.dim}]")
-    order = int(obj.get("order", 1))
+    order = serialize._integer(obj.get("order", 1), "input.order")
     if order not in (0, 1):
         raise InputFormatError("input.order", f"{order} is not 0 or 1")
     es = eigh(h0, run.config)
@@ -223,8 +227,8 @@ def _cmd_sw(run: RunConfig, obj: dict) -> tuple[dict, bool]:
 
 def _parse_encoding(obj: dict, sim_dim: int, target_dim: int) -> Encoding:
     v_spec = serialize._require(obj, "v", "input")
-    rows = int(serialize._require(v_spec, "rows", "input.v"))
-    cols = int(serialize._require(v_spec, "cols", "input.v"))
+    rows = serialize._integer(serialize._require(v_spec, "rows", "input.v"), "input.v.rows")
+    cols = serialize._integer(serialize._require(v_spec, "cols", "input.v"), "input.v.cols")
     flat = serialize.pairs_to_vector(serialize._require(v_spec, "entries", "input.v"), "input.v.entries")
     if flat.shape[0] != rows * cols:
         raise InputFormatError("input.v.entries", f"expected {rows * cols} pairs")
@@ -305,12 +309,13 @@ def _cmd_universal_demo(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     h_target = serialize.operator_from_dict(serialize._require(obj, "h_target", "input"),
                                             "input.h_target", dim_cap=run.config.dim_cap)
     target = TargetHamiltonian.from_operator(h_target, run.config)
+    idle_key = "L" if "L" in obj else "idle_steps"
     report = end_to_end(
         target,
         a=float(serialize._require(obj, "a", "input")),
-        m=int(serialize._require(obj, "m", "input")),
+        m=serialize._integer(serialize._require(obj, "m", "input"), "input.m"),
         kappa=obj.get("kappa"),
-        idle_steps=int(obj.get("L", obj.get("idle_steps", 1))),
+        idle_steps=serialize._integer(obj.get(idle_key, 1), f"input.{idle_key}"),
         delta=obj.get("delta"),
         delta_prime=obj.get("delta_prime"),
         tau=obj.get("tau"),

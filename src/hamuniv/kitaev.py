@@ -40,6 +40,7 @@ from .operators import (
     SpectrumCertificateError,
     Subspace,
     SystemLayout,
+    _serial_scipy_blas,
     cluster_bounds,
     eigh,
     guard_cut,
@@ -360,68 +361,70 @@ def _shift_invert_spectrum(
     beyond n are upper bounds of the eigenvalues with their residuals; the n
     lowest pairs carry the count certificate. A Cholesky breakdown, or a
     returned block that is not orthonormal to 1e-12, raises
-    SpectrumCertificateError.
+    SpectrumCertificateError. The factor, the steps and the count run with
+    scipy's BLAS held to one thread (operators._serial_scipy_blas).
     """
     # imported here: only this path needs it, and a module-level import
     # would lengthen every process's start-up
     import scipy.sparse.linalg
 
-    a = h.sparse()
-    d = h.dim
-    k = min(k, d)
-    m = min(k + _SI_OVERSAMPLE, d)
-    sigma = h.floor - _SI_MARGIN * max(1.0, abs(h.floor))
-    lu = scipy.sparse.linalg.splu(a - sigma * scipy.sparse.identity(d, format="csc"))
-    rng = np.random.default_rng(0)
-    q = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
-    warm = 0 if start is None else min(start.shape[1], m)
-    if warm:
-        q[:, :warm] = start[:, :warm]
-    tol = 64 * np.finfo(float).eps * float(abs(a).sum(axis=1).max())
-    previous = np.inf
-    for steps in range(1, _SI_MAX_ITER + 1):
-        # at most three D x m blocks are live: z, its C-ordered conjugate
-        # (a @ z would copy the Fortran-ordered solve) and H z
-        z = lu.solve(q)
-        del q
-        if steps == 1:
-            z = np.linalg.qr(z)[0]
-        zc = np.array(z, order="C")
-        hz = a @ zc
-        np.conjugate(zc, out=zc)
-        vals, c = _cholesky_ritz(zc.T @ z, hermitize(zc.T @ hz), steps)
-        q = np.matmul(z, c, out=zc)
-        del z
-        hq = hz @ c
-        np.multiply(q, vals, out=hz)
-        np.subtract(hq, hz, out=hz)
-        del hq
-        # column norms through one real scratch block (np.linalg.norm takes two complex ones)
-        squares = np.square(hz.view(float)).sum(axis=0)
-        residuals = np.sqrt(squares[0::2] + squares[1::2])
-        worst = float(residuals[:n].max())
-        if worst <= tol and worst > previous / 4:
-            break
-        previous = worst
-        del hz
-    else:
-        raise SpectrumCertificateError(
-            f"shift-invert iteration left residual {worst:.3e} > {tol:.3e} "
-            f"after {_SI_MAX_ITER} steps"
-        )
-    drift = float(np.abs(np.conjugate(q, out=hz).T @ q - np.eye(m)).max())
-    if drift > 1e-12:
-        raise SpectrumCertificateError(
-            f"shift-invert block lost orthonormality: max |Q^H Q - I| = {drift:.3e}"
-        )
-    # a compact copy: the block and its scratch are freed before the count runs
-    low = LowSpectrum(vals[:k], q[:, :k].copy(), residuals[:k])
-    del q, hz
-    low = replace(low, certificate=_count_certificate(h, low, n, cfg))
+    with _serial_scipy_blas() as threads:
+        a = h.sparse()
+        d = h.dim
+        k = min(k, d)
+        m = min(k + _SI_OVERSAMPLE, d)
+        sigma = h.floor - _SI_MARGIN * max(1.0, abs(h.floor))
+        lu = scipy.sparse.linalg.splu(a - sigma * scipy.sparse.identity(d, format="csc"))
+        rng = np.random.default_rng(0)
+        q = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+        warm = 0 if start is None else min(start.shape[1], m)
+        if warm:
+            q[:, :warm] = start[:, :warm]
+        tol = 64 * np.finfo(float).eps * float(abs(a).sum(axis=1).max())
+        previous = np.inf
+        for steps in range(1, _SI_MAX_ITER + 1):
+            # at most three D x m blocks are live: z, its C-ordered conjugate
+            # (a @ z would copy the Fortran-ordered solve) and H z
+            z = lu.solve(q)
+            del q
+            if steps == 1:
+                z = np.linalg.qr(z)[0]
+            zc = np.array(z, order="C")
+            hz = a @ zc
+            np.conjugate(zc, out=zc)
+            vals, c = _cholesky_ritz(zc.T @ z, hermitize(zc.T @ hz), steps)
+            q = np.matmul(z, c, out=zc)
+            del z
+            hq = hz @ c
+            np.multiply(q, vals, out=hz)
+            np.subtract(hq, hz, out=hz)
+            del hq
+            # column norms through one real scratch block (np.linalg.norm takes two complex ones)
+            squares = np.square(hz.view(float)).sum(axis=0)
+            residuals = np.sqrt(squares[0::2] + squares[1::2])
+            worst = float(residuals[:n].max())
+            if worst <= tol and worst > previous / 4:
+                break
+            previous = worst
+            del hz
+        else:
+            raise SpectrumCertificateError(
+                f"shift-invert iteration left residual {worst:.3e} > {tol:.3e} "
+                f"after {_SI_MAX_ITER} steps"
+            )
+        drift = float(np.abs(np.conjugate(q, out=hz).T @ q - np.eye(m)).max())
+        if drift > 1e-12:
+            raise SpectrumCertificateError(
+                f"shift-invert block lost orthonormality: max |Q^H Q - I| = {drift:.3e}"
+            )
+        # a compact copy: the block and its scratch are freed before the count runs
+        low = LowSpectrum(vals[:k], q[:, :k].copy(), residuals[:k])
+        del q, hz
+        low = replace(low, certificate=_count_certificate(h, low, n, cfg))
     _log.debug(
         "shift-invert D=%d block=%d warm=%d steps=%d sigma=%.6g max residual of %d pairs "
-        "%.3e, %d eigenvalues below %.6g certified",
-        d, m, warm, steps, sigma, n, worst, low.certificate[1], low.certificate[0],
+        "%.3e, %d eigenvalues below %.6g certified, scipy BLAS threads %s on entry, %s inside",
+        d, m, warm, steps, sigma, n, worst, low.certificate[1], low.certificate[0], *threads,
     )
     return low
 

@@ -37,6 +37,15 @@ def _require(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
+def _integer(value, path: str) -> int:
+    """A JSON integer, or a float with an integral value, as int; InputFormatError otherwise."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise InputFormatError(path, f"expected an integer, got {value!r}")
+
+
 def matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
     flat = np.asarray(m, dtype=complex).reshape(-1)
     return [[float(z.real), float(z.imag)] for z in flat]

@@ -101,6 +101,17 @@ class TestHmkCheck:
         assert report["idling"]["pass"] is True
         assert report["idling"]["measured_squared"] <= report["idling"]["bound"] + 1e-9
 
+    def test_non_integral_idle_steps_rejected(self, tmp_path, capsys):
+        inp = write_json(
+            tmp_path / "c.json",
+            {"circuit": circuit_to_dict(cnot_verifier()), "kappa": 1e-5, "idle_steps": 2.7},
+        )
+        out = tmp_path / "hmk.json"
+        assert main(["hmk-check", "--input", inp, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input error: input.idle_steps: expected an integer, got 2.7" in err
+        assert not out.exists()
+
     def test_env_override(self, tmp_path, monkeypatch):
         # an absurdly small deviation constant makes the CNOT fixture fail
         monkeypatch.setenv("HAMUNIV_C_DEV", "1e-12")
@@ -146,9 +157,29 @@ class TestSw:
         assert f"input.{field}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value", [("minus_dim", 1.9), ("order", 0.5), ("minus_dim", True), ("order", "1")]
+    )
+    def test_non_integral_field_rejected(self, tmp_path, capsys, field, value):
+        inp = write_json(tmp_path / "sw.json", self.two_level_doc() | {field: value})
+        out = tmp_path / "sw_report.json"
+        assert main(["sw", "--input", inp, "--output", str(out)]) == 2
+        assert f"input error: input.{field}: expected an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_reads_as_the_integer(self, tmp_path):
+        reports = []
+        for k, minus_dim in enumerate((1, 1.0)):
+            doc = self.two_level_doc() | {"minus_dim": minus_dim}
+            inp = write_json(tmp_path / f"sw{k}.json", doc)
+            out = tmp_path / f"sw_report{k}.json"
+            assert main(["sw", "--input", inp, "--output", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestVerifySim:
-    def _fixture(self, tmp_path, eta_target=None):
+    def _fixture(self, tmp_path, eta_target=None, **v_fields):
         rng = np.random.default_rng(3)
         h = random_hermitian(rng, 2)
         delta = float(np.linalg.norm(h, 2) + 1.0)
@@ -170,6 +201,7 @@ class TestVerifySim:
         }
         if eta_target is not None:
             obj["targets"] = {"eta": eta_target}
+        obj["v"] |= v_fields
         return write_json(tmp_path / "vs.json", obj)
 
     def test_exact_block_passes_with_csv(self, tmp_path):
@@ -190,9 +222,17 @@ class TestVerifySim:
         report = json.loads(out.read_text())
         assert report["pass"] is False
 
+    @pytest.mark.parametrize("field, value", [("rows", 4.5), ("cols", 2.5)])
+    def test_non_integral_isometry_shape_rejected(self, tmp_path, capsys, field, value):
+        inp = self._fixture(tmp_path, **{field: value})
+        out = tmp_path / "report.json"
+        assert main(["verify-sim", "--input", inp, "--output", str(out)]) == 2
+        assert f"input error: input.v.{field}: expected an integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestUniversalDemo:
-    def _fixture(self, tmp_path):
+    def _fixture(self, tmp_path, **fields):
         obj = {
             "h_target": diag_operator_doc([0.0, 0.0]),
             "a": 2.0,
@@ -200,7 +240,7 @@ class TestUniversalDemo:
             "L": 1,
             "delta": 1e6,
         }
-        return write_json(tmp_path / "demo.json", obj)
+        return write_json(tmp_path / "demo.json", obj | fields)
 
     def test_trivial_target_demo(self, tmp_path):
         inp = self._fixture(tmp_path)
@@ -211,6 +251,15 @@ class TestUniversalDemo:
         assert report["epsilon_prime"] <= 1e-8
         csv = (tmp_path / "demo_report.final_table.csv").read_text().splitlines()
         assert csv[0] == "lambda_target,lambda_sim,difference"
+
+    @pytest.mark.parametrize("field", ["m", "L"])
+    def test_non_integral_field_rejected(self, tmp_path, capsys, field):
+        inp = self._fixture(tmp_path, **{field: 1.5})
+        out = tmp_path / "demo_report.json"
+        assert main(["universal-demo", "--input", inp, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: input.{field}: expected an integer, got 1.5" in err
+        assert not out.exists()
 
 
 class TestValidateInputAndErrors:
@@ -231,6 +280,14 @@ class TestValidateInputAndErrors:
         path.write_text("not json")
         out = tmp_path / "out.json"
         assert main(["spectrum", "--input", str(path), "--output", str(out)]) == 2
+
+    def test_integer_past_the_digit_limit_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"operator": {"dim": ' + "1" * 5000 + "}}")
+        out = tmp_path / "out.csv"
+        assert main(["spectrum", "--input", str(path), "--output", str(out)]) == 2
+        assert "4300" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cap_exceeded_exit_code(self, tmp_path):
         inp = write_json(tmp_path / "in.json", {"operator": diag_operator_doc([0.0, 1.0, 2.0, 3.0])})

@@ -1,15 +1,18 @@
 """Low-spectrum solvers: dense agreement, determinism and the inertia count certificate."""
 
+import ctypes
 import logging
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import hamuniv.kitaev as kitaev
+import hamuniv.operators as operators
 from hamuniv.circuits import Gate, VerifierCircuit, idle_prefix
 from hamuniv.config import DEFAULT
 from hamuniv.kitaev import (
@@ -347,3 +350,80 @@ class TestCountCertificate:
         records = [r for r in caplog.records if "Schur steps" in r.getMessage()]
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
         assert "4 Schur steps" in records[0].getMessage()
+
+
+@pytest.fixture
+def scipy_blas_threads():
+    """scipy's OpenBLAS thread-count getter, the count pinned to 3 (no default) for the test."""
+    control = operators._scipy_blas_thread_control()
+    if control is None:
+        pytest.skip("scipy's BLAS is not the bundled OpenBLAS")
+    get, set_ = control
+    original = get()
+    set_(3)
+    yield get
+    set_(original)
+
+
+class TestSerialScipyBlas:
+    def test_count_is_one_inside_and_restored_after(self, scipy_blas_threads):
+        with operators._serial_scipy_blas() as threads:
+            assert threads == (3, 1) and scipy_blas_threads() == 1
+        assert scipy_blas_threads() == 3
+
+    def test_count_is_restored_after_a_raising_body(self, scipy_blas_threads):
+        with pytest.raises(RuntimeError, match="body"):
+            with operators._serial_scipy_blas():
+                raise RuntimeError("body")
+        assert scipy_blas_threads() == 3
+
+    def test_nested_scopes_restore_the_outer_count(self, scipy_blas_threads):
+        with operators._serial_scipy_blas():
+            with operators._serial_scipy_blas() as inner:
+                assert inner == (1, 1)
+            assert scipy_blas_threads() == 1
+        assert scipy_blas_threads() == 3
+
+    def test_failed_symbol_lookup_leaves_the_count_alone(self, scipy_blas_threads, monkeypatch):
+        class NoSymbols:  # a BLAS library without OpenBLAS's thread control
+            def __init__(self, path):
+                pass
+
+        lookup = operators._scipy_blas_thread_control
+        monkeypatch.setattr(ctypes, "CDLL", NoSymbols)
+        lookup.cache_clear()
+        try:
+            with operators._serial_scipy_blas() as threads:
+                assert threads == (None, None) and scipy_blas_threads() == 3
+        finally:
+            monkeypatch.undo()
+            lookup.cache_clear()
+        assert scipy_blas_threads() == 3
+
+    def test_end_to_end_solves_serially_and_restores_the_count(self, scipy_blas_threads, caplog):
+        with caplog.at_level(logging.DEBUG, logger="hamuniv"):
+            end_to_end(ROADMAP_TARGET, 2.0, 2, idle_steps=1, tau=np.pi)
+        solves = [
+            r.getMessage() for r in caplog.records if r.getMessage().startswith("shift-invert")
+        ]
+        assert len(solves) == 2
+        assert all(msg.endswith("scipy BLAS threads 3 on entry, 1 inside") for msg in solves)
+        assert scipy_blas_threads() == 3
+
+    def test_raising_solve_restores_the_count(self, scipy_blas_threads, large_hmk, monkeypatch):
+        h, w = large_hmk[:2]
+
+        def breakdown(*args):
+            raise SpectrumCertificateError("Cholesky Rayleigh-Ritz broke down")
+
+        monkeypatch.setattr(kitaev, "_cholesky_ritz", breakdown)
+        with pytest.raises(SpectrumCertificateError):
+            _low_spectrum(h, w + 8, w)
+        assert scipy_blas_threads() == 3
+
+    def test_bundled_openblas_resolves_the_thread_symbols(self):
+        # a renamed wheel symbol would otherwise silently drop the serial scope
+        blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas["name"] != "scipy-openblas":
+            pytest.skip(f"scipy is built on {blas['name']}, not the bundled OpenBLAS")
+        assert operators._scipy_blas_thread_control() is not None
