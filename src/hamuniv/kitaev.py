@@ -40,6 +40,7 @@ from .operators import (
     SpectrumCertificateError,
     Subspace,
     SystemLayout,
+    _principal_residual,
     _serial_scipy_blas,
     cluster_bounds,
     eigh,
@@ -705,9 +706,10 @@ def geometrical_bound(
         reports.append((float(vals[0]), float(vals[stop] - vals[0]), es.vectors[:, :stop]))
     (a1, gap1, b1), (a2, gap2, b2) = reports
     lam = min(gap1, gap2)
-    overlaps = np.linalg.svd(b1.conj().T @ b2, compute_uv=False)
-    cos_theta = float(np.clip(overlaps.max(initial=0.0), 0.0, 1.0))
-    theta = float(np.arccos(cos_theta))
+    wide, narrow = (b1, b2) if b1.shape[1] >= b2.shape[1] else (b2, b1)
+    x, resid = _principal_residual(wide, narrow)  # one cosine and one sine per angle
+    sin_min = np.linalg.svd(resid, compute_uv=False).min()
+    theta = float(np.arctan2(sin_min, np.linalg.svd(x, compute_uv=False).max()))  # smallest angle
     bound = a1 + a2 + 2.0 * lam * np.sin(theta / 2.0) ** 2
     total = DenseOperator(
         h1.layout, hermitize(h1.entries + h2.entries), hermitian=True

@@ -23,6 +23,7 @@ import scipy.sparse
 from .config import DEFAULT, Config
 
 PHASE_TOL = 1e-8  # first component above this magnitude anchors the phase
+ZERO_ANGLE = 1e-13  # a principal-angle sine at or below this is rounding: no rotation there
 
 _log = logging.getLogger("hamuniv")
 
@@ -607,9 +608,9 @@ def subspace_distance(s1: Subspace, s2: Subspace) -> float:
 class DirectRotation:
     """Unitary acting as w_small on span(q_span) and as the identity elsewhere.
 
-    The direct rotation between subspaces is nontrivial only on the joint
-    column span of their bases, so it is kept factored; materialize with
-    .matrix() when the ambient dimension is small.
+    q_span is the first basis followed by an orthonormal basis of the second
+    one's directions off it at a nonzero principal angle. The rotation is
+    nontrivial only there, so it is kept factored.
     """
 
     q_span: np.ndarray  # orthonormal columns, shape (D, r)
@@ -621,29 +622,35 @@ class DirectRotation:
         qm = self.q_span.conj().T @ m
         return m + self.q_span @ (self.w_small @ qm - qm)
 
-    def matrix(self) -> np.ndarray:
-        eye_r = np.eye(self.w_small.shape[0])
-        return np.eye(self.dim, dtype=complex) + self.q_span @ (
-            (self.w_small - eye_r) @ self.q_span.conj().T
-        )
+
+def _principal_residual(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a^dag b, b - a a^dag b) for orthonormal a and b, b no wider than a: the cosines and the
+    sines of the principal angles, the sines accurate at small angles (Knyazev & Argentati 2002)."""
+    x = a.conj().T @ b
+    return x, b - a @ x
+
+
+def _norm_tall(r: np.ndarray) -> float:
+    """Largest singular value of a tall matrix, from its column Gram matrix; 0 without columns."""
+    return float(np.sqrt(max(np.linalg.eigvalsh(r.conj().T @ r).max(initial=0.0), 0.0)))
 
 
 def direct_rotation_factored(basis_from: np.ndarray, basis_to: np.ndarray) -> DirectRotation:
-    """Factored polar form of P_to P_from + (1 - P_to)(1 - P_from)."""
+    """Factored polar form of P_to P_from + (1 - P_to)(1 - P_from), the identity at zero angles:
+    q_span keeps only the residual's directions whose sines exceed ZERO_ANGLE."""
     if basis_from.shape != basis_to.shape:
-        raise ValueError(
-            f"subspace shapes differ: {basis_from.shape} vs {basis_to.shape}"
-        )
-    d = basis_from.shape[0]
-    stack = np.hstack([basis_from, basis_to])
-    q, _ = np.linalg.qr(stack)
-    bf = q.conj().T @ basis_from
-    bt = q.conj().T @ basis_to
-    r = q.shape[1]
-    eye_r = np.eye(r)
-    a_small = (bt @ bt.conj().T) @ (bf @ bf.conj().T) + (eye_r - bt @ bt.conj().T) @ (
-        eye_r - bf @ bf.conj().T
-    )
+        raise ValueError(f"subspace shapes differ: {basis_from.shape} vs {basis_to.shape}")
+    d, w = basis_from.shape
+    x, resid = _principal_residual(basis_from, basis_to)
+    e, sines, _ = np.linalg.svd(resid, full_matrices=False)
+    e = e[:, sines > ZERO_ANGLE]
+    # a small sine leaves its direction off span(basis_from) only to rounding / sine
+    e = np.linalg.qr(e - basis_from @ (basis_from.conj().T @ e))[0]
+    q = np.hstack([basis_from, e])
+    bt = np.vstack([x, e.conj().T @ basis_to])  # basis_to in q coordinates
+    p_to = bt @ bt.conj().T
+    # P_from is the identity on the first w coordinates of q and 0 on the rest
+    a_small = np.hstack([p_to[:, :w], (np.eye(q.shape[1]) - p_to)[:, w:]])
     u, s, vh = np.linalg.svd(a_small)
     if s.size and s.min() <= 1e-12:
         raise ValueError("subspace distance >= 1: direct rotation not uniquely defined")
@@ -657,19 +664,11 @@ def direct_rotation(s_from: Subspace, s_to: Subspace) -> DenseOperator:
     defined whenever the subspace distance is below 1, and satisfies
     |W - 1| <= sqrt(2) |P_from - P_to|.
     """
-    if s_from.dim != s_to.dim:
-        raise ValueError(f"subspace dimensions differ: {s_from.dim} vs {s_to.dim}")
-    if s_from.projector.entries.shape != s_to.projector.entries.shape:
-        raise ValueError("subspaces live in different ambient dimensions")
     rot = direct_rotation_factored(s_from.basis, s_to.basis)
-    return DenseOperator(s_from.projector.layout, rot.matrix(), hermitian=False)
+    w = rot.apply_left(np.eye(rot.dim, dtype=complex))
+    return DenseOperator(s_from.projector.layout, w, hermitian=False)
 
 
 def projector_distance_from_bases(b1: np.ndarray, b2: np.ndarray) -> float:
-    """|B1 B1^dag - B2 B2^dag| computed in the joint column span."""
-    if b1.shape[1] == 0 and b2.shape[1] == 0:
-        return 0.0
-    q, _ = np.linalg.qr(np.hstack([b1, b2]))
-    x1 = q.conj().T @ b1
-    x2 = q.conj().T @ b2
-    return float(np.linalg.norm(x1 @ x1.conj().T - x2 @ x2.conj().T, 2))
+    """|B1 B1^dag - B2 B2^dag|, the larger of |(1 - P1) B2| and |(1 - P2) B1|, for any widths."""
+    return max(_norm_tall(_principal_residual(a, b)[1]) for a, b in ((b1, b2), (b2, b1)))

@@ -69,20 +69,20 @@ def layout_to_dict(layout: SystemLayout) -> dict:
 def layout_from_dict(obj: dict, path: str = "layout", dim_cap: int | None = None) -> SystemLayout:
     if not isinstance(obj, dict):
         raise InputFormatError(path, "expected an object")
-    dims = _require(obj, "site_dims", path)
+    dims = tuple(_integer(d, f"{path}.site_dims") for d in _require(obj, "site_dims", path))
     regs = []
     for i, r in enumerate(obj.get("registers", [])):
         rpath = f"{path}.registers[{i}]"
         regs.append(
             Register(
                 name=str(_require(r, "name", rpath)),
-                sites=tuple(_require(r, "sites", rpath)),
+                sites=tuple(_integer(s, f"{rpath}.sites") for s in _require(r, "sites", rpath)),
                 role=str(r.get("role", "")),
             )
         )
     kwargs = {} if dim_cap is None else {"dim_cap": dim_cap}
     try:
-        return SystemLayout(tuple(dims), tuple(regs), **kwargs)
+        return SystemLayout(dims, tuple(regs), **kwargs)
     except ValueError as exc:
         raise InputFormatError(path, str(exc)) from exc
 
@@ -102,7 +102,7 @@ def operator_from_dict(
     if not isinstance(obj, dict):
         raise InputFormatError(path, "expected an object")
     layout = layout_from_dict(_require(obj, "layout", path), f"{path}.layout", dim_cap)
-    dim = int(_require(obj, "dim", path))
+    dim = _integer(_require(obj, "dim", path), f"{path}.dim")
     if dim != layout.total_dim:
         raise InputFormatError(f"{path}.dim", f"dim {dim} != layout total dimension {layout.total_dim}")
     entries = pairs_to_matrix(_require(obj, "entries", path), dim, f"{path}.entries")
@@ -153,7 +153,7 @@ def circuit_from_dict(
     gates = []
     for i, g in enumerate(_require(obj, "gates", path)):
         gpath = f"{path}.gates[{i}]"
-        targets = tuple(int(t) for t in _require(g, "targets", gpath))
+        targets = tuple(_integer(t, f"{gpath}.targets") for t in _require(g, "targets", gpath))
         for t in targets:
             if not 0 <= t < layout.n_sites:
                 raise InputFormatError(f"{gpath}.targets", f"site {t} outside layout")
@@ -170,12 +170,13 @@ def circuit_from_dict(
         witness = (witness,)
     else:
         witness = tuple(str(w) for w in witness)
+    output_site = _integer(_require(obj, "output_site", path), f"{path}.output_site")
     try:
         return VerifierCircuit(
             layout=layout,
             gates=tuple(gates),
             witness_register=witness,
-            output_site=int(_require(obj, "output_site", path)),
+            output_site=output_site,
             completeness=float(_require(obj, "c", path)),
             soundness=float(_require(obj, "s", path)),
         )

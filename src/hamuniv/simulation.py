@@ -9,7 +9,7 @@ with the ancilla as the second factor).
 verify_simulation realizes the existential rotated encoding constructively:
 V~ = W V with W the direct rotation from range E(1) onto the low-energy
 subspace below the cutoff, so the measured eta upper-bounds the optimal one.
-epsilon is measured in the global simulator basis as |H' P_low - E~(H)|.
+epsilon is |H' P_low - E~(H)|. Both are read in w x w principal-angle coordinates.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from .kitaev import LowSpectrum, _low_spectrum
 from .operators import (
     ClockBlocks,
     DenseOperator,
-    DirectRotation,
     SystemLayout,
-    direct_rotation_factored,
+    _norm_tall,
+    _principal_residual,
     guard_cut,
     hermitize,
     tensor_embed,
@@ -217,8 +217,6 @@ class SimulationReport:
     epsilon_measured: float
     eigen_table: tuple[EigenRow, ...]
     conditions: dict[str, bool]
-    w_rotation: "DirectRotation"
-    v_tilde: np.ndarray
     h: np.ndarray
     h_values: np.ndarray  # ascending eigenvalues of h
     h_prime: np.ndarray | ClockBlocks
@@ -252,6 +250,10 @@ def verify_simulation(
     (p+q) * dim(h), and delta falls in a spectral gap (cluster-guarded).
     The lowest (p+q) dim(h) + 8 pairs of h_prime come from _low_spectrum,
     or from `_low` when the caller already solved for them.
+
+    With L the w low vectors, V~ = L M where M = polar(L^dag V) is w x w:
+    eta = 2 sin(theta_max / 2) with sin theta_max = |V - L L^dag V|, and
+    epsilon = |diag(lambda_low) - M core M^dag|. Neither W nor V~ is formed.
     """
     cfg = config or DEFAULT
     h_mat = h.entries if isinstance(h, DenseOperator) else np.asarray(h, dtype=complex)
@@ -274,17 +276,13 @@ def verify_simulation(
     guard_cut(vals, k, cfg)
     low_vals, low_vecs = vals[:k], low.vectors[:, :k]
 
-    rotation = direct_rotation_factored(enc.v, low_vecs)
-    v_tilde = rotation.apply_left(enc.v)
-    eta = float(np.linalg.norm(v_tilde - enc.v, 2))
-
-    core = enc.core(h_mat)
-    # |H' P_low - V~ core V~^dag| in the joint column span, without D x D work
-    q_joint, _ = np.linalg.qr(np.hstack([low_vecs, v_tilde]))
-    x_low = q_joint.conj().T @ low_vecs
-    x_vt = q_joint.conj().T @ v_tilde
-    compressed = (x_low * low_vals) @ x_low.conj().T - x_vt @ core @ x_vt.conj().T
-    epsilon = float(np.linalg.norm(compressed, 2))
+    x, resid = _principal_residual(low_vecs, enc.v)
+    u, cosines, vh = np.linalg.svd(x)
+    if cosines.min() <= 1e-12:
+        raise ValueError("subspace distance >= 1: direct rotation not uniquely defined")
+    eta = float(2.0 * np.sin(np.arctan2(_norm_tall(resid), cosines.min()) / 2.0))
+    m = u @ vh
+    epsilon = float(np.linalg.norm(np.diag(low_vals) - m @ enc.core(h_mat) @ m.conj().T, 2))
 
     t_vals = np.linalg.eigvalsh(h_mat)
     pq = enc.anc_dim
@@ -308,11 +306,9 @@ def verify_simulation(
     return SimulationReport(
         delta=float(delta),
         eta_measured=eta,
-        epsilon_measured=float(epsilon),
+        epsilon_measured=epsilon,
         eigen_table=tuple(rows),
         conditions=conditions,
-        w_rotation=rotation,
-        v_tilde=v_tilde,
         h=h_mat,
         h_values=t_vals,
         h_prime=hp_mat,

@@ -467,3 +467,12 @@ class TestGeometricalBound:
         h = one_site_op([1.0, 1.0])
         with pytest.raises(ValueError, match="zero gap"):
             geometrical_bound(h, h)
+
+    @pytest.mark.parametrize("theta", [1e-9, 1e-6])
+    def test_small_angle_read_from_its_sine(self, theta):
+        # arccos of the overlap would read 1e-9 as 0 and 1e-6 to about 1e-4 relative
+        h1 = one_site_op([0.0, 1.0, 2.0, 3.0])
+        rotation = np.eye(4, dtype=complex)
+        rotation[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+        h2 = DenseOperator(h1.layout, rotation @ h1.entries @ rotation.T, hermitian=True)
+        assert geometrical_bound(h1, h2).angle == pytest.approx(theta, rel=1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamuniv.kitaev import LowSpectrum
 from hamuniv.operators import (
     DenseOperator,
     DimensionCapError,
@@ -10,13 +11,16 @@ from hamuniv.operators import (
     SystemLayout,
     basis_vector,
     direct_rotation,
+    direct_rotation_factored,
     eigh,
     expm_i,
     op_norm,
+    projector_distance_from_bases,
     sparse_embed,
     subspace_distance,
     tensor_embed,
 )
+from hamuniv.simulation import plain_encoding, verify_simulation
 
 from conftest import random_hermitian, random_unitary, random_state
 
@@ -338,3 +342,130 @@ def test_basis_vector():
     v = basis_vector(lay, {0: 1, 1: 2})
     assert v[1 + 2 * 2] == 1.0
     assert np.linalg.norm(v) == 1.0
+
+
+# The joint-span forms that the principal-angle helper replaced, kept as the reference:
+# each orthonormalizes the stacked pair [B1, B2] by Householder QR.
+
+
+def _qr_rotation(basis_from, basis_to):
+    q, _ = np.linalg.qr(np.hstack([basis_from, basis_to]))
+    pf = q.conj().T @ basis_from
+    pt = q.conj().T @ basis_to
+    pf, pt = pf @ pf.conj().T, pt @ pt.conj().T
+    eye = np.eye(q.shape[1])
+    u, _, vh = np.linalg.svd(pt @ pf + (eye - pt) @ (eye - pf))
+    return lambda m: m + q @ ((u @ vh - eye) @ (q.conj().T @ m))
+
+
+def _qr_distance(b1, b2):
+    q, _ = np.linalg.qr(np.hstack([b1, b2]))
+    x1, x2 = q.conj().T @ b1, q.conj().T @ b2
+    return np.linalg.norm(x1 @ x1.conj().T - x2 @ x2.conj().T, 2)
+
+
+def _qr_eta_epsilon(v, low_vecs, low_vals, core):
+    v_tilde = _qr_rotation(v, low_vecs)(v)
+    q, _ = np.linalg.qr(np.hstack([low_vecs, v_tilde]))
+    x_low, x_vt = q.conj().T @ low_vecs, q.conj().T @ v_tilde
+    compressed = (x_low * low_vals) @ x_low.conj().T - x_vt @ core @ x_vt.conj().T
+    return np.linalg.norm(v_tilde - v, 2), np.linalg.norm(compressed, 2)
+
+
+def _rotated_pair(rng, d, w, angles):
+    """Bases of span(a) and of its rotation by the given principal angles, each in a random basis."""
+    full = random_unitary(rng, d)
+    a = full[:, :w]
+    b = np.cos(angles) * a + np.sin(angles) * full[:, w : 2 * w]
+    return a @ random_unitary(rng, w), b @ random_unitary(rng, w)
+
+
+def _verify_eta_epsilon(v, low_vecs, low_vals, h):
+    """verify_simulation's eta and epsilon for the low pairs (low_vals, low_vecs) of an H'."""
+    d = v.shape[0]
+    h_prime = (low_vecs * low_vals) @ low_vecs.conj().T + 10.0 * (
+        np.eye(d) - low_vecs @ low_vecs.conj().T
+    )
+    low = LowSpectrum(low_vals, low_vecs, np.zeros(len(low_vals)))
+    report = verify_simulation(h, h_prime, plain_encoding(v), 5.0, _low=low)
+    return report.eta_measured, report.epsilon_measured
+
+
+class TestPrincipalAngles:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 16),
+        kind=st.sampled_from(["random", "identical", "small", "mixed"]),
+    )
+    def test_agrees_with_joint_span_qr(self, seed, d, kind):
+        rng = np.random.default_rng(seed)
+        w = int(rng.integers(1, d // 2 + 1))
+        if kind == "random":
+            a = random_unitary(rng, d)[:, :w]
+            b = random_unitary(rng, d)[:, :w]
+        else:
+            angles = {
+                "identical": np.zeros(w),
+                "small": np.full(w, 1e-9),
+                "mixed": rng.choice([0.0, 1e-9, 0.3, 1.4], size=w),
+            }[kind]
+            a, b = _rotated_pair(rng, d, w, angles)
+        m = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+        try:
+            rotation = direct_rotation_factored(a, b)
+        except ValueError:  # a random pair at an angle of nearly pi/2
+            assert np.linalg.svd(a.conj().T @ b, compute_uv=False).min() <= 1e-12
+            return
+        assert np.abs(rotation.apply_left(m) - _qr_rotation(a, b)(m)).max() <= 1e-12
+        q = rotation.q_span
+        assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() <= 1e-12
+        assert abs(projector_distance_from_bases(a, b) - _qr_distance(a, b)) <= 1e-12
+        h = random_hermitian(rng, w)
+        low_vals = np.sort(rng.uniform(0.0, 1.0, size=w))
+        eta, epsilon = _verify_eta_epsilon(a, b, low_vals, h)
+        ref_eta, ref_epsilon = _qr_eta_epsilon(a, b, low_vals, h)
+        assert abs(eta - ref_eta) <= 1e-12
+        assert abs(epsilon - ref_epsilon) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 16))
+    def test_identical_bases_read_zero(self, seed, d):
+        rng = np.random.default_rng(seed)
+        a = random_unitary(rng, d)[:, : int(rng.integers(1, d + 1))]
+        w = a.shape[1]
+        # the residual a - a (a^dag a) reads the basis' own orthonormality defect, about
+        # 1e-15 here; past that, the two numbers add less than 1e-15 of rounding
+        defect = np.linalg.norm(a.conj().T @ a - np.eye(w), 2)
+        assert projector_distance_from_bases(a, a) < 1e-15 + defect
+        eta, _ = _verify_eta_epsilon(a, a, np.arange(w) / w, random_hermitian(rng, w))
+        assert eta < 1e-15 + defect
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(4, 16))
+    def test_one_small_angle_recovered(self, seed, d):
+        rng = np.random.default_rng(seed)
+        w = int(rng.integers(2, d // 2 + 1))
+        theta = 1e-9
+        angles = np.zeros(w)
+        angles[0] = theta
+        a, b = _rotated_pair(rng, d, w, angles)
+        assert abs(projector_distance_from_bases(a, b) - np.sin(theta)) <= 1e-15
+        eta, _ = _verify_eta_epsilon(a, b, np.arange(w) / w, random_hermitian(rng, w))
+        assert abs(eta - 2 * np.sin(theta / 2)) <= 1e-15
+
+    @pytest.mark.parametrize("w1, w2", [(1, 2), (3, 1), (0, 2)])
+    def test_unequal_widths_are_at_distance_one(self, rng, w1, w2):
+        b1 = random_unitary(rng, 8)[:, :w1]
+        b2 = random_unitary(rng, 8)[:, :w2]
+        dense = np.linalg.norm(b1 @ b1.conj().T - b2 @ b2.conj().T, 2)
+        assert dense == pytest.approx(1.0, abs=1e-12)
+        assert projector_distance_from_bases(b1, b2) == pytest.approx(dense, abs=1e-12)
+
+    def test_angle_near_half_pi_raises(self, rng):
+        a, b = _rotated_pair(rng, 6, 2, np.array([0.2, np.pi / 2 - 5e-14]))
+        assert projector_distance_from_bases(a, b) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="distance >= 1"):
+            direct_rotation_factored(a, b)
+        with pytest.raises(ValueError, match="distance >= 1"):
+            _verify_eta_epsilon(a, b, np.array([0.0, 0.5]), np.eye(2))

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from hamuniv.circuits import Gate, VerifierCircuit
+from hamuniv.cli import main
 from hamuniv.operators import DenseOperator, Register, SystemLayout
 from hamuniv.serialize import (
     InputFormatError,
@@ -80,3 +82,56 @@ def test_canonical_json_is_deterministic(rng):
     u = random_unitary(rng, 4)
     doc = {"b": [[float(z.real), float(z.imag)] for z in u.reshape(-1)], "a": 1}
     assert canonical_json(doc) == canonical_json(json.loads(canonical_json(doc)))
+
+
+def _flag_on_site_two_doc() -> dict:
+    """Circuit whose site_dims, flag register, gate targets and output site each hold a 2."""
+    layout = SystemLayout(
+        (2, 2, 2),
+        registers=(Register("witness", (0, 1), "witness"), Register("flag", (2,), "flag")),
+    )
+    x = Gate.from_matrix(np.array([[0, 1], [1, 0]], dtype=complex), (2,), layout, label="x")
+    circuit = VerifierCircuit(
+        layout=layout,
+        gates=(x,),
+        witness_register=("witness",),
+        output_site=2,
+        completeness=1.0,
+        soundness=0.5,
+    )
+    return circuit_to_dict(circuit)
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("compile", ("layout", "site_dims", 2)),
+        ("compile", ("layout", "registers", 1, "sites", 0)),
+        ("compile", ("gates", 0, "targets", 0)),
+        ("compile", ("output_site",)),
+        ("spectrum", ("dim",)),
+    ],
+    ids=["site_dims", "register_sites", "gate_targets", "output_site", "operator_dim"],
+)
+def test_integer_field_rejects_non_integral_number(tmp_path, capsys, command, keys):
+    if command == "spectrum":
+        doc = operator_to_dict(DenseOperator(SystemLayout((2,)), np.eye(2), hermitian=True))
+        parse = operator_from_dict
+    else:
+        doc = _flag_on_site_two_doc()
+        parse = circuit_from_dict
+    holder = doc
+    for key in keys[:-1]:
+        holder = holder[key]
+    assert holder[keys[-1]] == 2
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    holder[keys[-1]] = 2.7
+    with pytest.raises(InputFormatError, match="expected an integer, got 2.7"):
+        parse(doc)
+    inp.write_text(json.dumps(doc))
+    assert main([command, "--input", str(inp), "--output", str(out)]) == 2
+    assert "expected an integer, got 2.7" in capsys.readouterr().err
+    holder[keys[-1]] = 2.0
+    parse(doc)
+    inp.write_text(json.dumps(doc))
+    assert main([command, "--input", str(inp), "--output", str(out)]) == 0
