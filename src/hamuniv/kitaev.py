@@ -42,6 +42,7 @@ from .operators import (
     SystemLayout,
     _principal_residual,
     _serial_scipy_blas,
+    _steady_heap,
     cluster_bounds,
     eigh,
     guard_cut,
@@ -363,13 +364,14 @@ def _shift_invert_spectrum(
     lowest pairs carry the count certificate. A Cholesky breakdown, or a
     returned block that is not orthonormal to 1e-12, raises
     SpectrumCertificateError. The factor, the steps and the count run with
-    scipy's BLAS held to one thread (operators._serial_scipy_blas).
+    scipy's BLAS held to one thread (operators._serial_scipy_blas) and under
+    fixed malloc thresholds, the freed heap returned at the end (_steady_heap).
     """
     # imported here: only this path needs it, and a module-level import
     # would lengthen every process's start-up
     import scipy.sparse.linalg
 
-    with _serial_scipy_blas() as threads:
+    with _serial_scipy_blas() as threads, _steady_heap():
         a = h.sparse()
         d = h.dim
         k = min(k, d)

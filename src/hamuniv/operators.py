@@ -93,6 +93,39 @@ def _serial_scipy_blas():
         set_(previous)
 
 
+@cache
+def _glibc():
+    """The C library through ctypes, its malloc thresholds fixed, where it is glibc; else None.
+
+    glibc raises its mmap threshold to the largest mapped block freed so far
+    (up to 32 MiB) and keeps twice that free at the top of the heap. Once a
+    sparse solve frees its 7 MB factor arrays, later factors land in the heap,
+    whose layout, different in every process, decides whether their pages go
+    back to the system: the peak RSS of three end_to_end calls varied by 6 MB
+    from run to run. Fixed at 3 MiB and 6 MiB, larger blocks are mapped on
+    their own, and the smaller D x m solve blocks still reuse the heap.
+    """
+    import ctypes  # imported here: only the sparse solve asks, once per process
+
+    libc = ctypes.CDLL(None)
+    if getattr(libc, "gnu_get_libc_version", None) is None:
+        return None
+    libc.mallopt(-3, 3 << 20)  # M_MMAP_THRESHOLD
+    libc.mallopt(-1, 6 << 20)  # M_TRIM_THRESHOLD
+    return libc
+
+
+@contextmanager
+def _steady_heap():
+    """Run the block under glibc's fixed malloc thresholds and return its freed heap pages on exit."""
+    libc = _glibc()
+    try:
+        yield
+    finally:
+        if libc is not None:
+            libc.malloc_trim(0)
+
+
 @dataclass(frozen=True)
 class Register:
     """Named contiguous range of sites with a role tag (witness, clock, ...)."""

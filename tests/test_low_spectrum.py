@@ -2,8 +2,12 @@
 
 import ctypes
 import logging
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,3 +431,64 @@ class TestSerialScipyBlas:
         if blas["name"] != "scipy-openblas":
             pytest.skip(f"scipy is built on {blas['name']}, not the bundled OpenBLAS")
         assert operators._scipy_blas_thread_control() is not None
+
+
+MAPPED_AFTER_A_FREED_16_MIB_BLOCK = """
+import ctypes, numpy as np
+import hamuniv.operators as operators
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(f, ctypes.c_size_t) for f in "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = MallInfo2
+held = operators._glibc() is not None if HOLD else False
+big = np.ones(16 << 20, dtype=np.uint8)  # glibc's own rule lifts its mmap threshold to 16 MiB
+del big
+before = libc.mallinfo2().hblkhd
+block = np.ones(4 << 20, dtype=np.uint8)
+print(held, libc.mallinfo2().hblkhd - before >= block.nbytes)
+"""
+
+
+class TestMallocThresholds:
+    @pytest.mark.parametrize("hold", [True, False])
+    def test_a_4_mib_block_is_mapped_after_a_16_mib_one_is_freed_only_when_held(self, hold):
+        if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+            pytest.skip("the C library is not glibc >= 2.33")
+        src = str(Path(operators.__file__).resolve().parent.parent)
+        out = subprocess.run(  # a new process: the test process's heap may hold a free 4 MiB block
+            [sys.executable, "-c", f"HOLD = {hold}\n" + MAPPED_AFTER_A_FREED_16_MIB_BLOCK],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split() == [str(hold), str(hold)]
+
+    def test_another_c_library_is_left_alone(self, monkeypatch):
+        class NoGlibc:  # a C library without gnu_get_libc_version, mallopt or malloc_trim
+            def __init__(self, path):
+                pass
+
+        monkeypatch.setattr(ctypes, "CDLL", NoGlibc)
+        operators._glibc.cache_clear()
+        try:
+            assert operators._glibc() is None
+            with operators._steady_heap():
+                pass
+        finally:
+            monkeypatch.undo()
+            operators._glibc.cache_clear()
+
+    def test_freed_heap_is_returned_after_a_raising_body(self, monkeypatch):
+        class Libc:
+            trims = []
+
+            def malloc_trim(self, pad):
+                self.trims.append(pad)
+
+        monkeypatch.setattr(operators, "_glibc", Libc)
+        with pytest.raises(RuntimeError, match="body"):
+            with operators._steady_heap():
+                assert Libc.trims == []
+                raise RuntimeError("body")
+        assert Libc.trims == [0]
