@@ -500,7 +500,7 @@ class Subspace:
         gram = b.conj().T @ b
         if np.abs(gram - np.eye(b.shape[1])).max() > 1e-10:
             raise ValueError("basis columns are not orthonormal to 1e-10")
-        proj = DenseOperator(layout, hermitize(b @ b.conj().T), hermitian=True)
+        proj = DenseOperator(layout, hermitize(b @ b.conj().T), hermitian=True, validate=False)
         return cls(basis=b, projector=proj, dim=b.shape[1])
 
 

@@ -32,6 +32,7 @@ from .operators import (
 )
 
 OFF_BLOCK_TOL = 1e-10
+HIGH_FLOOR = 1.0 - 1e-9  # the least accepted h0 eigenvalue on H_+
 SW_ORDER = 1  # the truncation order sw_exact measures
 
 
@@ -46,7 +47,14 @@ def _unitary_log(w: np.ndarray) -> np.ndarray:
 
 
 def _norm(m: np.ndarray) -> float:
-    """Spectral norm of a Hermitian matrix, from its eigenvalues."""
+    """Spectral norm of a Hermitian matrix, from its eigenvalues.
+
+    LAPACK returns a diagonal matrix's eigenvalues exactly as the real parts of
+    its diagonal, so a diagonal m skips the eigensolver bit for bit.
+    """
+    d = m.diagonal()
+    if np.count_nonzero(m) == np.count_nonzero(d):
+        return float(np.abs(d.real).max(initial=0.0))
     return float(np.abs(np.linalg.eigvalsh(m)).max(initial=0.0))
 
 
@@ -87,13 +95,20 @@ class SWProblem:
             raise ValueError(f"largest h0 eigenvalue on H_- is {lam0} >= 1")
         object.__setattr__(self, "lambda0", lam0)
         if self.minus.dim < self.h0.dim:
-            # lifting H_- by 2 puts it above 1, so a value below 1 lies on H_+
+            # lifting H_- by 2 puts it above 1, so a value below 1 lies on H_+;
+            # the shifted lift has a Cholesky factor iff all lie above HIGH_FLOOR.
+            # numpy's, not scipy's: scipy's BLAS pool would spin beside numpy's
             lifted = self.h0.entries + 2.0 * self.minus.projector.entries
-            high_min = float(np.linalg.eigvalsh(lifted)[0])
-            if high_min < 1.0 - 1e-9:
-                raise ValueError(
-                    f"h0 spectrum on H_+ starts at {high_min}, below the normalized gap 1"
-                )
+            lifted[np.diag_indices_from(lifted)] -= HIGH_FLOOR
+            try:
+                np.linalg.cholesky(lifted)
+            except np.linalg.LinAlgError:
+                lifted = self.h0.entries + 2.0 * self.minus.projector.entries
+                high_min = float(np.linalg.eigvalsh(lifted)[0])
+                if high_min < HIGH_FLOOR:
+                    raise ValueError(
+                        f"h0 spectrum on H_+ starts at {high_min}, below the normalized gap 1"
+                    ) from None
         if self.h1_norm >= self.delta / 2:
             raise ValueError(f"|h1| = {self.h1_norm} is not below delta/2 = {self.delta / 2}")
 
@@ -108,7 +123,7 @@ class SWProblem:
     @cached_property
     def _perturbed(self) -> DenseOperator:
         m = self.delta * self.h0.entries + self.h1.entries
-        return DenseOperator(self.h0.layout, hermitize(m), hermitian=True)
+        return DenseOperator(self.h0.layout, hermitize(m), hermitian=True, validate=False)
 
 
 @dataclass(frozen=True)
@@ -135,10 +150,10 @@ def sw_series(prob: SWProblem, k: int = 1) -> list[DenseOperator]:
     b_dag = b.conj().T
     layout = prob.h0.layout
     order0 = hermitize(prob.delta * (prob.h0.entries @ b) @ b_dag)
-    terms = [DenseOperator(layout, order0, hermitian=True)]
+    terms = [DenseOperator(layout, order0, hermitian=True, validate=False)]
     if k >= 1:
         order1 = hermitize(b @ (b_dag @ prob.h1.entries @ b) @ b_dag)
-        terms.append(DenseOperator(layout, order1, hermitian=True))
+        terms.append(DenseOperator(layout, order1, hermitian=True, validate=False))
     return terms
 
 
@@ -171,7 +186,7 @@ def sw_exact(prob: SWProblem, config: Config | None = None) -> SWExpansion:
     off = float(np.linalg.norm(y - b @ m, 2))
     if off > 1e-9 * h_scale:
         raise ValueError(f"e^S failed to block-diagonalize: off-block norm {off:.3e}")
-    h_eff = DenseOperator(h_t.layout, hermitize(b @ m @ b.conj().T), hermitian=True)
+    h_eff = DenseOperator(h_t.layout, hermitize(b @ m @ b.conj().T), hermitian=True, validate=False)
     orders = tuple(sw_series(prob, 1))
     bounds = _bound_values(prob, s_norm, h_eff, orders, SW_ORDER, cfg)
     prob._bounds[cfg] = dict(bounds)

@@ -4,10 +4,16 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hamuniv.circuits import acceptance_operator
-from hamuniv.kitaev import build_kitaev, ground_space, history_state, spectral_gap_above
+from hamuniv.kitaev import (
+    build_kitaev,
+    ground_space,
+    history_state,
+    kappa_limit,
+    spectral_gap_above,
+)
 from hamuniv.operators import (
     DenseOperator,
     Subspace,
@@ -15,10 +21,18 @@ from hamuniv.operators import (
     direct_rotation,
     direct_rotation_factored,
 )
-from hamuniv.schrieffer_wolff import SWProblem, _unitary_log, sw_bounds, sw_exact, sw_series
+from hamuniv.schrieffer_wolff import (
+    HIGH_FLOOR,
+    SWProblem,
+    _norm,
+    _unitary_log,
+    sw_bounds,
+    sw_exact,
+    sw_series,
+)
 from hamuniv.simulation import plain_encoding, verify_simulation
 
-from conftest import cnot_verifier, random_hermitian
+from conftest import cnot_verifier, random_hermitian, random_unitary
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -52,6 +66,23 @@ def random_problem(
     return SWProblem(h0=h0, h1=h1, delta=delta, minus=minus)
 
 
+def record_shapes(mp: pytest.MonkeyPatch) -> list:
+    """Patch numpy's and scipy's eigh/eigvalsh to record the shape of each input."""
+    shapes = []
+
+    def recorded(fn):
+        def wrapper(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for module in (np.linalg, scipy.linalg):
+        for name in ("eigh", "eigvalsh"):
+            mp.setattr(module, name, recorded(getattr(module, name)))
+    return shapes
+
+
 class TestSWProblemValidation:
     def test_off_block_h0_rejected(self):
         lay = SystemLayout((2,))
@@ -70,6 +101,54 @@ class TestSWProblemValidation:
         ok = DenseOperator(lay, np.diag([0.9, 1.0, 1.5]).astype(complex), hermitian=True)
         assert SWProblem(h0=ok, h1=zero, delta=1.0, minus=minus).lambda0 == pytest.approx(0.9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 16),
+        low=st.integers(0, 14),
+        floor=st.floats(0.5, 1.5),
+    )
+    @example(seed=1, dim=12, low=3, floor=HIGH_FLOOR + 1e-11)
+    @example(seed=1, dim=12, low=3, floor=HIGH_FLOOR - 1e-11)
+    @example(seed=2, dim=16, low=0, floor=1.0)
+    def test_floor_certificate_matches_spectrum(self, seed, dim, low, floor):
+        # a problem is accepted exactly when the lowest value of h0 + 2 Pi_-
+        # reaches HIGH_FLOOR, and an accepted one is certified without a
+        # D x D eigensolve
+        rng = np.random.default_rng(seed)
+        k = 1 + low % (dim - 1)
+        basis = random_unitary(rng, dim)
+        high = floor + np.concatenate([[0.0], rng.uniform(0.0, 1.0, size=dim - k - 1)])
+        values = np.concatenate([rng.uniform(0.0, 0.5, size=k), high])
+        h0_m = (basis * values) @ basis.conj().T
+        lay = SystemLayout((dim,))
+        h0 = DenseOperator(lay, (h0_m + h0_m.conj().T) / 2, hermitian=True)
+        minus = Subspace.from_basis(lay, basis[:, :k])
+        lifted = h0.entries + 2.0 * minus.projector.entries
+        margin = float(np.linalg.eigvalsh(lifted)[0]) - HIGH_FLOOR
+        assume(abs(margin) > 1e-12)
+        zero = DenseOperator(lay, np.zeros((dim, dim)), hermitian=True)
+        with pytest.MonkeyPatch.context() as mp:
+            shapes = record_shapes(mp)
+            if margin > 0:
+                SWProblem(h0=h0, h1=zero, delta=1.0, minus=minus)
+                assert (dim, dim) not in shapes
+            else:
+                with pytest.raises(ValueError, match="H_\\+ starts at"):
+                    SWProblem(h0=h0, h1=zero, delta=1.0, minus=minus)
+
+    def test_rejected_problem_leaves_inputs_unchanged(self):
+        lay = SystemLayout((3,))
+        h0 = DenseOperator(lay, np.diag([0.9, 0.5, 1.5]).astype(complex), hermitian=True)
+        minus = Subspace.from_basis(lay, np.eye(3, dtype=complex)[:, :1])
+        h0_before = h0.entries.copy()
+        projector_before = minus.projector.entries.copy()
+        zero = DenseOperator(lay, np.zeros((3, 3)), hermitian=True)
+        with pytest.raises(ValueError, match="H_\\+ starts at"):
+            SWProblem(h0=h0, h1=zero, delta=1.0, minus=minus)
+        assert np.array_equal(h0.entries, h0_before)
+        assert np.array_equal(minus.projector.entries, projector_before)
+
     def test_large_perturbation_rejected(self):
         with pytest.raises(ValueError, match="delta/2"):
             two_level_problem(v=0.6, delta=1.0)
@@ -77,6 +156,63 @@ class TestSWProblemValidation:
     def test_lambda0_computed(self):
         prob = two_level_problem(0.1)
         assert prob.lambda0 == pytest.approx(0.0, abs=1e-12)
+
+
+class TestProblemCost:
+    def test_kitaev_problem_runs_no_full_eigensolve(self, monkeypatch):
+        # the workload's input: h0 = H_0 / gap, h1 = kappa H_out, which is diagonal
+        circuit = cnot_verifier(trailing_idles=2)
+        kappa = 0.5 * kappa_limit(circuit.n_steps)
+        kh = build_kitaev(circuit, kappa)
+        h0 = kh.h0()
+        gap0 = spectral_gap_above(h0, 1e-8)
+        lay = kh.layout
+        kernel = ground_space(h0, 1e-8)
+        h0_norm = DenseOperator(lay, h0.entries / gap0, hermitian=True)
+        h1 = DenseOperator(lay, kappa * kh.h_out.entries, hermitian=True)
+        shapes = record_shapes(monkeypatch)
+        prob = SWProblem(h0=h0_norm, h1=h1, delta=gap0, minus=kernel)
+        assert (h0.dim, h0.dim) not in shapes
+        assert prob.h1_norm == kappa * np.abs(kh.h_out.entries.diagonal().real).max()
+
+    def test_dense_perturbation_takes_one_eigensolve(self, rng, monkeypatch):
+        shapes = record_shapes(monkeypatch)
+        prob = random_problem(rng, 8)
+        assert shapes.count((8, 8)) == 1
+        monkeypatch.undo()
+        h1 = prob.h1.entries
+        assert prob.h1_norm == float(np.abs(np.linalg.eigvalsh(h1)).max())
+        assert prob.h1_norm == _norm(h1)
+
+    def test_diagonal_perturbation_norm(self):
+        lay = SystemLayout((4,))
+        h0 = DenseOperator(lay, np.diag([0.0, 0.2, 1.0, 1.5]).astype(complex), hermitian=True)
+        minus = Subspace.from_basis(lay, np.eye(4, dtype=complex)[:, :2])
+        for diag, norm in (([0.1, -0.3, 0.05, -0.2], 0.3), ([0.0] * 4, 0.0)):
+            h1 = DenseOperator(lay, np.diag(diag).astype(complex), hermitian=True)
+            prob = SWProblem(h0=h0, h1=h1, delta=1.0, minus=minus)
+            assert prob.h1_norm == norm
+            assert prob.h1_norm == float(np.abs(np.linalg.eigvalsh(h1.entries)).max())
+
+    def test_unvalidated_outputs_exactly_hermitian(self, rng):
+        # inputs Hermitian only to rounding: each operator built without the
+        # Hermitian check must still be exactly Hermitian and read-only
+        dim, k = 10, 3
+        basis = random_unitary(rng, dim)
+        values = np.concatenate([rng.uniform(0.0, 0.5, k), rng.uniform(1.0, 2.0, dim - k)])
+        noise = random_hermitian(rng, dim)
+        lay = SystemLayout((dim,))
+        h0 = DenseOperator(lay, (basis * values) @ basis.conj().T + 1e-15j * noise, hermitian=True)
+        h1_m = random_hermitian(rng, dim, scale=0.02) + 1e-15j * random_hermitian(rng, dim)
+        h1 = DenseOperator(lay, h1_m, hermitian=True)
+        assert not np.array_equal(h0.entries, h0.entries.conj().T)
+        minus = Subspace.from_basis(lay, basis[:, :k])
+        prob = SWProblem(h0=h0, h1=h1, delta=2.0, minus=minus)
+        exp = sw_exact(prob)
+        operators = [minus.projector, prob.perturbed(), exp.h_eff_exact, *sw_series(prob, 1)]
+        for op in operators:
+            assert np.array_equal(op.entries, op.entries.conj().T)
+            assert not op.entries.flags.writeable
 
 
 class TestSWExact:
