@@ -17,6 +17,7 @@ from .operators import (
 )
 
 UNITARITY_TOL = 1e-10
+ACCEPT_TOL = 1e-9  # an acceptance eigenvalue within this of completeness accepts
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,9 @@ class Gate:
         local_layout = SystemLayout(local_dims, dim_cap=layout.dim_cap)
         return cls(DenseOperator(local_layout, matrix), tuple(targets), label)
 
-    def is_identity(self, tol: float = 1e-9) -> bool:
+    def is_identity(self) -> bool:
         u = self.unitary.entries
-        return bool(np.abs(u - np.eye(u.shape[0])).max() <= tol)
+        return bool(np.abs(u - np.eye(u.shape[0])).max() <= 1e-9)
 
 
 def identity_gate(layout: SystemLayout, site: int, label: str = "idle") -> Gate:
@@ -125,7 +126,6 @@ class AcceptanceOperator:
 
     q: DenseOperator
     eigen: EigenSystem
-    completeness_ref: float
 
     def __post_init__(self):
         vals = self.eigen.values
@@ -200,7 +200,7 @@ def acceptance_operator(circuit: VerifierCircuit, config: Config | None = None) 
     accept_mask = circuit.layout.digit_table()[circuit.output_site] == 1
     q = hermitize(columns.conj().T @ (accept_mask[:, None] * columns))
     q_op = DenseOperator(circuit.witness_layout(), q, hermitian=True)
-    return AcceptanceOperator(q=q_op, eigen=eigh(q_op, config), completeness_ref=circuit.completeness)
+    return AcceptanceOperator(q=q_op, eigen=eigh(q_op, config))
 
 
 @dataclass(frozen=True)
@@ -213,17 +213,17 @@ class AcceptanceGap:
     completeness: float
 
 
-def acceptance_gap(acc: AcceptanceOperator, c: float, tol: float = 1e-9) -> AcceptanceGap:
+def acceptance_gap(acc: AcceptanceOperator, c: float) -> AcceptanceGap:
     vals = acc.eigen.values
-    below = vals[vals < c - tol]
+    below = vals[vals < c - ACCEPT_TOL]
     if below.size == 0:
         return AcceptanceGap(gapped=False, gap=None, eigenvalues=vals, completeness=c)
     return AcceptanceGap(gapped=True, gap=float(c - below.max()), eigenvalues=vals, completeness=c)
 
 
-def accepting_eigenvectors(acc: AcceptanceOperator, c: float, tol: float = 1e-9) -> np.ndarray:
-    """Columns spanning {|phi> : Q|phi> = lambda|phi>, lambda >= c} (numerically c - tol)."""
-    keep = acc.eigen.values >= c - tol
+def accepting_eigenvectors(acc: AcceptanceOperator, c: float) -> np.ndarray:
+    """Columns spanning {|phi> : Q|phi> = lambda|phi>, lambda >= c} (numerically c - ACCEPT_TOL)."""
+    keep = acc.eigen.values >= c - ACCEPT_TOL
     return acc.eigen.vectors[:, keep]
 
 

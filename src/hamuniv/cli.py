@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,18 +47,11 @@ class RunConfig:
     command: str
     input_path: str
     output_path: str
-    seed: int = 0
-    constants: dict[str, float] = field(default_factory=dict)
-    dim_cap: int | None = None
-    config: Config = field(default_factory=from_env)
+    config: Config
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        cfg = with_constants(self.config, self.constants) if self.constants else self.config
-        if self.dim_cap is not None:
-            cfg = with_constants(cfg, {"dim_cap": self.dim_cap})
-        self.config = with_constants(cfg, {"seed": self.seed})
 
 
 def validate_input(path: str) -> tuple[dict | None, list[str]]:
@@ -402,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True)
         p.add_argument("--output", required=True)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
         p.add_argument("--cap", type=int, default=None, help="dense-dimension cap override")
         p.add_argument(
             "--const",
@@ -427,15 +420,11 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError:
             print(f"input error: --const {name} value {value!r} is not numeric", file=sys.stderr)
             return 2
+    # precedence: defaults, then HAMUNIV_*, then --const, then --cap and --seed
+    flags = {name: v for name, v in (("dim_cap", args.cap), ("seed", args.seed)) if v is not None}
     try:
-        run_config = RunConfig(
-            command=args.command,
-            input_path=args.input,
-            output_path=args.output,
-            seed=args.seed,
-            constants=constants,
-            dim_cap=args.cap,
-        )
+        config = with_constants(with_constants(from_env(), constants), flags)
+        run_config = RunConfig(args.command, args.input, args.output, config)
     except (ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -30,16 +30,15 @@ DEFAULT = Config()
 _ENV_PREFIX = "HAMUNIV_"
 
 
-def from_env(base: Config | None = None) -> Config:
-    """Overlay HAMUNIV_<FIELD> environment variables onto a base config."""
-    cfg = base if base is not None else DEFAULT
+def from_env() -> Config:
+    """Overlay HAMUNIV_<FIELD> environment variables onto the defaults."""
     overrides = {}
     for f in fields(Config):
         raw = os.environ.get(_ENV_PREFIX + f.name.upper())
         if raw is None:
             continue
         overrides[f.name] = int(raw) if f.type == "int" else float(raw)
-    return replace(cfg, **overrides) if overrides else cfg
+    return replace(DEFAULT, **overrides)
 
 
 def with_constants(cfg: Config, constants: dict[str, float]) -> Config:

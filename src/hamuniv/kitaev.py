@@ -25,6 +25,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .circuits import (
+    AcceptanceOperator,
     VerifierCircuit,
     acceptance_gap,
     acceptance_operator,
@@ -40,6 +41,7 @@ from .operators import (
     SpectrumCertificateError,
     Subspace,
     SystemLayout,
+    _full_eigh,
     _principal_residual,
     _serial_scipy_blas,
     _steady_heap,
@@ -330,21 +332,19 @@ def _low_spectrum(
     low space (a nearby operator's eigenvectors), seeds that iteration; the
     dense solvers ignore it.
     """
-    op = h if isinstance(h, DenseOperator) and h.hermitian else None
     if isinstance(h, ClockBlocks):
         if h.dim > _PARTIAL_EIGH_DIM:
             return _shift_invert_spectrum(h, k, n, config or DEFAULT, start)
         h = h.dense()
-    elif isinstance(h, DenseOperator):
-        h = h.entries
-    d = h.shape[0]
+    m = h.entries if isinstance(h, DenseOperator) else h
+    d = m.shape[0]
     k = min(k, d)
     if d <= _PARTIAL_EIGH_DIM or k == d:
-        vals, vecs = op.spectrum if op is not None else np.linalg.eigh(h)
+        vals, vecs = _full_eigh(h)
         vals, vecs = vals[:k], vecs[:, :k]
     else:
-        vals, vecs = scipy.linalg.eigh(h, subset_by_index=(0, k - 1), driver="evr")
-    return LowSpectrum(vals, vecs, np.linalg.norm(h @ vecs - vecs * vals, axis=0))
+        vals, vecs = scipy.linalg.eigh(m, subset_by_index=(0, k - 1), driver="evr")
+    return LowSpectrum(vals, vecs, np.linalg.norm(m @ vecs - vecs * vals, axis=0))
 
 
 def _shift_invert_spectrum(
@@ -530,6 +530,25 @@ class HmkReport:
         return self.deviations_ok and self.projector_ok
 
 
+def _lemma_hypothesis(
+    circuit: VerifierCircuit, kappa: float, cfg: Config
+) -> tuple[AcceptanceOperator, float, np.ndarray]:
+    """(Q, g, accepting eigenvectors) once the acceptance gap g exceeds 2 T^3 (T+1) kappa.
+
+    No eigenvalue below completeness means the hypothesis holds vacuously, with g = inf.
+    """
+    t = circuit.n_steps
+    acc = acceptance_operator(circuit, cfg)
+    gap_info = acceptance_gap(acc, circuit.completeness)
+    g = gap_info.gap if gap_info.gapped else float("inf")
+    hypothesis = 2.0 * t**3 * (t + 1) * kappa
+    if g <= hypothesis:
+        raise ValueError(
+            f"acceptance gap g = {g} does not exceed 2 T^3 (T+1) kappa = {hypothesis}"
+        )
+    return acc, g, accepting_eigenvectors(acc, circuit.completeness)
+
+
 def check_hmk_lemma(
     kh: KitaevHamiltonian,
     config: Config | None = None,
@@ -553,15 +572,7 @@ def check_hmk_lemma(
     circuit = kh.circuit
     t = kh.t_steps
     kappa = kh.kappa
-    acc = acceptance_operator(circuit, cfg)
-    gap_info = acceptance_gap(acc, circuit.completeness)
-    # no eigenvalue below completeness means the hypothesis holds vacuously
-    g = gap_info.gap if gap_info.gapped else float("inf")
-    hypothesis = 2.0 * t**3 * (t + 1) * kappa
-    if g <= hypothesis:
-        raise ValueError(
-            f"acceptance gap g = {g} does not exceed 2 T^3 (T+1) kappa = {hypothesis}"
-        )
+    acc, g, phis = _lemma_hypothesis(circuit, kappa, cfg)
 
     w = circuit.witness_dim
     unary = kh.rep is ClockRep.UNARY_FULL_SPACE
@@ -594,9 +605,7 @@ def check_hmk_lemma(
         )
     guard_cut(vals, k_low, cfg)
     s0_basis = vecs[:, :k_low]
-    c0_basis = _history_columns(
-        circuit, accepting_eigenvectors(acc, circuit.completeness), ClockRep.CLOCK_SUBSPACE
-    )
+    c0_basis = _history_columns(circuit, phis, ClockRep.CLOCK_SUBSPACE)
     proj_distance = projector_distance_from_bases(s0_basis, c0_basis)
     proj_bound = cfg.c_proj * t**3 * kappa
     gap_above = float(vals[k_low] - vals[k_low - 1]) if k_low > 0 else float(vals[0])
@@ -633,7 +642,6 @@ def check_idling_faithfulness(
     circuit: VerifierCircuit,
     idle_steps: int,
     kappa: float,
-    c: float | None = None,
     rep: ClockRep = ClockRep.CLOCK_SUBSPACE,
     config: Config | None = None,
 ) -> IdlingReport:
@@ -643,23 +651,12 @@ def check_idling_faithfulness(
     `idle_steps` gates must be identities. The idling encoding maps each
     accepting eigenvector phi to |phi, 0> (x) uniform clock over times 0..L.
     """
-    cfg = config or DEFAULT
     _check_idle_window(circuit, idle_steps)
     t_prime = circuit.n_steps
-    completeness = circuit.completeness if c is None else c
-    acc = acceptance_operator(circuit, cfg)
-    gap_info = acceptance_gap(acc, completeness)
-    if gap_info.gapped:
-        hypothesis = 2.0 * t_prime**3 * (t_prime + 1) * kappa
-        if gap_info.gap <= hypothesis:
-            raise ValueError(
-                f"acceptance gap {gap_info.gap} does not exceed "
-                f"2 T'^3 (T'+1) kappa = {hypothesis}"
-            )
-    phis = accepting_eigenvectors(acc, completeness)
+    _, _, phis = _lemma_hypothesis(circuit, kappa, config or DEFAULT)
     bound = 2.0 * (1.0 - np.sqrt(idle_steps / t_prime))
     c0 = _history_columns(circuit, phis, rep)
-    enc = idling_state(circuit, phis, idle_steps, rep)
+    enc = _history_columns(circuit, phis, rep, idle_steps)
     distance = projector_distance_from_bases(c0, enc)
     squared = distance**2
     return IdlingReport(

@@ -268,6 +268,13 @@ class DenseOperator:
         return cls(layout, np.eye(layout.total_dim, dtype=complex), hermitian=True)
 
 
+def _full_eigh(h: DenseOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of h; a Hermitian-flagged DenseOperator reads its cached spectrum."""
+    if isinstance(h, DenseOperator):
+        return h.spectrum if h.hermitian else np.linalg.eigh(h.entries)
+    return np.linalg.eigh(np.asarray(h, dtype=complex))
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Average away sub-tolerance asymmetry accumulated by sums of products."""
     return (m + m.conj().T) / 2
@@ -481,7 +488,6 @@ class EigenSystem:
 
     values: np.ndarray
     vectors: np.ndarray  # orthonormal columns, vectors[:, i] <-> values[i]
-    source: DenseOperator
 
 
 @dataclass(frozen=True)
@@ -490,7 +496,10 @@ class Subspace:
 
     basis: np.ndarray  # shape (D, dim)
     projector: DenseOperator
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
 
     @classmethod
     def from_basis(cls, layout: SystemLayout, basis: np.ndarray) -> "Subspace":
@@ -501,22 +510,21 @@ class Subspace:
         if np.abs(gram - np.eye(b.shape[1])).max() > 1e-10:
             raise ValueError("basis columns are not orthonormal to 1e-10")
         proj = DenseOperator(layout, hermitize(b @ b.conj().T), hermitian=True, validate=False)
-        return cls(basis=b, projector=proj, dim=b.shape[1])
+        return cls(basis=b, projector=proj)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for i in range(out.shape[1]):
-        col = out[:, i]
-        a = col[_first_significant(col)]
-        if abs(a) > 0:
-            out[:, i] = col * (a.conjugate() / abs(a))
-    return out
+    """Each column times the phase that makes its first significant entry real positive."""
+    a = vectors[_first_significant(vectors), np.arange(vectors.shape[1])]
+    size = np.hypot(a.real, a.imag)  # abs(a) bit for bit
+    return vectors * np.divide(a.conj(), size, out=np.ones_like(a), where=size > 0)
 
 
-def _first_significant(col: np.ndarray) -> int:
-    sig = np.nonzero(np.abs(col) > PHASE_TOL)[0]
-    return int(sig[0]) if sig.size else int(np.argmax(np.abs(col)))
+def _first_significant(vectors: np.ndarray) -> np.ndarray:
+    """Per column, the first row above PHASE_TOL in magnitude, else the largest one."""
+    mags = np.abs(vectors)
+    sig = mags > PHASE_TOL
+    return np.where(sig.any(axis=0), sig.argmax(axis=0), mags.argmax(axis=0))
 
 
 def cluster_bounds(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
@@ -559,13 +567,13 @@ def eigh(op: DenseOperator, config: Config | None = None) -> EigenSystem:
     tol = cfg.cluster_rtol * max(1.0, float(np.abs(values).max(initial=0.0)))
     for start, stop in cluster_bounds(values, tol):
         if stop - start > 1:
-            keys = [_first_significant(vectors[:, j]) for j in range(start, stop)]
+            keys = _first_significant(vectors[:, start:stop])
             order = np.argsort(keys, kind="stable") + start
             vectors[:, start:stop] = vectors[:, order]
     values = values.copy()
     values.flags.writeable = False
     vectors.flags.writeable = False
-    return EigenSystem(values=values, vectors=vectors, source=op)
+    return EigenSystem(values=values, vectors=vectors)
 
 
 def op_norm(op: DenseOperator | np.ndarray) -> float:
@@ -631,10 +639,9 @@ def tensor_embed(
 
 def subspace_distance(s1: Subspace, s2: Subspace) -> float:
     """Operator norm of the projector difference (sine of the largest principal angle)."""
-    p1, p2 = s1.projector.entries, s2.projector.entries
-    if p1.shape != p2.shape:
+    if s1.basis.shape[0] != s2.basis.shape[0]:
         raise ValueError("subspaces live in different ambient dimensions")
-    return float(np.linalg.norm(p1 - p2, 2))
+    return projector_distance_from_bases(s1.basis, s2.basis)
 
 
 @dataclass(frozen=True)

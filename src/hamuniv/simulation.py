@@ -24,6 +24,7 @@ from .operators import (
     ClockBlocks,
     DenseOperator,
     SystemLayout,
+    _full_eigh,
     _norm_tall,
     _principal_residual,
     guard_cut,
@@ -227,13 +228,6 @@ class SimulationReport:
         return all(self.conditions.values())
 
 
-def _eigh(op: DenseOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition; a Hermitian-flagged operator keeps its own."""
-    if isinstance(op, DenseOperator):
-        return op.spectrum if op.hermitian else np.linalg.eigh(op.entries)
-    return np.linalg.eigh(np.asarray(op, dtype=complex))
-
-
 def verify_simulation(
     h: DenseOperator | np.ndarray,
     h_prime: DenseOperator | ClockBlocks | np.ndarray,
@@ -329,7 +323,7 @@ def check_partition_function(
     rep = report if report is not None else verify_simulation(h, h_prime, enc, delta, config=config)
     h_mat, hp_mat, vals_t = rep.h, rep.h_prime, rep.h_values
     pq = enc.anc_dim
-    vals_s = _eigh(h_prime)[0] if isinstance(h_prime, DenseOperator) else np.linalg.eigvalsh(hp_mat)
+    vals_s = _full_eigh(h_prime)[0] if isinstance(h_prime, DenseOperator) else np.linalg.eigvalsh(hp_mat)
     z_t = float(np.exp(-beta * vals_t).sum())
     z_s = float(np.exp(-beta * vals_s).sum())
     rel_err = abs(z_s - pq * z_t) / (pq * z_t)
@@ -365,7 +359,7 @@ def check_dynamics(
     if np.abs(v @ r @ v.conj().T - rho).max() > 1e-9:
         raise ValueError("rho_prime is not supported in the encoded subspace")
     h_mat = h.entries if isinstance(h, DenseOperator) else np.asarray(h, dtype=complex)
-    vals, vecs = _eigh(h_prime)
+    vals, vecs = _full_eigh(h_prime)
     core_vals, core_vecs = np.linalg.eigh(hermitize(enc.core(h_mat)))
     x = vecs @ (np.exp(-1j * vals * t)[:, None] * (vecs.conj().T @ v))  # e^(-i h' t) V
     y = v @ (core_vecs * np.exp(-1j * core_vals * t)) @ core_vecs.conj().T  # V e^(-i core t)

@@ -263,6 +263,7 @@ def qpe_verifier(
             Register("scratch", scratch_sites, role="ancilla"),
             Register("control", (control_site,), role="control"),
         ),
+        dim_cap=target.op.layout.dim_cap,
     )
 
     s_norm = np.sqrt(fam.a**2 + 1.0)
@@ -322,14 +323,21 @@ def qpe_verifier(
     )
 
 
+def _rank_one_sum(
+    target: TargetHamiltonian, fam: WitnessFamily, weights: np.ndarray
+) -> DenseOperator:
+    """sum_mu weights[mu] |w_mu><w_mu| on the state (x) readout space, under the target's cap."""
+    base = target.op.layout
+    layout = SystemLayout(base.site_dims + (3,) * fam.m, dim_cap=base.dim_cap)
+    h = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    for weight, w in zip(weights, fam.states.T):
+        h += weight * np.outer(w, w.conj())
+    return DenseOperator(layout, hermitize(h), hermitian=True)
+
+
 def build_hprime(target: TargetHamiltonian, fam: WitnessFamily) -> DenseOperator:
     """H' = sum_mu E_mu |w_mu><w_mu| on the state (x) readout space."""
-    layout = SystemLayout(target.op.layout.site_dims + (3,) * fam.m)
-    h = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for mu in range(fam.states.shape[1]):
-        w = fam.states[:, mu]
-        h += fam.energies[mu] * np.outer(w, w.conj())
-    return DenseOperator(layout, hermitize(h), hermitian=True)
+    return _rank_one_sum(target, fam, fam.energies)
 
 
 @dataclass(frozen=True)
@@ -357,7 +365,6 @@ def wtilde_encodings(
     """
     cfg = config or DEFAULT
     d_state = target.dim
-    d_w = d_state * 3**fam.m
     hash_vec = np.zeros(3**fam.m, dtype=complex)
     hash_vec[fam.hash_string_index] = 1.0
     w_local = np.kron(hash_vec[:, None], np.eye(d_state, dtype=complex))
@@ -366,17 +373,9 @@ def wtilde_encodings(
     formula = 2.0 * (1.0 - fam.a / np.sqrt(fam.a**2 + 1.0))
     lam_sh = target.norm + 1.0
     h_sh = target.op.entries - lam_sh * np.eye(d_state)
-    hp_sh = np.zeros((d_w, d_w), dtype=complex)
-    for mu in range(d_state):
-        w = fam.states[:, mu]
-        hp_sh += (fam.energies[mu] - lam_sh) * np.outer(w, w.conj())
-    enc = plain_encoding(
-        w_local,
-        d_state,
-        target_layout=target.op.layout,
-        sim_layout=SystemLayout(target.op.layout.site_dims + (3,) * fam.m),
-    )
-    report = verify_simulation(h_sh, hermitize(hp_sh), enc, delta=-0.5, config=cfg)
+    hp_sh = _rank_one_sum(target, fam, fam.energies - lam_sh)
+    enc = plain_encoding(w_local, d_state, target_layout=target.op.layout, sim_layout=hp_sh.layout)
+    report = verify_simulation(h_sh, hp_sh.entries, enc, delta=-0.5, config=cfg)
     return WtildeReport(
         w_local=w_local,
         w_tilde=w_tilde,
@@ -395,8 +394,6 @@ class FlagHamiltonian:
 
     f: np.ndarray
     h_f: DenseOperator
-    lambda_0: float = 0.0
-    lambda_1: float = 1.0
 
 
 def flag_hamiltonian(f: np.ndarray) -> FlagHamiltonian:

@@ -325,3 +325,65 @@ class TestDeterminism:
             assert main(["hmk-check", "--input", inp, "--output", str(out), "--seed", "7"]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def roadmap_demo_doc(a=2.0):
+    """The ROADMAP instance: target diag(0, 1/2), m = 2, L = 1, tau = pi (H_MK has D = 3240)."""
+    return {"h_target": diag_operator_doc([0.0, 0.5]), "a": a, "m": 2, "L": 1, "tau": float(np.pi)}
+
+
+class TestRunSettings:
+    def test_cap_reaches_the_clock_layout(self, tmp_path, capsys):
+        # the target and the verifier (648 states) fit under 1000; H_MK's 3240 does not
+        inp = write_json(tmp_path / "demo.json", roadmap_demo_doc())
+        out = tmp_path / "demo_report.json"
+        assert main(["universal-demo", "--input", inp, "--output", str(out), "--cap", "1000"]) == 2
+        assert "exceeds cap 1000" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "demo_report.final_table.csv").exists()
+
+    def test_const_cap_reaches_the_verifier_layout(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "demo.json", roadmap_demo_doc())
+        out = tmp_path / "demo_report.json"
+        args = ["universal-demo", "--input", inp, "--output", str(out), "--const", "dim_cap=100"]
+        assert main(args) == 2
+        assert "exceeds cap 100" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_precedence(self, tmp_path, monkeypatch):
+        inp = write_json(
+            tmp_path / "c.json", {"circuit": circuit_to_dict(cnot_verifier()), "kappa": 0.02}
+        )
+        out = tmp_path / "hmk.json"
+        cases = [
+            (["--const", "seed=5"], None, 5),
+            ([], "9", 9),
+            (["--seed", "4", "--const", "seed=5"], None, 4),
+            (["--const", "seed=5"], "9", 5),
+            (["--seed", "4"], "9", 4),
+            ([], None, 0),
+        ]
+        for args, env_seed, seed in cases:
+            if env_seed is None:
+                monkeypatch.delenv("HAMUNIV_SEED", raising=False)
+            else:
+                monkeypatch.setenv("HAMUNIV_SEED", env_seed)
+            assert main(["hmk-check", "--input", inp, "--output", str(out)] + args) == 0
+            assert json.loads(out.read_text())["seed"] == seed, (args, env_seed)
+
+    def test_cap_flag_overrides_const_and_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HAMUNIV_DIM_CAP", "2")
+        inp = write_json(tmp_path / "in.json", {"operator": diag_operator_doc([0.0, 1.0, 2.0])})
+        out = tmp_path / "out.csv"
+        assert main(["spectrum", "--input", inp, "--output", str(out)]) == 2
+        assert main(["spectrum", "--input", inp, "--output", str(out), "--const", "dim_cap=3"]) == 0
+        args = ["--const", "dim_cap=3", "--cap", "2"]
+        assert main(["spectrum", "--input", inp, "--output", str(out)] + args) == 2
+
+    def test_non_integral_seed_constant_still_rejected_beside_seed_flag(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "in.json", {"operator": diag_operator_doc([0.0, 1.0])})
+        out = tmp_path / "out.csv"
+        args = ["--seed", "4", "--const", "seed=2.7"]
+        assert main(["spectrum", "--input", inp, "--output", str(out)] + args) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()

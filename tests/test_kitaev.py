@@ -476,3 +476,18 @@ class TestGeometricalBound:
         rotation[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         h2 = DenseOperator(h1.layout, rotation @ h1.entries @ rotation.T, hermitian=True)
         assert geometrical_bound(h1, h2).angle == pytest.approx(theta, rel=1e-12)
+
+
+class TestIdlingHypothesis:
+    def test_gap_below_lemma_bound_raises(self):
+        # g = 1 and T' = 3, so the hypothesis g > 2 T'^3 (T'+1) kappa = 216 kappa needs kappa < 1/216
+        circuit = idle_prefix(cnot_verifier(), 2)
+        assert acceptance_gap(acceptance_operator(circuit), 1.0).gap == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="does not exceed"):
+            check_idling_faithfulness(circuit, 2, kappa=1 / 200)
+        assert check_idling_faithfulness(circuit, 2, kappa=1 / 250).ok
+
+    def test_window_checked_before_the_hypothesis(self):
+        # a non-identity gate in the window is reported even when kappa also breaks the lemma
+        with pytest.raises(ValueError, match="identity"):
+            check_idling_faithfulness(cnot_verifier(trailing_idles=1), 1, kappa=1.0)

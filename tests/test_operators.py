@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamuniv.config import DEFAULT
 from hamuniv.kitaev import LowSpectrum
 from hamuniv.operators import (
+    PHASE_TOL,
     DenseOperator,
     DimensionCapError,
     Register,
     Subspace,
     SystemLayout,
+    _first_significant,
+    _fix_phases,
     basis_vector,
+    cluster_bounds,
     direct_rotation,
     direct_rotation_factored,
     eigh,
@@ -469,3 +474,111 @@ class TestPrincipalAngles:
             direct_rotation_factored(a, b)
         with pytest.raises(ValueError, match="distance >= 1"):
             _verify_eta_epsilon(a, b, np.array([0.0, 0.5]), np.eye(2))
+
+
+def _loop_first_significant(col):
+    """Per-column reference: first entry above PHASE_TOL in magnitude, else the largest."""
+    sig = np.nonzero(np.abs(col) > PHASE_TOL)[0]
+    return int(sig[0]) if sig.size else int(np.argmax(np.abs(col)))
+
+
+def _loop_fix_phases(vectors):
+    """Per-column reference for the phase convention, one Python step per column."""
+    out = vectors.copy()
+    for i in range(out.shape[1]):
+        col = out[:, i]
+        a = col[_loop_first_significant(col)]
+        if abs(a) > 0:
+            out[:, i] = col * (a.conjugate() / abs(a))
+    return out
+
+
+def _loop_eigh(op):
+    """Per-column reference for eigh: phases, then each degenerate cluster sorted by its keys."""
+    values, vectors = np.linalg.eigh(op.entries)
+    vectors = _loop_fix_phases(vectors)
+    tol = DEFAULT.cluster_rtol * max(1.0, float(np.abs(values).max(initial=0.0)))
+    for start, stop in cluster_bounds(values, tol):
+        if stop - start > 1:
+            keys = [_loop_first_significant(vectors[:, j]) for j in range(start, stop)]
+            order = np.argsort(keys, kind="stable") + start
+            vectors[:, start:stop] = vectors[:, order]
+    return values, vectors
+
+
+def _phase_case(rng, d, kind):
+    """A Hermitian matrix: random, with a degenerate spectrum, or diagonal with repeats."""
+    if kind == "random":
+        return random_hermitian(rng, d)
+    values = rng.integers(0, 3, size=d).astype(float)
+    if kind == "diagonal":
+        return np.diag(values).astype(complex)
+    u = random_unitary(rng, d)
+    return (u * values) @ u.conj().T
+
+
+class TestVectorizedPhases:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 48),
+        kind=st.sampled_from(["random", "degenerate", "diagonal"]),
+    )
+    def test_eigh_matches_per_column_loop(self, seed, d, kind):
+        op = DenseOperator(
+            SystemLayout((d,)), _phase_case(np.random.default_rng(seed), d, kind), hermitian=True
+        )
+        es = eigh(op)
+        values, vectors = _loop_eigh(op)
+        assert np.array_equal(es.values, values)
+        assert np.array_equal(es.vectors, vectors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 64), n=st.integers(1, 8))
+    def test_fix_phases_matches_loop_on_tiny_columns(self, seed, d, n):
+        # d >= 2, as in every layout: numpy rounds a one-element product by another loop
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))
+        vectors /= np.linalg.norm(vectors, axis=0)
+        vectors[:, 0] *= 1e-9  # no entry above PHASE_TOL: the largest one anchors
+        if n > 1:
+            vectors[:, 1] = 0.0  # no anchor at all: left as it is
+        if n > 2:
+            vectors[: d // 2, 2] *= 1e-10  # anchored past the tiny head
+        assert np.array_equal(_fix_phases(vectors), _loop_fix_phases(vectors))
+        assert np.array_equal(
+            _first_significant(vectors), [_loop_first_significant(c) for c in vectors.T]
+        )
+
+    def test_large_random_eigenbasis(self, rng):
+        h = random_hermitian(rng, 512)
+        op = DenseOperator(SystemLayout((512,)), h, hermitian=True)
+        values, vectors = _loop_eigh(op)
+        assert np.array_equal(eigh(op).vectors, vectors)
+
+
+class TestSubspaceDistanceFromBases:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 16), equal=st.booleans())
+    def test_agrees_with_dense_projector_difference(self, seed, d, equal):
+        rng = np.random.default_rng(seed)
+        w1 = int(rng.integers(1, d + 1))
+        w2 = w1 if equal else int(rng.integers(1, d + 1))
+        lay = SystemLayout((d,))
+        s1 = Subspace.from_basis(lay, random_unitary(rng, d)[:, :w1])
+        s2 = Subspace.from_basis(lay, random_unitary(rng, d)[:, :w2])
+        assert (s1.dim, s2.dim) == (w1, w2)
+        dense = np.linalg.norm(s1.projector.entries - s2.projector.entries, 2)
+        assert abs(subspace_distance(s1, s2) - dense) <= 1e-12
+
+    @pytest.mark.parametrize("digits", [[0], [1, 3], [0, 1, 2, 3]])
+    def test_identical_unit_vector_bases_read_zero(self, digits):
+        lay = SystemLayout((4,))
+        s = Subspace.from_basis(lay, np.stack([basis_vector(lay, {0: k}) for k in digits], axis=1))
+        assert subspace_distance(s, s) == 0.0
+
+    def test_different_ambient_dimensions_rejected(self):
+        s1 = Subspace.from_basis(SystemLayout((2,)), np.eye(2, 1))
+        s2 = Subspace.from_basis(SystemLayout((3,)), np.eye(3, 1))
+        with pytest.raises(ValueError, match="ambient"):
+            subspace_distance(s1, s2)

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from hamuniv.circuits import acceptance_gap, acceptance_operator
-from hamuniv.operators import DenseOperator, Subspace, SystemLayout, subspace_distance
+from hamuniv.operators import (
+    DenseOperator,
+    DimensionCapError,
+    Subspace,
+    SystemLayout,
+    hermitize,
+    subspace_distance,
+)
 from hamuniv.universality import (
     HASH_STATE,
     TargetHamiltonian,
@@ -291,3 +298,61 @@ class TestEndToEndTrivialTarget:
             assert diff <= 1e-8
         assert report.hmk.ok
         assert report.ok
+
+
+def _loop_rank_one_sum(fam, shift=0.0):
+    """The per-mu loops that build_hprime (shift 0) and wtilde_encodings (its frame shift) ran."""
+    d_w = fam.states.shape[0]
+    h = np.zeros((d_w, d_w), dtype=complex)
+    for mu in range(fam.states.shape[1]):
+        w = fam.states[:, mu]
+        h += (fam.energies[mu] - shift) * np.outer(w, w.conj())
+    return hermitize(h)
+
+
+class TestRankOneSums:
+    @pytest.mark.parametrize(
+        "matrix, a, m, tau",
+        [
+            (np.diag([0.0, 0.5]), 2.0, 2, np.pi),
+            (np.diag([0.25, 0.75]), 3.0, 2, np.pi),
+            (np.diag([0.0, 0.0]), 8.0, 1, None),
+            (random_hermitian(np.random.default_rng(7), 2), 4.0, 2, None),
+        ],
+    )
+    def test_hprime_and_wtilde_match_the_loops(self, matrix, a, m, tau):
+        target = TargetHamiltonian.from_matrix(matrix.astype(complex), (2,))
+        fam = witness_family(target, a, m, tau)
+        assert np.array_equal(build_hprime(target, fam).entries, _loop_rank_one_sum(fam))
+        report = wtilde_encodings(target, fam)
+        assert np.array_equal(
+            report.sim_report.h_prime, _loop_rank_one_sum(fam, report.frame_shift)
+        )
+
+
+class TestTargetCap:
+    @staticmethod
+    def capped_target(cap):
+        layout = SystemLayout((2,), dim_cap=cap)
+        return TargetHamiltonian.from_operator(
+            DenseOperator(layout, np.diag([0.0, 0.5]).astype(complex), hermitian=True)
+        )
+
+    def test_every_layout_carries_the_target_cap(self):
+        target = self.capped_target(1000)
+        fam = witness_family(target, 4.0, 2, tau=np.pi)
+        assert qpe_verifier(target, 4.0, 2, fam=fam).layout.dim_cap == 1000
+        assert build_hprime(target, fam).layout.dim_cap == 1000
+        assert wtilde_encodings(target, fam).sim_report.encoding.sim_layout.dim_cap == 1000
+
+    def test_layouts_past_the_cap_raise(self):
+        # the verifier layout has 648 states and the witness space 18
+        target = self.capped_target(16)
+        fam = witness_family(target, 4.0, 2, tau=np.pi)
+        for build in (
+            lambda: qpe_verifier(target, 4.0, 2, fam=fam),
+            lambda: build_hprime(target, fam),
+            lambda: wtilde_encodings(target, fam),
+        ):
+            with pytest.raises(DimensionCapError, match="exceeds cap 16"):
+                build()
