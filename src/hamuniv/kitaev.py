@@ -323,14 +323,16 @@ def _low_spectrum(
     """Lowest k eigenpairs (ascending); switches solver by dimension and storage.
 
     n < k is the number of lowest pairs the caller reads as a complete low
-    space. Dense matrices, and clock blocks up to _PARTIAL_EIGH_DIM made
-    dense, go to the dense eigensolver (subset eigh above it); a Hermitian
-    DenseOperator there reuses its cached spectrum. Clock blocks above it go
-    to shift-invert subspace iteration, which converges the n lowest pairs
-    and certifies their count with ClockBlocks.negative_count; a mismatch
-    raises SpectrumCertificateError. `start`, orthonormal columns near the
-    low space (a nearby operator's eigenvectors), seeds that iteration; the
-    dense solvers ignore it.
+    space. The callers ask for k = n + 1: the count certificate reads the
+    one value above the n, and nothing reads further. Dense matrices, and
+    clock blocks up to _PARTIAL_EIGH_DIM made dense, go to the dense
+    eigensolver (subset eigh above it); a Hermitian DenseOperator there
+    reuses its cached spectrum. Clock blocks above it go to shift-invert
+    subspace iteration, which converges the n lowest pairs and certifies
+    their count with ClockBlocks.negative_count; a mismatch raises
+    SpectrumCertificateError. `start`, orthonormal columns near the low
+    space (history states, or a nearby operator's eigenvectors), seeds that
+    iteration; the dense solvers ignore it.
     """
     if isinstance(h, ClockBlocks):
         if h.dim > _PARTIAL_EIGH_DIM:
@@ -354,18 +356,22 @@ def _shift_invert_spectrum(
 
     Factors H - sigma once, sigma just below h.floor, and iterates a block of
     k + _SI_OVERSAMPLE vectors, the columns of `start` first and fixed-seed
-    random ones after them. Each step solves Z = (H - sigma)^-1 Q and takes
-    the Ritz pairs of H in span(Z) through the Cholesky factor of Z's Gram
-    matrix (_cholesky_ritz). The first Z, solved from a (partly) random
-    start, is ill-conditioned, so Householder QR orthonormalizes it first.
-    The iteration stops when the residuals of the n lowest Ritz pairs fall
-    below 64 u |H|_inf and stop shrinking (the round-off floor). Ritz values
-    beyond n are upper bounds of the eigenvalues with their residuals; the n
-    lowest pairs carry the count certificate. A Cholesky breakdown, or a
-    returned block that is not orthonormal to 1e-12, raises
-    SpectrumCertificateError. The factor, the steps and the count run with
-    scipy's BLAS held to one thread (operators._serial_scipy_blas) and under
-    fixed malloc thresholds, the freed heap returned at the end (_steady_heap).
+    random ones after them. H - sigma is Hermitian positive definite, so
+    SuperLU orders its symmetric pattern by minimum degree and pivots on the
+    diagonal: Gaussian elimination on a positive definite matrix is stable
+    without row exchanges, and the factor is smaller. Each step solves
+    Z = (H - sigma)^-1 Q and takes the Ritz pairs of H in span(Z) through the
+    Cholesky factor of Z's Gram matrix (_cholesky_ritz). The first Z, solved
+    from a (partly) random start, is ill-conditioned, so Householder QR
+    orthonormalizes it first. The iteration stops when the residuals of the
+    n lowest Ritz pairs fall below 64 u |H|_inf and stop shrinking (the
+    round-off floor). Ritz values beyond n are upper bounds of the
+    eigenvalues with their residuals; the n lowest pairs carry the count
+    certificate. A Cholesky breakdown, or a returned block that is not
+    orthonormal to 1e-12, raises SpectrumCertificateError. The factor, the
+    steps and the count run with scipy's BLAS held to one thread
+    (operators._serial_scipy_blas) and under fixed malloc thresholds, the
+    freed heap returned at the end (_steady_heap).
     """
     # imported here: only this path needs it, and a module-level import
     # would lengthen every process's start-up
@@ -377,7 +383,13 @@ def _shift_invert_spectrum(
         k = min(k, d)
         m = min(k + _SI_OVERSAMPLE, d)
         sigma = h.floor - _SI_MARGIN * max(1.0, abs(h.floor))
-        lu = scipy.sparse.linalg.splu(a - sigma * scipy.sparse.identity(d, format="csc"))
+        # Hermitian positive definite: a symmetric ordering, diagonal pivots
+        lu = scipy.sparse.linalg.splu(
+            a - sigma * scipy.sparse.identity(d, format="csc"),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
         rng = np.random.default_rng(0)
         q = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
         warm = 0 if start is None else min(start.shape[1], m)
@@ -578,7 +590,9 @@ def check_hmk_lemma(
     unary = kh.rep is ClockRep.UNARY_FULL_SPACE
     if _low is None:
         clock = build_kitaev(circuit, kappa) if unary else kh
-        _low = _low_spectrum(clock.h_mk_operator(), w + 8, w, cfg)
+        # the history states span the kernel of H_0, H_MK at kappa = 0
+        history = _history_columns(circuit, np.eye(w, dtype=complex), ClockRep.CLOCK_SUBSPACE)
+        _low = _low_spectrum(clock.h_mk_operator(), w + 1, w, cfg, start=history)
     vals, vecs = _low.values, _low.vectors
 
     q_desc = np.sort(acc.eigen.values)[::-1]

@@ -7,6 +7,7 @@ serialize/parse cycle is lossless and byte-deterministic for identical inputs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from typing import Any
@@ -115,15 +116,28 @@ def operator_from_dict(
 def pairs_to_vector(pairs: list, path: str) -> np.ndarray:
     if not isinstance(pairs, list):
         raise InputFormatError(path, "expected a list of [re, im] pairs")
-    out = np.empty(len(pairs), dtype=complex)
-    for i, pair in enumerate(pairs):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise InputFormatError(f"{path}[{i}]", "expected a [re, im] pair")
-        # bool is no number here, and a JSON integer may exceed the float range
-        if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in pair):
-            raise InputFormatError(f"{path}[{i}]", f"[re, im] parts must be finite numbers: {pair}")
-        out[i] = complex(pair[0], pair[1])
-    return out
+    try:
+        parts = np.asarray(pairs, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        parts = None
+    # asarray also takes tuples, bools and numeric strings, and rounds an integer
+    # just beyond the float range to +-max; anything short of plain lists of
+    # ints and floats strictly inside the range goes to the per-pair rule
+    if not (
+        parts is not None
+        and parts.shape == (len(pairs), 2)
+        and set(map(type, pairs)) <= {list}
+        and set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}
+        and (np.abs(parts) < sys.float_info.max).all()
+    ):
+        for i, pair in enumerate(pairs):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise InputFormatError(f"{path}[{i}]", "expected a [re, im] pair")
+            # bool is no number here, and a JSON integer may exceed the float range
+            if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in pair):
+                raise InputFormatError(f"{path}[{i}]", f"[re, im] parts must be finite numbers: {pair}")
+    # each row's two floats are one complex number in memory: complex(re, im) bit for bit
+    return parts.reshape(len(pairs), 2).view(complex).reshape(-1)
 
 
 def circuit_to_dict(circuit: VerifierCircuit) -> dict:

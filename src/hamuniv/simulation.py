@@ -242,7 +242,7 @@ def verify_simulation(
 
     Preconditions: the number of h_prime eigenvalues at or below delta equals
     (p+q) * dim(h), and delta falls in a spectral gap (cluster-guarded).
-    The lowest (p+q) dim(h) + 8 pairs of h_prime come from _low_spectrum,
+    The lowest (p+q) dim(h) + 1 pairs of h_prime come from _low_spectrum,
     or from `_low` when the caller already solved for them.
 
     With L the w low vectors, V~ = L M where M = polar(L^dag V) is w x w:
@@ -260,7 +260,7 @@ def verify_simulation(
         raise ValueError(f"encoding target dimension {enc.target_dim} != dim(h) = {d_t}")
     if enc.sim_dim != hp_mat.shape[0]:
         raise ValueError("encoding simulator dimension does not match h_prime")
-    low = _low if _low is not None else _low_spectrum(h_prime, expected + 8, expected, cfg)
+    low = _low if _low is not None else _low_spectrum(h_prime, expected + 1, expected, cfg)
     vals = low.values
     k = int(np.searchsorted(vals, delta, side="right"))
     if k != expected:

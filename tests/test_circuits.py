@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamuniv.circuits import (
+    UNITARITY_TOL,
     Gate,
     VerifierCircuit,
     acceptance_gap,
@@ -35,6 +37,30 @@ class TestGate:
         lay = SystemLayout((2,))
         with pytest.raises(ValueError, match="unitary"):
             Gate.from_matrix(np.array([[1.0, 0.0], [1.0, 1.0]]), (0,), lay)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stretch=st.lists(st.floats(-3 * UNITARITY_TOL, 3 * UNITARITY_TOL), min_size=2, max_size=6),
+    )
+    def test_frobenius_first_decides_as_the_two_norm(self, seed, stretch):
+        # U^dag U - I is (nearly) diag(stretch): its 2-norm is max |stretch| and
+        # its Frobenius norm the root sum of squares, so both sides of the
+        # tolerance, and the band between the two norms, are drawn
+        d = len(stretch)
+        u = random_unitary(np.random.default_rng(seed), d) * np.sqrt(1.0 + np.array(stretch))
+        two_norm = np.linalg.norm(u.conj().T @ u - np.eye(d), 2)
+        if two_norm > UNITARITY_TOL:
+            with pytest.raises(ValueError, match="unitary"):
+                Gate.from_matrix(u, (0,), SystemLayout((d,)))
+        else:
+            Gate.from_matrix(u, (0,), SystemLayout((d,)))
+
+    def test_frobenius_excess_alone_is_no_rejection(self):
+        u = np.diag(np.sqrt(np.full(4, 1.0 + 0.8 * UNITARITY_TOL))).astype(complex)
+        defect = u.conj().T @ u - np.eye(4)
+        assert np.linalg.norm(defect) > UNITARITY_TOL >= np.linalg.norm(defect, 2)
+        Gate.from_matrix(u, (0,), SystemLayout((4,)))
 
     def test_rejects_duplicate_targets(self):
         lay = SystemLayout((2, 2))

@@ -13,11 +13,19 @@ import numpy as np
 import pytest
 import scipy
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 import hamuniv.kitaev as kitaev
 import hamuniv.operators as operators
-from hamuniv.circuits import Gate, VerifierCircuit, idle_prefix
+import hamuniv.universality as universality
+from hamuniv.circuits import (
+    Gate,
+    VerifierCircuit,
+    acceptance_gap,
+    acceptance_operator,
+    idle_prefix,
+)
 from hamuniv.config import DEFAULT
 from hamuniv.kitaev import (
     _PARTIAL_EIGH_DIM,
@@ -27,6 +35,8 @@ from hamuniv.kitaev import (
     _count_certificate,
     _low_spectrum,
     build_kitaev,
+    check_hmk_lemma,
+    default_kappa,
     kappa_limit,
 )
 from hamuniv.operators import (
@@ -143,17 +153,19 @@ class TestShiftInvertAgreesWithDense:
 class TestShiftInvertSteps:
     @pytest.mark.parametrize("a", [2.0, 32.0])
     def test_roadmap_solves_take_few_steps(self, a, caplog):
-        # the tight shift converges H_MK in at most six steps, and H_sim,
-        # started from H_MK's eigenvectors, in at most four
+        # the tight shift converges H_MK, started from the w_dim history
+        # states, in at most five steps, and H_sim, started from H_MK's
+        # eigenvectors, in at most four
         with caplog.at_level(logging.DEBUG, logger="hamuniv"):
-            end_to_end(ROADMAP_TARGET, a, 2, idle_steps=1, tau=np.pi)
+            report = end_to_end(ROADMAP_TARGET, a, 2, idle_steps=1, tau=np.pi)
         solves = [
             r.getMessage() for r in caplog.records if r.getMessage().startswith("shift-invert")
         ]
         steps = [int(re.search(r"steps=(\d+)", msg).group(1)) for msg in solves]
         warm = [int(re.search(r"warm=(\d+)", msg).group(1)) for msg in solves]
-        assert len(solves) == 2 and warm[0] == 0 and warm[1] > 0
-        assert steps[0] <= 6 and steps[1] <= 4
+        w_dim = len(report.hmk.rows)
+        assert len(solves) == 2 and warm[0] == w_dim and warm[1] > 0
+        assert steps[0] <= 5 and steps[1] <= 4
 
     def test_warm_start_is_bit_identical_and_exact(self, large_hmk):
         h, w, dense, vals, _ = large_hmk
@@ -204,6 +216,67 @@ class TestShiftInvertSteps:
         finally:
             tracemalloc.stop()
         assert peak < 4 * h.dim * (w + 8 + _SI_OVERSAMPLE) * 16
+
+
+def recorded_solves(monkeypatch) -> list:
+    """Route every _low_spectrum call through a wrapper that records (k, n, start, result)."""
+    calls = []
+
+    def record(h, k, n, config=None, start=None):
+        low = _low_spectrum(h, k, n, config, start)
+        calls.append((k, n, start, low))
+        return low
+
+    for module in (kitaev, universality):
+        monkeypatch.setattr(module, "_low_spectrum", record)
+    return calls
+
+
+class TestSolvesSizedToTheCertificate:
+    def test_history_started_hmk_matches_cold_solve(self, monkeypatch):
+        circuit = idle_prefix(qpe_verifier(ROADMAP_TARGET, 2.0, 2, tau=np.pi), 1)
+        gap = acceptance_gap(acceptance_operator(circuit), circuit.completeness).gap
+        kh = build_kitaev(circuit, default_kappa(gap, circuit.n_steps), ClockRep.CLOCK_SUBSPACE)
+        h, w = kh.h_mk_operator(), circuit.witness_dim
+        calls = recorded_solves(monkeypatch)
+        check_hmk_lemma(kh)
+        [(k, n, start, warm)] = calls
+        history = kitaev._history_columns(
+            circuit, np.eye(w, dtype=complex), ClockRep.CLOCK_SUBSPACE
+        )
+        assert (k, n) == (w + 1, w) and np.array_equal(start, history)
+        cold = _low_spectrum(h, w + 1, w)
+        norm = float(abs(h.sparse()).sum(axis=1).max())
+        assert np.abs(warm.values[:w] - cold.values[:w]).max() <= 1e-12 * norm
+        assert warm.certificate == (0.5 * float(warm.values[w - 1] + warm.values[w]), w)
+        assert cold.certificate[1] == w
+
+    def test_end_to_end_solves_return_one_value_above_the_count(self, monkeypatch):
+        calls = recorded_solves(monkeypatch)
+        for a in (2.0, 8.0, 32.0):
+            report = end_to_end(ROADMAP_TARGET, a, 2, idle_steps=1, tau=np.pi)
+            w = len(report.hmk.rows)
+            assert len(calls) == 2
+            for k, n, _, low in calls:
+                assert (k, n) == (w + 1, w)
+                assert len(low.values) == w + 1 and low.certificate[1] == w
+            calls.clear()
+
+    def test_hermitian_factor_is_smaller(self, roadmap_hmk, monkeypatch):
+        # the minimum-degree ordering of H - sigma's symmetric pattern with
+        # diagonal pivots: 27 412 L + U nonzeros, against 32 557 with the
+        # default column ordering and partial pivoting
+        h, w = roadmap_hmk
+        splu, factors = scipy.sparse.linalg.splu, []
+
+        def record(*args, **kwargs):
+            factors.append(splu(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
+        _low_spectrum(h, w + 1, w)
+        [lu] = factors
+        assert lu.L.nnz + lu.U.nnz < 30_000
 
 
 def test_small_clock_blocks_take_the_dense_path():

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamuniv.circuits import Gate, VerifierCircuit
 from hamuniv.cli import main
@@ -13,6 +15,7 @@ from hamuniv.serialize import (
     circuit_to_dict,
     operator_from_dict,
     operator_to_dict,
+    pairs_to_vector,
 )
 
 from conftest import cnot_verifier, random_hermitian, random_unitary
@@ -135,3 +138,91 @@ def test_integer_field_rejects_non_integral_number(tmp_path, capsys, command, ke
     parse(doc)
     inp.write_text(json.dumps(doc))
     assert main([command, "--input", str(inp), "--output", str(out)]) == 0
+
+
+def pairs_to_vector_loop(pairs, path: str) -> np.ndarray:
+    """The per-pair rule that pairs_to_vector vectorizes, kept as its reference."""
+    if not isinstance(pairs, list):
+        raise InputFormatError(path, "expected a list of [re, im] pairs")
+    out = np.empty(len(pairs), dtype=complex)
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise InputFormatError(f"{path}[{i}]", "expected a [re, im] pair")
+        if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in pair):
+            raise InputFormatError(f"{path}[{i}]", f"[re, im] parts must be finite numbers: {pair}")
+        out[i] = complex(pair[0], pair[1])
+    return out
+
+
+def _outcome(parse, pairs):
+    """('ok', the result's bytes) or ('error', path, message)."""
+    try:
+        return ("ok", parse(pairs, "input.v").tobytes())
+    except InputFormatError as exc:
+        return ("error", exc.path, exc.message)
+
+
+_BIG = int(sys.float_info.max)
+_PART = st.one_of(
+    st.floats(),
+    st.integers(-(2**64), 2**64),
+    st.sampled_from([_BIG, _BIG + 1, -_BIG - 1, 10**400, -(10**400), True, False, None, "1.5"]),
+    st.lists(st.floats(allow_nan=False), max_size=2),
+)
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers())
+_VALID_PAIR = st.lists(_NUMBER, min_size=2, max_size=2)
+_PAIR = st.one_of(
+    _VALID_PAIR,
+    st.lists(st.one_of(_NUMBER, _PART), min_size=2, max_size=2),
+    st.lists(_PART, min_size=0, max_size=3),
+    st.tuples(_NUMBER, _NUMBER),
+    st.tuples(_PART, _PART),
+    _PART,
+)
+
+
+@st.composite
+def _one_fault(draw):
+    """Valid pairs with one part, or one whole pair, redrawn from the faulty kinds."""
+    pairs = draw(st.lists(_VALID_PAIR, min_size=1, max_size=6))
+    i = draw(st.integers(0, len(pairs) - 1))
+    if draw(st.booleans()):
+        pairs[i][draw(st.integers(0, 1))] = draw(_PART)
+    else:
+        pairs[i] = draw(_PAIR)
+    return pairs
+
+
+class TestPairsToVector:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.one_of(
+            st.lists(_VALID_PAIR, max_size=6),
+            _one_fault(),
+            st.lists(st.one_of(_VALID_PAIR, _PAIR), max_size=6),
+        )
+    )
+    def test_matches_the_per_pair_rule(self, pairs):
+        assert _outcome(pairs_to_vector, pairs) == _outcome(pairs_to_vector_loop, pairs)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            {"re": 1.0},
+            [[1.0, 0.0], [1.0]],
+            [[1.0, 0.0], (1.0, 0.0)],
+            [[1.0, 0.0], [True, 0.0]],
+            [[1.0, 0.0], [0.0, float("inf")]],
+            [[1.0, 0.0], [10**400, 0]],
+            [[1.0, 0.0], [[1.0], 0.0], [True, 0.0]],
+            [[1.0, 0.0], [0.0, _BIG + 1]],
+            [[_BIG, -_BIG], [-0.0, 2**60 + 1]],
+            [],
+        ],
+        ids=[
+            "non-list", "wrong-length", "tuple", "bool", "inf", "huge-int", "nested",
+            "int-past-float-max", "float-max", "empty",
+        ],
+    )
+    def test_named_cases_match_the_per_pair_rule(self, pairs):
+        assert _outcome(pairs_to_vector, pairs) == _outcome(pairs_to_vector_loop, pairs)
