@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .config import Config
 from .operators import (
@@ -34,9 +35,12 @@ class Gate:
         if len(set(targets)) != len(targets):
             raise ValueError(f"gate {self.label!r}: duplicate target sites {targets}")
         u = self.unitary.entries
-        defect = u.conj().T @ u - np.eye(u.shape[0])
-        # the Frobenius norm bounds the 2-norm from above: the SVD runs only when it fails
-        if np.linalg.norm(defect) > UNITARITY_TOL and np.linalg.norm(defect, 2) > UNITARITY_TOL:
+        s = scipy.sparse.csr_matrix(u)
+        # the Frobenius norm of U^dag U - I, formed sparse, bounds its 2-norm from
+        # above: the dense product and its SVD run only when it fails
+        if np.linalg.norm((s.conj().T @ s - scipy.sparse.identity(len(u))).data) > UNITARITY_TOL and (
+            np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2) > UNITARITY_TOL
+        ):
             raise ValueError(f"gate {self.label!r} is not unitary to {UNITARITY_TOL}")
 
     @classmethod

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,29 +97,8 @@ def _rotation_summary(report) -> dict:
 
 
 def _hmk_dict(report) -> dict:
-    return {
-        "kappa": report.kappa,
-        "t_steps": report.t_steps,
-        "acceptance_gap": report.acceptance_gap,
-        "deviation_bound": report.deviation_bound,
-        "projector_distance": report.projector_distance,
-        "projector_bound": report.projector_bound,
-        "gap_above_low_space": report.gap_above_low_space,
-        "low_space_dim": report.low_space_dim,
-        "rows": [
-            {
-                "q_eigenvalue": r.q_eigenvalue,
-                "predicted": r.predicted,
-                "matched": r.matched,
-                "deviation": r.deviation,
-                "within_bound": r.within_bound,
-            }
-            for r in report.rows
-        ],
-        "deviations_ok": report.deviations_ok,
-        "projector_ok": report.projector_ok,
-        "pass": report.ok,
-    }
+    # the report's keys are HmkReport's and HmkRow's field names (docs/schemas.md)
+    return {**asdict(report), "pass": report.ok}
 
 
 def _cmd_spectrum(run: RunConfig, obj: dict) -> tuple[dict | None, bool]:
@@ -172,15 +151,8 @@ def _cmd_hmk_check(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     all_ok = report.ok
     if idle_steps is not None:
         idling = check_idling_faithfulness(circuit, idle_steps, kappa, rep=rep, config=run.config)
-        out["idling"] = {
-            "idle_steps": idling.idle_steps,
-            "t_steps": idling.t_steps,
-            "accepting_dim": idling.accepting_dim,
-            "measured_distance": idling.measured_distance,
-            "measured_squared": idling.measured_squared,
-            "bound": idling.bound,
-            "pass": idling.ok,
-        }
+        out["idling"] = asdict(idling)
+        out["idling"]["pass"] = out["idling"].pop("ok")
         out["pass"] = bool(out["pass"] and idling.ok)
         all_ok = all_ok and idling.ok
     return out, all_ok

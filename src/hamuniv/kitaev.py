@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -94,19 +95,18 @@ def _kitaev_layout(circuit: VerifierCircuit, rep: ClockRep) -> SystemLayout:
 
 @dataclass(frozen=True)
 class KitaevHamiltonian:
-    """Components of the modified clock Hamiltonian for one verifier circuit.
+    """The modified clock Hamiltonian of one verifier circuit, kept as its recipe.
 
-    `parts` holds (H_in, H_prop, H_out, H_clock) as ClockBlocks in the clock
-    subspace and as sparse CSR matrices in the unary representation. Each gate
-    enters through its sparse embedding and the pin and reject penalties as
-    diagonals without stored zeros, so no dense c_dim x c_dim array is formed.
-    The h_* properties, h0() and h_mk() materialize dense operators on demand.
+    `parts`, assembled on first read and then kept, holds (H_in, H_prop,
+    H_out, H_clock) as ClockBlocks in the clock subspace and as sparse CSR
+    matrices in the unary representation. Each gate enters through its sparse
+    embedding and the pin and reject penalties as diagonals without stored
+    zeros, so no dense c_dim x c_dim array is formed. The h_* properties,
+    h0() and h_mk() materialize dense operators on demand.
     """
 
-    parts: tuple
-    kappa: float
-    t_steps: int
     circuit: VerifierCircuit
+    kappa: float
     rep: ClockRep
     layout: SystemLayout
 
@@ -114,6 +114,75 @@ class KitaevHamiltonian:
     h_prop = property(lambda self: self._dense(self.parts[1]))
     h_out = property(lambda self: self._dense(self.parts[2]))
     h_clock = property(lambda self: self._dense(self.parts[3]))
+    t_steps = property(lambda self: self.circuit.n_steps)
+
+    @cached_property
+    def parts(self) -> tuple:
+        circuit, rep, layout, t_steps = self.circuit, self.rep, self.layout, self.t_steps
+        c_dim = circuit.layout.total_dim
+        # diagonal penalties, stored without zeros: at t = 0 one unit for each of the
+        # flag qubit and ancillas off |0>, at t = T one for an output qubit off |1>
+        digits = circuit.layout.digit_table()
+        pin_count = (digits[list(circuit.ancilla_sites)] != 0).sum(axis=0)
+        pin = scipy.sparse.diags(pin_count.astype(complex), format="csr")
+        reject = scipy.sparse.diags((digits[circuit.output_site] != 1).astype(complex), format="csr")
+        embedded = [sparse_embed(g.unitary, g.targets, circuit.layout) for g in circuit.gates]
+
+        eye_c = scipy.sparse.identity(c_dim, dtype=complex, format="csr")
+        if rep is ClockRep.CLOCK_SUBSPACE:
+            zero = scipy.sparse.csr_matrix((c_dim, c_dim), dtype=complex)
+
+            def blocks(diag: dict[int, object], lower: list | None = None) -> ClockBlocks:
+                # every term is positive semidefinite: floor 0
+                return ClockBlocks(
+                    layout,
+                    tuple(diag.get(t, zero) for t in range(t_steps + 1)),
+                    tuple(lower) if lower is not None else (zero,) * t_steps,
+                    0.0,
+                )
+
+            h_in = blocks({0: pin})
+            h_out = blocks({t_steps: reject})
+            for u in embedded:  # -U_t/2 as 0.0 - 0.5 U_t, not -0.5 U_t: every zero part is +0.0
+                u.data = 0.0 - 0.5 * u.data
+            # H_prop: 1/2 on each end of every step, -U_t/2 from time t-1 to t
+            h_prop = blocks(
+                {t: (0.5 * ((t > 0) + (t < t_steps))) * eye_c for t in range(t_steps + 1)}, embedded
+            )
+            h_clock = blocks({})
+        else:
+            eye2 = np.eye(2, dtype=complex)
+            proj0 = np.diag([1.0, 0.0]).astype(complex)
+            proj1 = np.diag([0.0, 1.0]).astype(complex)
+            flip01 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
+
+            def term(clock: dict[int, np.ndarray], circ) -> scipy.sparse.csr_matrix:
+                # clock (x) circ with the clock the slow factor; clock maps a clock
+                # qubit k (1-based, at digit k-1) to a 2x2 matrix, identity elsewhere
+                lo, hi = min(clock), max(clock)
+                local = np.ones((1, 1), dtype=complex)
+                for k in range(hi, lo - 1, -1):
+                    local = np.kron(local, clock.get(k, eye2))
+                factor = scipy.sparse.kron(scipy.sparse.identity(2 ** (t_steps - hi)), local)
+                factor = scipy.sparse.kron(factor, scipy.sparse.identity(2 ** (lo - 1)))
+                return scipy.sparse.kron(factor, circ, format="csr")
+
+            h_in = term({1: proj0}, pin)
+            h_out = term({t_steps: proj1}, reject)
+            h_clock = scipy.sparse.csr_matrix((layout.total_dim,) * 2, dtype=complex)
+            for t in range(1, t_steps):
+                h_clock += term({t: proj0, t + 1: proj1}, eye_c)
+            h_prop = scipy.sparse.csr_matrix((layout.total_dim,) * 2, dtype=complex)
+            for t in range(1, t_steps + 1):
+                # qubit t-1 is 1 and qubit t+1 is 0 around step t; the endpoints drop one
+                window = ({t - 1: proj1} if t > 1 else {}) | ({t + 1: proj0} if t < t_steps else {})
+                fwd = term(window | {t: flip01}, embedded[t - 1])
+                stay = term(window | {t: proj0}, eye_c) + term(window | {t: proj1}, eye_c)
+                h_prop += 0.5 * (stay - fwd - fwd.conj().T)
+
+        # every component is an elementwise-Hermitian combination of Hermitian
+        # blocks and adjoint pairs, so no symmetrization pass is needed
+        return h_in, h_prop, h_out, h_clock
 
     def _dense(self, m: ClockBlocks | scipy.sparse.csr_matrix) -> DenseOperator:
         entries = m.dense() if isinstance(m, ClockBlocks) else m.toarray()
@@ -140,82 +209,11 @@ def build_kitaev(
     kappa: float,
     rep: ClockRep = ClockRep.CLOCK_SUBSPACE,
 ) -> KitaevHamiltonian:
+    """Check kappa and lay out the clock (so a cap fails before any allocation); no assembly."""
     t_steps = circuit.n_steps
     if not 0 < kappa < kappa_limit(t_steps):
         raise ValueError(f"kappa {kappa} outside (0, 1/(2 T^3)) = (0, {kappa_limit(t_steps)})")
-    layout = _kitaev_layout(circuit, rep)
-    c_dim = circuit.layout.total_dim
-
-    # diagonal penalties, stored without zeros: at t = 0 one unit for each of the
-    # flag qubit and ancillas off |0>, at t = T one for an output qubit off |1>
-    digits = circuit.layout.digit_table()
-    pin_count = (digits[list(circuit.ancilla_sites)] != 0).sum(axis=0)
-    pin = scipy.sparse.diags(pin_count.astype(complex), format="csr")
-    reject = scipy.sparse.diags((digits[circuit.output_site] != 1).astype(complex), format="csr")
-    embedded = [sparse_embed(g.unitary, g.targets, circuit.layout) for g in circuit.gates]
-
-    eye_c = scipy.sparse.identity(c_dim, dtype=complex, format="csr")
-    if rep is ClockRep.CLOCK_SUBSPACE:
-        zero = scipy.sparse.csr_matrix((c_dim, c_dim), dtype=complex)
-
-        def blocks(diag: dict[int, object], lower: list | None = None) -> ClockBlocks:
-            # every term is positive semidefinite: floor 0
-            return ClockBlocks(
-                layout,
-                tuple(diag.get(t, zero) for t in range(t_steps + 1)),
-                tuple(lower) if lower is not None else (zero,) * t_steps,
-                0.0,
-            )
-
-        h_in = blocks({0: pin})
-        h_out = blocks({t_steps: reject})
-        for u in embedded:  # -U_t/2 as 0.0 - 0.5 U_t, not -0.5 U_t: every zero part is +0.0
-            u.data = 0.0 - 0.5 * u.data
-        # H_prop: 1/2 on each end of every step, -U_t/2 from time t-1 to t
-        h_prop = blocks(
-            {t: (0.5 * ((t > 0) + (t < t_steps))) * eye_c for t in range(t_steps + 1)}, embedded
-        )
-        h_clock = blocks({})
-    else:
-        eye2 = np.eye(2, dtype=complex)
-        proj0 = np.diag([1.0, 0.0]).astype(complex)
-        proj1 = np.diag([0.0, 1.0]).astype(complex)
-        flip01 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
-
-        def term(clock: dict[int, np.ndarray], circ) -> scipy.sparse.csr_matrix:
-            # clock (x) circ with the clock the slow factor; clock maps a clock
-            # qubit k (1-based, at digit k-1) to a 2x2 matrix, identity elsewhere
-            lo, hi = min(clock), max(clock)
-            local = np.ones((1, 1), dtype=complex)
-            for k in range(hi, lo - 1, -1):
-                local = np.kron(local, clock.get(k, eye2))
-            factor = scipy.sparse.kron(scipy.sparse.identity(2 ** (t_steps - hi)), local)
-            factor = scipy.sparse.kron(factor, scipy.sparse.identity(2 ** (lo - 1)))
-            return scipy.sparse.kron(factor, circ, format="csr")
-
-        h_in = term({1: proj0}, pin)
-        h_out = term({t_steps: proj1}, reject)
-        h_clock = scipy.sparse.csr_matrix((layout.total_dim,) * 2, dtype=complex)
-        for t in range(1, t_steps):
-            h_clock += term({t: proj0, t + 1: proj1}, eye_c)
-        h_prop = scipy.sparse.csr_matrix((layout.total_dim,) * 2, dtype=complex)
-        for t in range(1, t_steps + 1):
-            # qubit t-1 is 1 and qubit t+1 is 0 around step t; the endpoints drop one
-            window = ({t - 1: proj1} if t > 1 else {}) | ({t + 1: proj0} if t < t_steps else {})
-            fwd = term(window | {t: flip01}, embedded[t - 1])
-            stay = term(window | {t: proj0}, eye_c) + term(window | {t: proj1}, eye_c)
-            h_prop += 0.5 * (stay - fwd - fwd.conj().T)
-
-    # every component is an elementwise-Hermitian combination of Hermitian
-    # blocks and adjoint pairs, so no symmetrization pass is needed
-    return KitaevHamiltonian(
-        parts=(h_in, h_prop, h_out, h_clock),
-        kappa=kappa,
-        t_steps=t_steps,
-        circuit=circuit,
-        rep=rep,
-        layout=layout,
-    )
+    return KitaevHamiltonian(circuit, kappa, rep, _kitaev_layout(circuit, rep))
 
 
 @dataclass(frozen=True)

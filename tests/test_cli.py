@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from hamuniv import cli
+from hamuniv.circuits import idle_prefix
 from hamuniv.cli import main, validate_input
 from hamuniv.operators import DenseOperator, SystemLayout
 from hamuniv.serialize import canonical_json, circuit_to_dict, operator_to_dict
 
-from conftest import cnot_verifier, random_hermitian
+from conftest import cnot_verifier, random_hermitian, random_verifier
 
 
 def write_json(path, obj):
@@ -100,6 +102,46 @@ class TestHmkCheck:
         report = json.loads(out.read_text())
         assert report["idling"]["pass"] is True
         assert report["idling"]["measured_squared"] <= report["idling"]["bound"] + 1e-9
+
+    def test_unary_report_assembles_no_unary_component(self, tmp_path, monkeypatch):
+        built, build = [], cli.build_kitaev
+
+        def spy(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_kitaev", spy)
+        doc = {"circuit": circuit_to_dict(idle_prefix(cnot_verifier(), 2)), "idle_steps": 2,
+               "rep": "unary-full-space"}
+        out = tmp_path / "hmk.json"
+        assert main(["hmk-check", "--input", write_json(tmp_path / "c.json", doc),
+                     "--output", str(out)]) == 0
+        assert [kh.rep.value for kh in built] == ["unary-full-space"]
+        assert "parts" not in vars(built[0])
+
+    def test_cap_below_the_unary_dimension_exits_before_assembly(self, tmp_path, capsys):
+        # 4 circuit states and T = 3: the clock subspace has 16 states, the unary clock 32
+        circuit = circuit_to_dict(idle_prefix(cnot_verifier(), 2))
+        for rep, code in (("clock-subspace", 0), ("unary-full-space", 2)):
+            inp = write_json(tmp_path / "c.json", {"circuit": circuit, "rep": rep})
+            out = tmp_path / f"{rep}.json"
+            assert main(["hmk-check", "--input", inp, "--output", str(out), "--cap", "20"]) == code
+            assert out.exists() == (code == 0)
+        assert "exceeds cap 20" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rep", ["clock-subspace", "unary-full-space"])
+    def test_verifier_accepting_no_witness_certifies_an_empty_space(self, tmp_path, rep):
+        # every acceptance eigenvalue lies below completeness: H_MK has no value
+        # below the threshold, and the idling block compares two empty spaces
+        circuit = idle_prefix(random_verifier(np.random.default_rng(1), 3, 2), 2)
+        doc = {"circuit": circuit_to_dict(circuit), "idle_steps": 2, "rep": rep}
+        out = tmp_path / "hmk.json"
+        assert main(["hmk-check", "--input", write_json(tmp_path / "c.json", doc),
+                     "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["low_space_dim"] == 0
+        assert report["idling"]["accepting_dim"] == 0
+        assert len(report["rows"]) == 4
 
     def test_non_integral_idle_steps_rejected(self, tmp_path, capsys):
         inp = write_json(

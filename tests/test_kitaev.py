@@ -128,6 +128,7 @@ class TestBuildKitaev:
         tracemalloc.start()
         try:
             kh = build_kitaev(circuit, 0.5 * kappa_limit(8), ClockRep.UNARY_FULL_SPACE)
+            kh.parts  # the assembly runs on this first read
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -141,6 +142,7 @@ class TestBuildKitaev:
         tracemalloc.start()
         try:
             kh = build_kitaev(circuit, 0.5 * kappa_limit(4))
+            kh.parts  # the assembly runs on this first read
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -151,6 +153,19 @@ class TestBuildKitaev:
                 # sparse, and no stored zeros: the sparse LU orders by the stored pattern
                 assert scipy.sparse.issparse(block) and np.all(block.data != 0)
         assert peak < c_dim * c_dim * 16 / 8
+
+    @pytest.mark.parametrize("rep", BOTH_REPS)
+    def test_parts_assembled_once_on_first_read(self, rep):
+        kh = build_kitaev(cnot_verifier(), 0.01, rep)
+        assert "parts" not in vars(kh)
+        assert kh.parts is kh.parts
+
+    def test_unary_lemma_check_leaves_the_unary_parts_unassembled(self):
+        # the report reads the clock-subspace H_MK, so nothing reads the unary one
+        circuit = idle_prefix(cnot_verifier(), 2)
+        kh = build_kitaev(circuit, hmk_kappa(circuit), ClockRep.UNARY_FULL_SPACE)
+        assert check_hmk_lemma(kh).ok
+        assert "parts" not in vars(kh)
 
     @pytest.mark.parametrize("trailing_idles", [0, 2])
     def test_unary_parts_match_kron_reference(self, trailing_idles):
