@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .config import Config
 from .operators import (
@@ -19,6 +18,29 @@ from .operators import (
 
 UNITARITY_TOL = 1e-10
 ACCEPT_TOL = 1e-9  # an acceptance eigenvalue within this of completeness accepts
+
+
+def _unitarity_defect(u: np.ndarray) -> float:
+    """|U^dag U - I|_F of a square U. Entry (j, k) of U^dag U sums conj(U[i, j]) U[i, k]
+    over the rows i, one term per pair of nonzeros in a row; where those terms outnumber
+    the n^2 entries of U^dag U, the dense product is formed instead, in as much memory."""
+    n = len(u)
+    # row-major nonzero entries: the halved flat indices of nonzero float parts
+    flat = np.flatnonzero(np.ascontiguousarray(u).view(float) != 0) >> 1
+    rows, cols = np.divmod(np.unique(flat), n)
+    width = np.bincount(rows, minlength=n)[rows]  # the nonzeros in each one's row
+    if width.sum() > n * n:
+        return float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
+    left = np.repeat(np.arange(rows.size), width)  # each nonzero once per partner in its row
+    first = np.searchsorted(rows, rows) - np.cumsum(width) + width  # row start, less group start
+    right = np.repeat(first, width) + np.arange(left.size)
+    keys, slot = np.unique(cols[left] * n + cols[right], return_inverse=True)
+    terms = u[rows[left], cols[left]].conj() * u[rows[right], cols[right]]
+    gram = np.bincount(slot, terms.real) + 1j * np.bincount(slot, terms.imag)
+    on_diagonal = keys % (n + 1) == 0  # key j n + j
+    gram[on_diagonal] -= 1.0
+    # a diagonal entry of U^dag U without terms is 0, one away from the identity's
+    return float(np.sqrt(np.vdot(gram, gram).real + (n - np.count_nonzero(on_diagonal))))
 
 
 @dataclass(frozen=True)
@@ -35,10 +57,9 @@ class Gate:
         if len(set(targets)) != len(targets):
             raise ValueError(f"gate {self.label!r}: duplicate target sites {targets}")
         u = self.unitary.entries
-        s = scipy.sparse.csr_matrix(u)
-        # the Frobenius norm of U^dag U - I, formed sparse, bounds its 2-norm from
-        # above: the dense product and its SVD run only when it fails
-        if np.linalg.norm((s.conj().T @ s - scipy.sparse.identity(len(u))).data) > UNITARITY_TOL and (
+        # the Frobenius norm of U^dag U - I bounds its 2-norm from above: the
+        # dense product and its SVD run only when it fails
+        if _unitarity_defect(u) > UNITARITY_TOL and (
             np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2) > UNITARITY_TOL
         ):
             raise ValueError(f"gate {self.label!r} is not unitary to {UNITARITY_TOL}")

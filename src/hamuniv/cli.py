@@ -136,21 +136,21 @@ def _cmd_hmk_check(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     idle_steps = None
     if "idle_steps" in obj:
         idle_steps = serialize._integer(obj["idle_steps"], "input.idle_steps")
+    acc = acceptance_operator(circuit, run.config)
     if "kappa" in obj:
         kappa = float(obj["kappa"])
     else:
-        acc = acceptance_operator(circuit, run.config)
         gap_info = acceptance_gap(acc, circuit.completeness)
         if not gap_info.gapped:
             raise InputFormatError("circuit", "acceptance operator is ungapped; provide kappa")
         kappa = default_kappa(gap_info.gap, circuit.n_steps)
     kh = build_kitaev(circuit, kappa, rep)
-    report = check_hmk_lemma(kh, run.config)
+    report = check_hmk_lemma(kh, run.config, _acc=acc)
     out = _hmk_dict(report)
     out["rep"] = rep.value
     all_ok = report.ok
     if idle_steps is not None:
-        idling = check_idling_faithfulness(circuit, idle_steps, kappa, rep=rep, config=run.config)
+        idling = check_idling_faithfulness(circuit, idle_steps, kappa, rep, run.config, _acc=acc)
         out["idling"] = asdict(idling)
         out["idling"]["pass"] = out["idling"].pop("ok")
         out["pass"] = bool(out["pass"] and idling.ok)

@@ -42,7 +42,9 @@ from .operators import (
     SpectrumCertificateError,
     Subspace,
     SystemLayout,
+    _cluster_tol,
     _full_eigh,
+    _hermitian_splu,
     _principal_residual,
     _serial_scipy_blas,
     _steady_heap,
@@ -352,47 +354,37 @@ def _shift_invert_spectrum(
 ) -> LowSpectrum:
     """Block shift-invert subspace iteration with a Rayleigh-Ritz step per iteration.
 
-    Factors H - sigma once, sigma just below h.floor, and iterates a block of
-    k + _SI_OVERSAMPLE vectors, the columns of `start` first and fixed-seed
-    random ones after them. H - sigma is Hermitian positive definite, so
-    SuperLU orders its symmetric pattern by minimum degree and pivots on the
-    diagonal: Gaussian elimination on a positive definite matrix is stable
-    without row exchanges, and the factor is smaller. Each step solves
+    Factors H - sigma once (_hermitian_splu; positive definite, so diagonal
+    pivots are stable), sigma just below h.floor, and iterates a block of
+    k + _SI_OVERSAMPLE vectors: the columns of `start`, then fixed-seed random
+    ones drawn only for the columns it leaves free. Each step solves
     Z = (H - sigma)^-1 Q and takes the Ritz pairs of H in span(Z) through the
-    Cholesky factor of Z's Gram matrix (_cholesky_ritz). The first Z, solved
-    from a (partly) random start, is ill-conditioned, so Householder QR
-    orthonormalizes it first. The iteration stops when the residuals of the
-    n lowest Ritz pairs fall below 64 u |H|_inf and stop shrinking (the
+    Cholesky factor of Z's Gram matrix (_cholesky_ritz); the first Z, from a
+    (partly) random start, is ill-conditioned, so scipy's economic Householder
+    QR orthonormalizes it first. The iteration stops when the residuals of
+    the n lowest Ritz pairs fall below 64 u |H|_inf and stop shrinking (the
     round-off floor). Ritz values beyond n are upper bounds of the
     eigenvalues with their residuals; the n lowest pairs carry the count
-    certificate. A Cholesky breakdown, or a returned block that is not
-    orthonormal to 1e-12, raises SpectrumCertificateError. The factor, the
-    steps and the count run with scipy's BLAS held to one thread
-    (operators._serial_scipy_blas) and under fixed malloc thresholds, the
-    freed heap returned at the end (_steady_heap).
+    certificate, made after the block and the factor are freed. A Cholesky
+    breakdown, or a returned block that is not orthonormal to 1e-12, raises
+    SpectrumCertificateError. Everything runs with scipy's BLAS and LAPACK
+    held to one thread (operators._serial_scipy_blas) and under fixed malloc
+    thresholds, the freed heap returned at the end (_steady_heap).
     """
-    # imported here: only this path needs it, and a module-level import
-    # would lengthen every process's start-up
-    import scipy.sparse.linalg
-
     with _serial_scipy_blas() as threads, _steady_heap():
-        a = h.sparse()
+        a = h._csc
         d = h.dim
         k = min(k, d)
         m = min(k + _SI_OVERSAMPLE, d)
         sigma = h.floor - _SI_MARGIN * max(1.0, abs(h.floor))
-        # Hermitian positive definite: a symmetric ordering, diagonal pivots
-        lu = scipy.sparse.linalg.splu(
-            a - sigma * scipy.sparse.identity(d, format="csc"),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-        rng = np.random.default_rng(0)
-        q = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+        lu = _hermitian_splu(a - sigma * scipy.sparse.identity(d, format="csc"))
         warm = 0 if start is None else min(start.shape[1], m)
+        free = (d, m - warm)
+        rng = np.random.default_rng(0)
+        q = np.empty((d, m), dtype=complex)
         if warm:
             q[:, :warm] = start[:, :warm]
+        q[:, warm:] = rng.standard_normal(free) + 1j * rng.standard_normal(free)
         tol = 64 * np.finfo(float).eps * float(abs(a).sum(axis=1).max())
         previous = np.inf
         for steps in range(1, _SI_MAX_ITER + 1):
@@ -401,7 +393,7 @@ def _shift_invert_spectrum(
             z = lu.solve(q)
             del q
             if steps == 1:
-                z = np.linalg.qr(z)[0]
+                z = scipy.linalg.qr(z, mode="economic", overwrite_a=True, check_finite=False)[0]
             zc = np.array(z, order="C")
             hz = a @ zc
             np.conjugate(zc, out=zc)
@@ -430,9 +422,9 @@ def _shift_invert_spectrum(
             raise SpectrumCertificateError(
                 f"shift-invert block lost orthonormality: max |Q^H Q - I| = {drift:.3e}"
             )
-        # a compact copy: the block and its scratch are freed before the count runs
+        # a compact copy: the block, its scratch and the factor are freed before the count runs
         low = LowSpectrum(vals[:k], q[:, :k].copy(), residuals[:k])
-        del q, hz
+        del q, hz, lu
         low = replace(low, certificate=_count_certificate(h, low, n, cfg))
     _log.debug(
         "shift-invert D=%d block=%d warm=%d steps=%d sigma=%.6g max residual of %d pairs "
@@ -471,17 +463,21 @@ def _count_certificate(
     Raises ClusterSplitError when those two values are not separated by more
     than the cluster tolerance plus the n-th residual, and
     SpectrumCertificateError when the inertia count below mu differs from n,
-    i.e. the solver missed or invented a pair.
+    i.e. the solver missed or invented a pair, or when the count's factor has
+    a backward error not below that tolerance: the count is exact only for a
+    Hermitian matrix that close to H - mu.
     """
     vals = low.values
     if not 0 < n < len(vals):
         raise ValueError(f"certified count {n} needs 1 <= n < {len(vals)} returned values")
     guard_cut(vals, n, cfg, slack=float(low.residuals[n - 1]))
     mu = 0.5 * float(vals[n - 1] + vals[n])
-    count = h.negative_count(mu)
-    if count != n:
+    tol = _cluster_tol(vals, cfg)
+    count, error = h._inertia(mu, tol)
+    if count != n or not error < tol:
         raise SpectrumCertificateError(
-            f"{count} eigenvalues lie below {mu}, the eigensolver returned {n}"
+            f"{count} eigenvalues lie below {mu} to within the count's backward error "
+            f"{error:.3e} (cluster tolerance {tol:.3e}), the eigensolver returned {n}"
         )
     return mu, count
 
@@ -541,14 +537,15 @@ class HmkReport:
 
 
 def _lemma_hypothesis(
-    circuit: VerifierCircuit, kappa: float, cfg: Config
+    circuit: VerifierCircuit, kappa: float, cfg: Config, acc: AcceptanceOperator | None = None
 ) -> tuple[AcceptanceOperator, float, np.ndarray]:
     """(Q, g, accepting eigenvectors) once the acceptance gap g exceeds 2 T^3 (T+1) kappa.
 
-    No eigenvalue below completeness means the hypothesis holds vacuously, with g = inf.
+    `acc` is the circuit's Q when the caller has built it. No eigenvalue below
+    completeness means the hypothesis holds vacuously, with g = inf.
     """
     t = circuit.n_steps
-    acc = acceptance_operator(circuit, cfg)
+    acc = acc if acc is not None else acceptance_operator(circuit, cfg)
     gap_info = acceptance_gap(acc, circuit.completeness)
     g = gap_info.gap if gap_info.gapped else float("inf")
     hypothesis = 2.0 * t**3 * (t + 1) * kappa
@@ -563,6 +560,7 @@ def check_hmk_lemma(
     kh: KitaevHamiltonian,
     config: Config | None = None,
     _low: LowSpectrum | None = None,
+    _acc: AcceptanceOperator | None = None,
 ) -> HmkReport:
     """Compare H_MK's low spectrum and low subspace with the first-order predictions.
 
@@ -576,13 +574,14 @@ def check_hmk_lemma(
     when the caller has them). The unary H_MK is block diagonal: the legal
     clock strings carry the clock-subspace H_MK, and on the illegal ones
     H_clock >= 1 and the other terms are PSD. So the spectra agree below 1,
-    and a read value at or above 1 raises SpectrumCertificateError.
+    and a read value at or above 1 raises SpectrumCertificateError. `_acc`
+    is the circuit's acceptance operator, when the caller has built it.
     """
     cfg = config or DEFAULT
     circuit = kh.circuit
     t = kh.t_steps
     kappa = kh.kappa
-    acc, g, phis = _lemma_hypothesis(circuit, kappa, cfg)
+    acc, g, phis = _lemma_hypothesis(circuit, kappa, cfg, _acc)
 
     w = circuit.witness_dim
     unary = kh.rep is ClockRep.UNARY_FULL_SPACE
@@ -656,16 +655,18 @@ def check_idling_faithfulness(
     kappa: float,
     rep: ClockRep = ClockRep.CLOCK_SUBSPACE,
     config: Config | None = None,
+    _acc: AcceptanceOperator | None = None,
 ) -> IdlingReport:
     """Check |P_C0 - P_E(L)|^2 <= 2 (1 - sqrt(L / T')) on an idled circuit.
 
     `circuit` is the already-idled circuit of length T'; its first
     `idle_steps` gates must be identities. The idling encoding maps each
     accepting eigenvector phi to |phi, 0> (x) uniform clock over times 0..L.
+    `_acc` is the circuit's acceptance operator, when the caller has built it.
     """
     _check_idle_window(circuit, idle_steps)
     t_prime = circuit.n_steps
-    _, _, phis = _lemma_hypothesis(circuit, kappa, config or DEFAULT)
+    _, _, phis = _lemma_hypothesis(circuit, kappa, config or DEFAULT, _acc)
     bound = 2.0 * (1.0 - np.sqrt(idle_steps / t_prime))
     c0 = _history_columns(circuit, phis, rep)
     enc = _history_columns(circuit, phis, rep, idle_steps)
@@ -710,8 +711,7 @@ def geometrical_bound(
     for h in (h1, h2):
         es = eigh(h, cfg)
         vals = es.values
-        tol = cfg.cluster_rtol * max(1.0, float(np.abs(vals).max()))
-        start, stop = cluster_bounds(vals, tol)[0]
+        start, stop = cluster_bounds(vals, _cluster_tol(vals, cfg))[0]
         if stop == len(vals):
             raise ValueError("ground cluster spans the full spectrum: zero gap")
         reports.append((float(vals[0]), float(vals[stop] - vals[0]), es.vectors[:, :stop]))

@@ -74,7 +74,7 @@ def _serial_scipy_blas():
 
     numpy and scipy each bundle an OpenBLAS with its own thread pool, and a
     pool's workers spin-wait after every threaded call. A sparse solve that
-    switches between scipy (SuperLU, zhetrf/zhetri) and numpy (GEMM, QR)
+    switches between scipy (SuperLU, the first step's QR) and numpy (GEMM)
     every millisecond keeps both pools spinning, one worker per pool next to
     the main thread. Holding scipy's pool to one thread leaves numpy's, and
     the dense solvers, all the cores. Yields (count on entry, count inside),
@@ -347,6 +347,11 @@ class ClockBlocks:
             grid[t - 1][t] = b.conj().T
         return scipy.sparse.bmat(grid, format="csc")
 
+    @cached_property
+    def _csc(self) -> scipy.sparse.csc_matrix:
+        """sparse(), assembled once and kept: the shift-invert solve and its count factor it."""
+        return self.sparse()
+
     def dense(self) -> np.ndarray:
         out = self.sparse().toarray()
         # conj() turns the +0.0 imaginary parts of real entries into -0.0;
@@ -356,130 +361,100 @@ class ClockBlocks:
         return out
 
     def negative_count(self, mu: float) -> int:
-        """Number of eigenvalues below mu, from the inertia of a block LDL^dag of H - mu.
+        """Number of eigenvalues below mu, from the inertia of an LDL^dag factor of H - mu.
 
-        Haynsworth additivity: the inertia of H - mu is the sum of the
-        inertias of the clock-block Schur complements S_0 = A_0 - mu,
-        S_t = A_t - mu - B_t S_(t-1)^-1 B_t^dag. Each S_t stays sparse and is
-        split into the connected components of its sparsity pattern; a
-        permutation similarity makes it block diagonal, so its inertia is
-        the sum of the components' (Sylvester, Haynsworth). A one-index
-        component is read off the diagonal; a larger one is factored once by
-        Bunch-Kaufman (zhetrf), whose block-diagonal factor has its inertia,
-        and zhetri turns that factor into the component's inverse. The
-        block-diagonal S_t^-1 keeps the next update a sparse product. When
-        nothing splits, S_t is one component with one dense factorization.
-
-        Dense off-diagonal blocks B_t are not optimized for: each update is
-        then a dense product carried in sparse storage, and at c_dim = 648 one
-        count takes 8.5 s against 2.0 s for a dense count. No Hamiltonian
-        this package builds has such blocks.
+        SuperLU factors H - mu as the solve factors H - sigma (_hermitian_splu),
+        P (H - mu) P^T = L U with U = D L^dag up to rounding and D = Re diag(U),
+        and by Sylvester's law of inertia the count is D's negative entries. It
+        is exact for the Hermitian L D L^dag, within the factor's backward error
+        of H - mu. Unpivoted elimination does not bound that error, so _inertia
+        bounds it from the factor and _count_certificate refuses a cut it does
+        not resolve. Raises SpectrumCertificateError when H - mu is exactly
+        singular, or the factor exchanges a row (no congruence) or has a zero or
+        non-finite pivot. Dense off-diagonal blocks fill the factor: 4 random
+        dense blocks of c_dim = 648 took 2.0 s and about 56 c_dim^2 arrays. No
+        Hamiltonian this package builds has such blocks.
         """
-        count = 0
-        largest = []
-        schur = None
-        identity = scipy.sparse.identity(self.c_dim, format="csr")
-        for t, a in enumerate(self.diag):
-            s = a - mu * identity
-            if schur is not None:
-                s = s - schur
-            invert = t < len(self.lower)
-            try:
-                negatives, size, inverse = _component_inertia(s.tocsr(), invert)
-            except np.linalg.LinAlgError:
-                raise SpectrumCertificateError(
-                    f"Schur complement {t} is singular at {mu}"
-                ) from None
-            count += negatives
-            largest.append(size)
-            if invert:
-                b = self.lower[t]
-                schur = b @ inverse @ b.conj().T
+        return self._inertia(mu)[0]
+
+    def _inertia(self, mu: float, tol: float = np.inf) -> tuple[int, float]:
+        """(eigenvalues below mu, a bound on the factor's 2-norm backward error).
+
+        While the bound is not below `tol`, up to three times, the pivots whose
+        L columns grew past 64 are delayed to the end of the order and H - mu is
+        factored again, as multifrontal solvers delay pivots (Duff & Reid, ACM
+        TOMS 9 (1983)); the smallest bound is kept.
+        """
+        shifted = self._csc - mu * scipy.sparse.identity(self.dim, format="csc")
+        order, found = None, []  # SuperLU's minimum-degree ordering first
+        for _ in range(4):
+            *result, order, grown = _ldl_inertia(shifted, order, tol)
+            found.append(result)
+            if result[1] < tol:
+                break
+            order = np.concatenate([order[~grown], order[grown]])
+        count, error, nnz = min(found, key=lambda r: r[1])
         _log.debug(
-            "inertia count: %d eigenvalues below %.6g, %d Schur steps, "
-            "largest component per step %s",
-            count, mu, len(largest), largest,
+            "inertia count: %d eigenvalues below %.6g, backward error %.3e, L + U nonzeros %d",
+            count, mu, error, nnz,
         )
-        return count
+        return count, error
 
 
-def _component_inertia(
-    s: scipy.sparse.csr_matrix, invert: bool
-) -> tuple[int, int, scipy.sparse.csr_matrix | None]:
-    """(negative eigenvalues, largest component, s^-1 or None) of a sparse Hermitian s.
+def _ldl_inertia(
+    a: scipy.sparse.csc_matrix, order: np.ndarray | None, tol: float
+) -> tuple[int, float, int, np.ndarray, np.ndarray]:
+    """LDL^dag of a Hermitian `a` in SuperLU's minimum-degree ordering, or in `order`: (negative
+    pivots, backward-error bound, L + U nonzeros, elimination order, pivots that grew L).
 
-    The components of s's sparsity pattern are gathered, grouped by size, into
-    dense blocks and each block is factored once; raises LinAlgError when s is
-    singular.
+    L D L^dag - P a P^T = (L U - P a P^T) + L (D L^dag - U), and the first term is
+    at most gamma |L| |U| entrywise (Higham 2002, Theorem 9.3 and §3.6), gamma =
+    (terms per entry + 4) eps, which also covers forming D L^dag - U. Where that
+    bound is not below `tol`, the residual is formed and its rounding added.
     """
-    # imported here: only the count needs it, and csgraph brings
-    # scipy.sparse.linalg with it, about 3 MB resident in every process
-    from scipy.sparse.csgraph import connected_components
+    permuted = a if order is None else a[order][:, order]
+    try:
+        lu = _hermitian_splu(permuted, "MMD_AT_PLUS_A" if order is None else "NATURAL")
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SpectrumCertificateError(f"H - mu has no LDL^dag factor: {exc}") from None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SpectrumCertificateError("the factor of H - mu exchanged rows: no congruence")
+    low, up = lu.L, lu.U
+    pivots = up.diagonal().real
+    if not np.all(np.isfinite(pivots)) or np.any(pivots == 0):
+        raise SpectrumCertificateError("the factor of H - mu has a zero or non-finite pivot")
+    scaled = low.conj().T  # D L^dag, CSR: row j is column j of L times pivot j
+    scaled.data *= np.repeat(pivots, np.diff(scaled.indptr))
+    gamma = (np.bincount(low.indices, minlength=low.shape[0]).max() + 4) * np.finfo(float).eps
+    error = float(gamma * _abs_product_norm(low, up) + _abs_product_norm(low, scaled - up))
+    eliminated = np.argsort(lu.perm_c)  # eliminated[k]: the index of permuted factored k-th
+    if not error < tol:  # G D G^dag - permuted, G = P^T L: L's rows relabelled
+        g = scipy.sparse.csc_matrix((low.data, eliminated[low.indices], low.indptr), low.shape)
+        dg = scipy.sparse.csr_matrix((scaled.data, eliminated[scaled.indices], scaled.indptr))
+        residual = float(np.linalg.norm((g @ dg - permuted).data))
+        rounding = _abs_product_norm(low, scaled) + abs(permuted).sum(axis=0).max()
+        error = min(error, residual + float(gamma * rounding))
+    grown = np.maximum.reduceat(np.abs(low.data), low.indptr[:-1]) > 64.0
+    order = eliminated if order is None else order[eliminated]
+    return int(np.count_nonzero(pivots < 0)), error, low.nnz + up.nnz, order, grown
 
-    pattern = scipy.sparse.csr_matrix(
-        (np.ones(s.nnz, dtype=np.int8), s.indices, s.indptr), shape=s.shape
+
+def _abs_product_norm(a: scipy.sparse.spmatrix, b: scipy.sparse.spmatrix) -> float:
+    """sqrt(|M|_1 |M|_inf) for M = |a| |b|, a bound on |M|_2 from four products with vectors."""
+    a, b = abs(a), abs(b)
+    ones = np.ones(b.shape[1])
+    return float(np.sqrt((ones @ a @ b).max() * (a @ (b @ ones)).max()))
+
+
+def _hermitian_splu(a: scipy.sparse.csc_matrix, ordering: str = "MMD_AT_PLUS_A"):
+    """SuperLU factor of a Hermitian matrix in a symmetric ordering, by default minimum degree,
+    with diagonal pivots: without row exchanges it is a congruence P a P^T = L U, and on a
+    positive definite matrix it is stable and smaller than with partial pivoting."""
+    import scipy.sparse.linalg  # here: a module-level import would slow every start-up
+
+    return scipy.sparse.linalg.splu(
+        a, permc_spec=ordering, diag_pivot_thresh=0.0, options={"SymmetricMode": True}
     )
-    _, labels = connected_components(pattern, directed=False)
-    node_size = np.bincount(labels)[labels]  # the size of each node's component
-
-    single = np.flatnonzero(node_size == 1)
-    d = np.real(s.diagonal()[single])
-    if np.any(d == 0):
-        raise np.linalg.LinAlgError("zero pivot")
-    negatives = int(np.count_nonzero(d < 0))
-    rows, cols, values = [single], [single], [1.0 / d]
-
-    for k in np.unique(node_size[node_size > 1]):
-        nodes = np.flatnonzero(node_size == k)
-        # one row per component, its nodes ascending
-        members = nodes[np.argsort(labels[nodes], kind="stable")].reshape(-1, k)
-        part = s[members.ravel()][:, members.ravel()].tocoo()  # block diagonal
-        blocks = np.zeros((len(members), k, k), dtype=complex)
-        blocks[part.row // k, part.row % k, part.col % k] = part.data
-        # the Bunch-Kaufman factors' diagonals, subdiagonals and pivots, end to end
-        diag = np.empty((len(members), k))
-        sub = np.zeros((len(members), k))
-        pivots = np.empty((len(members), k), dtype=np.intc)
-        lwork = int(scipy.linalg.lapack.zhetrf_lwork(k, lower=1)[0].real)
-        for j, block in enumerate(blocks):
-            ldu, ipiv, info = scipy.linalg.lapack.zhetrf(block, lower=1, lwork=lwork)
-            if info != 0:
-                raise np.linalg.LinAlgError("zero pivot")
-            diag[j], sub[j, :-1], pivots[j] = ldu.diagonal().real, np.abs(ldu.diagonal(-1)), ipiv
-            if invert:  # zhetri fills the lower triangle of the inverse
-                block[:] = scipy.linalg.lapack.zhetri(ldu, ipiv, lower=1, overwrite_a=1)[0]
-        negatives += _bunch_kaufman_negatives(diag.ravel(), sub.ravel(), pivots.ravel())
-        if invert:
-            upper = np.triu_indices(k, 1)
-            blocks[:, upper[0], upper[1]] = blocks[:, upper[1], upper[0]].conj()
-            rows.append(np.broadcast_to(members[:, :, None], blocks.shape).ravel())
-            cols.append(np.broadcast_to(members[:, None, :], blocks.shape).ravel())
-            values.append(blocks.ravel())
-    inverse = None
-    if invert:
-        inverse = scipy.sparse.csr_matrix(
-            (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))), shape=s.shape
-        )
-    return negatives, int(node_size.max()), inverse
-
-
-def _bunch_kaufman_negatives(d: np.ndarray, sub: np.ndarray, ipiv: np.ndarray) -> int:
-    """Negative eigenvalues of the 1x1 / 2x2 block-diagonal factors of lower zhetrf calls.
-
-    d is the real diagonal, sub the absolute subdiagonal and ipiv the pivots
-    of one factor or of several laid end to end; no 2x2 block straddles two.
-    """
-    count = 0
-    k = 0
-    while k < len(d):
-        if ipiv[k] < 0:  # 2x2 block on rows k, k+1
-            det = d[k] * d[k + 1] - sub[k] ** 2
-            count += 1 if det < 0 else 2 * int(d[k] < 0)
-            k += 2
-        else:
-            count += int(d[k] < 0)
-            k += 1
-    return count
 
 
 @dataclass(frozen=True)
@@ -539,6 +514,11 @@ def cluster_bounds(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return bounds
 
 
+def _cluster_tol(values: np.ndarray, config: Config | None = None) -> float:
+    """cluster_rtol * max(1, max |values|): values closer than this form one degeneracy cluster."""
+    return (config or DEFAULT).cluster_rtol * max(1.0, float(np.abs(values).max(initial=0.0)))
+
+
 def guard_cut(
     values: np.ndarray, k: int, config: Config | None = None, slack: float = 0.0
 ) -> None:
@@ -549,7 +529,7 @@ def guard_cut(
     """
     if not 0 < k < len(values):
         return
-    tol = (config or DEFAULT).cluster_rtol * max(1.0, float(np.abs(values).max())) + slack
+    tol = _cluster_tol(values, config) + slack
     if values[k] - values[k - 1] <= tol:
         raise ClusterSplitError(
             f"cut after {k} eigenvalues splits a degeneracy cluster: "
@@ -561,11 +541,9 @@ def eigh(op: DenseOperator, config: Config | None = None) -> EigenSystem:
     """Full Hermitian eigendecomposition with the deterministic ordering/phase convention."""
     if not op.hermitian:
         raise ValueError("eigh requires the hermitian flag")
-    cfg = config or DEFAULT
     values, vectors = np.linalg.eigh(op.entries)
     vectors = _fix_phases(vectors)
-    tol = cfg.cluster_rtol * max(1.0, float(np.abs(values).max(initial=0.0)))
-    for start, stop in cluster_bounds(values, tol):
+    for start, stop in cluster_bounds(values, _cluster_tol(values, config)):
         if stop - start > 1:
             keys = _first_significant(vectors[:, start:stop])
             order = np.argsort(keys, kind="stable") + start

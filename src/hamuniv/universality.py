@@ -584,7 +584,7 @@ def end_to_end(
     # H_MK first, which is how perfbench's tracer tells them apart
     history = _history_columns(idled, np.eye(w_dim, dtype=complex), ClockRep.CLOCK_SUBSPACE)
     mk = _low_spectrum(h_mk, w_dim + 1, w_dim, cfg, start=history)
-    hmk_report = check_hmk_lemma(kh, cfg, _low=mk)
+    hmk_report = check_hmk_lemma(kh, cfg, _low=mk, _acc=acc)
     lam_min = float(mk.values[0])
     gap_mk = hmk_report.gap_above_low_space
 

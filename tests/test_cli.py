@@ -119,6 +119,24 @@ class TestHmkCheck:
         assert [kh.rep.value for kh in built] == ["unary-full-space"]
         assert "parts" not in vars(built[0])
 
+    @pytest.mark.parametrize("kappa", [{}, {"kappa": 1e-5}], ids=["default-kappa", "kappa"])
+    def test_acceptance_operator_is_built_once(self, tmp_path, monkeypatch, kappa):
+        import hamuniv.kitaev as kitaev
+
+        built, build = [], cli.acceptance_operator
+
+        def counted(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        for module in (cli, kitaev):
+            monkeypatch.setattr(module, "acceptance_operator", counted)
+        doc = {"circuit": circuit_to_dict(idle_prefix(cnot_verifier(), 2)), "idle_steps": 2}
+        out = tmp_path / "hmk.json"
+        assert main(["hmk-check", "--input", write_json(tmp_path / "c.json", doc | kappa),
+                     "--output", str(out)]) == 0
+        assert len(built) == 1
+
     def test_cap_below_the_unary_dimension_exits_before_assembly(self, tmp_path, capsys):
         # 4 circuit states and T = 3: the clock subspace has 16 states, the unary clock 32
         circuit = circuit_to_dict(idle_prefix(cnot_verifier(), 2))

@@ -275,8 +275,8 @@ class TestSolvesSizedToTheCertificate:
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
         _low_spectrum(h, w + 1, w)
-        [lu] = factors
-        assert lu.L.nnz + lu.U.nnz < 30_000
+        solve, _ = factors  # H - sigma for the solve, then H - mu for its count
+        assert solve.L.nnz + solve.U.nnz < 30_000
 
 
 def test_small_clock_blocks_take_the_dense_path():
@@ -420,13 +420,58 @@ class TestCountCertificate:
             tracemalloc.stop()
         assert peak < h.c_dim * h.c_dim * 16
 
+    def test_backward_error_above_the_cluster_tolerance_refuses(self):
+        # H - mu = [[eps, 1], [1, -eps]]: the unpivoted factor takes the pivot eps,
+        # so L D L^dag holds entries of 1e12, and its backward error (about 1e-4,
+        # bounded at about 3e-3) cannot resolve a cut at the 1e-9 cluster
+        # tolerance, though the count itself is right
+        eps = 1e-12
+        m = np.array([[eps, 1.0], [1.0, -eps]], dtype=complex)
+        h = ClockBlocks(SystemLayout((2,)), (scipy.sparse.csr_matrix(m),), (), floor=-2.0)
+        vals, vecs = np.linalg.eigh(m)
+        low = LowSpectrum(vals, vecs, np.linalg.norm(m @ vecs - vecs * vals, axis=0))
+        assert 0.5 * (vals[0] + vals[1]) == 0.0 and h.negative_count(0.0) == 1
+        with pytest.raises(SpectrumCertificateError, match="backward error"):
+            _count_certificate(h, low, 1, DEFAULT)
+
+    def test_one_assembly_per_solve(self, monkeypatch):
+        # the solve and its count factor the same assembled matrix
+        circuit = idle_prefix(qpe_verifier(ROADMAP_TARGET, 2.0, 2, tau=np.pi), 1)
+        kh = build_kitaev(circuit, 0.5 * kappa_limit(circuit.n_steps), ClockRep.CLOCK_SUBSPACE)
+        h, w = kh.h_mk_operator(), circuit.witness_dim
+        bmat, assembled = scipy.sparse.bmat, []
+
+        def record(*args, **kwargs):
+            assembled.append(bmat(*args, **kwargs))
+            return assembled[-1]
+
+        monkeypatch.setattr(scipy.sparse, "bmat", record)
+        low = _low_spectrum(h, w + 1, w)
+        assert low.certificate[1] == w and len(assembled) == 1
+
+    def test_count_factor_holds_less_than_one_dense_block(self, roadmap_hmk, monkeypatch):
+        h, _ = roadmap_hmk
+        splu, factors = scipy.sparse.linalg.splu, []
+
+        def record(*args, **kwargs):
+            factors.append(splu(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
+        assert h.negative_count(0.025) == 18
+        [lu] = factors
+        assert lu.L.nnz + lu.U.nnz < h.c_dim * h.c_dim
+
     def test_count_logs_one_debug_record(self, caplog):
         h, _ = spectator_hmk(seed=4, n_spectators=1, n_ancilla=1, t_steps=3)
         with caplog.at_level(logging.DEBUG, logger="hamuniv"):
-            h.negative_count(0.3)
-        records = [r for r in caplog.records if "Schur steps" in r.getMessage()]
+            count = h.negative_count(0.3)
+        records = [r for r in caplog.records if "inertia count" in r.getMessage()]
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
-        assert "4 Schur steps" in records[0].getMessage()
+        message = records[0].getMessage()
+        assert f"{count} eigenvalues below 0.3," in message
+        error = float(re.search(r"backward error (\S+),", message).group(1))
+        assert 0 <= error < 1e-12
 
 
 @pytest.fixture

@@ -299,6 +299,21 @@ class TestEndToEndTrivialTarget:
         assert report.hmk.ok
         assert report.ok
 
+    def test_acceptance_operator_is_built_once(self, monkeypatch):
+        import hamuniv.kitaev as kitaev
+        import hamuniv.universality as universality
+
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(acceptance_operator(*args, **kwargs))
+            return built[-1]
+
+        for module in (kitaev, universality):
+            monkeypatch.setattr(module, "acceptance_operator", counted)
+        end_to_end(qubit_target([0.0, 0.0]), a=2.0, m=1, idle_steps=1, delta=1e6)
+        assert len(built) == 1
+
 
 def _loop_rank_one_sum(fam, shift=0.0):
     """The per-mu loops that build_hprime (shift 0) and wtilde_encodings (its frame shift) ran."""
