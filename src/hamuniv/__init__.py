@@ -2,7 +2,6 @@
 
 from .config import Config, DEFAULT, from_env
 from .operators import (
-    ClockBlocks,
     ClusterSplitError,
     DenseOperator,
     DimensionCapError,

@@ -96,6 +96,22 @@ def _rotation_summary(report) -> dict:
     }
 
 
+def _optional_real(obj: dict, key: str, path: str) -> float | None:
+    """obj[key] as a finite float, None when it is absent or null."""
+    value = obj.get(key)
+    return None if value is None else serialize._real(value, f"{path}.{key}")
+
+
+def _real_list(obj: dict, key: str) -> list[float]:
+    """obj[key], a list of finite numbers, as floats; empty when it is absent or null."""
+    values = obj.get(key)
+    if values is None:
+        return []
+    if not isinstance(values, list):
+        raise InputFormatError(f"input.{key}", "expected a list of numbers")
+    return [serialize._real(v, f"input.{key}[{i}]") for i, v in enumerate(values)]
+
+
 def _hmk_dict(report) -> dict:
     # the report's keys are HmkReport's and HmkRow's field names (docs/schemas.md)
     return {**asdict(report), "pass": report.ok}
@@ -136,10 +152,9 @@ def _cmd_hmk_check(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     idle_steps = None
     if "idle_steps" in obj:
         idle_steps = serialize._integer(obj["idle_steps"], "input.idle_steps")
+    kappa = _optional_real(obj, "kappa", "input")
     acc = acceptance_operator(circuit, run.config)
-    if "kappa" in obj:
-        kappa = float(obj["kappa"])
-    else:
+    if kappa is None:
         gap_info = acceptance_gap(acc, circuit.completeness)
         if not gap_info.gapped:
             raise InputFormatError("circuit", "acceptance operator is ungapped; provide kappa")
@@ -163,7 +178,7 @@ def _cmd_sw(run: RunConfig, obj: dict) -> tuple[dict, bool]:
                                       dim_cap=run.config.dim_cap)
     h1 = serialize.operator_from_dict(serialize._require(obj, "h1", "input"), "input.h1",
                                       dim_cap=run.config.dim_cap)
-    delta = float(serialize._require(obj, "delta", "input"))
+    delta = serialize._real(serialize._require(obj, "delta", "input"), "input.delta")
     minus_dim = serialize._integer(serialize._require(obj, "minus_dim", "input"),
                                    "input.minus_dim")
     if not 1 <= minus_dim <= h0.dim:
@@ -223,37 +238,40 @@ def _cmd_verify_sim(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     h_prime = serialize.operator_from_dict(serialize._require(obj, "h_prime", "input"),
                                            "input.h_prime", dim_cap=run.config.dim_cap)
     enc = _parse_encoding(obj, h_prime.dim, h.dim)
-    delta = float(serialize._require(obj, "delta", "input"))
-    targets = obj.get("targets", {})
+    delta = serialize._real(serialize._require(obj, "delta", "input"), "input.delta")
+    targets = obj.get("targets")
+    if targets is None:
+        targets = {}
+    elif not isinstance(targets, dict):
+        raise InputFormatError("input.targets", "expected an object")
+    betas, times = _real_list(obj, "beta"), _real_list(obj, "t")
     report = verify_simulation(
         h,
         h_prime,
         enc,
         delta,
-        eta_target=targets.get("eta"),
-        epsilon_target=targets.get("epsilon"),
+        eta_target=_optional_real(targets, "eta", "input.targets"),
+        epsilon_target=_optional_real(targets, "epsilon", "input.targets"),
         config=run.config,
     )
     out = _rotation_summary(report)
     checks_ok = report.ok
     partition = []
-    for beta in obj.get("beta", []):
+    for beta in betas:
         err, bound, ok = check_partition_function(
-            h, h_prime, enc, delta, float(beta), report=report, config=run.config
+            h, h_prime, enc, delta, beta, report=report, config=run.config
         )
-        partition.append({"beta": float(beta), "relative_error": err, "bound": bound, "pass": ok})
+        partition.append({"beta": beta, "relative_error": err, "bound": bound, "pass": ok})
         checks_ok = checks_ok and ok
     dynamics = []
-    if obj.get("t"):
+    if times:
         rho = enc.image_projector()
         rho = rho / np.trace(rho).real
-        for t_val in obj["t"]:
+        for t_val in times:
             dist, bound, ok = check_dynamics(
-                h, h_prime, enc, rho, float(t_val), report.epsilon_measured, report.eta_measured
+                h, h_prime, enc, rho, t_val, report.epsilon_measured, report.eta_measured
             )
-            dynamics.append(
-                {"t": float(t_val), "trace_distance": dist, "bound": bound, "pass": ok}
-            )
+            dynamics.append({"t": t_val, "trace_distance": dist, "bound": bound, "pass": ok})
             checks_ok = checks_ok and ok
     out["partition_function"] = partition
     out["dynamics"] = dynamics
@@ -277,13 +295,13 @@ def _cmd_universal_demo(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     idle_key = "L" if "L" in obj else "idle_steps"
     report = end_to_end(
         target,
-        a=float(serialize._require(obj, "a", "input")),
+        a=serialize._real(serialize._require(obj, "a", "input"), "input.a"),
         m=serialize._integer(serialize._require(obj, "m", "input"), "input.m"),
-        kappa=obj.get("kappa"),
+        kappa=_optional_real(obj, "kappa", "input"),
         idle_steps=serialize._integer(obj.get(idle_key, 1), f"input.{idle_key}"),
-        delta=obj.get("delta"),
-        delta_prime=obj.get("delta_prime"),
-        tau=obj.get("tau"),
+        delta=_optional_real(obj, "delta", "input"),
+        delta_prime=_optional_real(obj, "delta_prime", "input"),
+        tau=_optional_real(obj, "tau", "input"),
         config=run.config,
     )
     out = {

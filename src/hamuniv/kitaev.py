@@ -36,7 +36,6 @@ from .circuits import (
 )
 from .config import DEFAULT, Config
 from .operators import (
-    ClockBlocks,
     DenseOperator,
     Register,
     SpectrumCertificateError,
@@ -45,6 +44,7 @@ from .operators import (
     _cluster_tol,
     _full_eigh,
     _hermitian_splu,
+    _inertia,
     _principal_residual,
     _serial_scipy_blas,
     _steady_heap,
@@ -57,7 +57,7 @@ from .operators import (
 )
 
 # above this dimension, dense inputs (a verify-sim h_prime) go to the subset
-# eigensolver and clock blocks (every H_MK, H_sim) to shift-invert iteration
+# eigensolver and sparse matrices (every H_MK, H_sim) to shift-invert iteration
 _PARTIAL_EIGH_DIM = 1200
 # shift-invert subspace iteration: extra block vectors, iteration cap, and the
 # distance of the shift below the spectrum's floor, relative to max(1, |floor|)
@@ -100,11 +100,12 @@ class KitaevHamiltonian:
     """The modified clock Hamiltonian of one verifier circuit, kept as its recipe.
 
     `parts`, assembled on first read and then kept, holds (H_in, H_prop,
-    H_out, H_clock) as ClockBlocks in the clock subspace and as sparse CSR
-    matrices in the unary representation. Each gate enters through its sparse
-    embedding and the pin and reject penalties as diagonals without stored
-    zeros, so no dense c_dim x c_dim array is formed. The h_* properties,
-    h0() and h_mk() materialize dense operators on demand.
+    H_out, H_clock) as sparse CSR matrices in both representations, each
+    term the Kronecker product of a clock matrix and a circuit block. Each
+    gate enters through its sparse embedding and the pin and reject penalties
+    as diagonals without stored zeros, so no dense c_dim x c_dim array is
+    formed. The h_* properties, h0() and h_mk() materialize dense operators
+    on demand.
     """
 
     circuit: VerifierCircuit
@@ -131,27 +132,23 @@ class KitaevHamiltonian:
         embedded = [sparse_embed(g.unitary, g.targets, circuit.layout) for g in circuit.gates]
 
         eye_c = scipy.sparse.identity(c_dim, dtype=complex, format="csr")
+        zero = scipy.sparse.csr_matrix((layout.total_dim,) * 2, dtype=complex)
         if rep is ClockRep.CLOCK_SUBSPACE:
-            zero = scipy.sparse.csr_matrix((c_dim, c_dim), dtype=complex)
 
-            def blocks(diag: dict[int, object], lower: list | None = None) -> ClockBlocks:
-                # every term is positive semidefinite: floor 0
-                return ClockBlocks(
-                    layout,
-                    tuple(diag.get(t, zero) for t in range(t_steps + 1)),
-                    tuple(lower) if lower is not None else (zero,) * t_steps,
-                    0.0,
-                )
+            def at(t: int, s: int, circ) -> scipy.sparse.csr_matrix:
+                # |t><s| (x) circ, the clock the slow factor
+                clock = scipy.sparse.csr_matrix(([1.0], ([t], [s])), shape=(t_steps + 1,) * 2)
+                return scipy.sparse.kron(clock, circ, format="csr")
 
-            h_in = blocks({0: pin})
-            h_out = blocks({t_steps: reject})
+            h_in = at(0, 0, pin)
+            h_out = at(t_steps, t_steps, reject)
             for u in embedded:  # -U_t/2 as 0.0 - 0.5 U_t, not -0.5 U_t: every zero part is +0.0
                 u.data = 0.0 - 0.5 * u.data
             # H_prop: 1/2 on each end of every step, -U_t/2 from time t-1 to t
-            h_prop = blocks(
-                {t: (0.5 * ((t > 0) + (t < t_steps))) * eye_c for t in range(t_steps + 1)}, embedded
-            )
-            h_clock = blocks({})
+            ends = scipy.sparse.diags([0.5 * ((t > 0) + (t < t_steps)) for t in range(t_steps + 1)])
+            hop = sum(at(t, t - 1, u) for t, u in enumerate(embedded, start=1))
+            h_prop = scipy.sparse.kron(ends, eye_c, format="csr") + hop + hop.conj().T
+            h_clock = zero
         else:
             eye2 = np.eye(2, dtype=complex)
             proj0 = np.diag([1.0, 0.0]).astype(complex)
@@ -171,10 +168,9 @@ class KitaevHamiltonian:
 
             h_in = term({1: proj0}, pin)
             h_out = term({t_steps: proj1}, reject)
-            h_clock = scipy.sparse.csr_matrix((layout.total_dim,) * 2, dtype=complex)
+            h_clock = h_prop = zero
             for t in range(1, t_steps):
                 h_clock += term({t: proj0, t + 1: proj1}, eye_c)
-            h_prop = scipy.sparse.csr_matrix((layout.total_dim,) * 2, dtype=complex)
             for t in range(1, t_steps + 1):
                 # qubit t-1 is 1 and qubit t+1 is 0 around step t; the endpoints drop one
                 window = ({t - 1: proj1} if t > 1 else {}) | ({t + 1: proj0} if t < t_steps else {})
@@ -186,15 +182,14 @@ class KitaevHamiltonian:
         # blocks and adjoint pairs, so no symmetrization pass is needed
         return h_in, h_prop, h_out, h_clock
 
-    def _dense(self, m: ClockBlocks | scipy.sparse.csr_matrix) -> DenseOperator:
-        entries = m.dense() if isinstance(m, ClockBlocks) else m.toarray()
-        return DenseOperator(self.layout, entries, hermitian=True, validate=False)
+    def _dense(self, m: scipy.sparse.csr_matrix) -> DenseOperator:
+        return DenseOperator(self.layout, _dense_entries(m), hermitian=True, validate=False)
 
-    def h0_operator(self) -> ClockBlocks | scipy.sparse.csr_matrix:
+    def h0_operator(self) -> scipy.sparse.csr_matrix:
         h_in, h_prop, _, h_clock = self.parts
         return h_in + h_prop + h_clock
 
-    def h_mk_operator(self) -> ClockBlocks | scipy.sparse.csr_matrix:
+    def h_mk_operator(self) -> scipy.sparse.csr_matrix:
         """H_MK in its stored form, as the low-spectrum solver takes it."""
         return self.h0_operator() + self.kappa * self.parts[2]
 
@@ -204,6 +199,18 @@ class KitaevHamiltonian:
 
     def h_mk(self) -> DenseOperator:
         return self._dense(self.h_mk_operator())
+
+
+def _dense_entries(m: scipy.sparse.spmatrix) -> np.ndarray:
+    """m.toarray() with every zero part +0.0.
+
+    conj() and complex products leave -0.0 parts in sparse sums; adding 0.0
+    turns them into +0.0, so the dense matrix (and a dense eigensolver's
+    output) does not depend on how the sum was formed.
+    """
+    out = m.toarray()
+    out += 0.0
+    return out
 
 
 def build_kitaev(
@@ -314,30 +321,34 @@ class LowSpectrum:
 
 
 def _low_spectrum(
-    h: ClockBlocks | DenseOperator | np.ndarray,
+    h: scipy.sparse.spmatrix | DenseOperator | np.ndarray,
     k: int,
     n: int,
     config: Config | None = None,
     start: np.ndarray | None = None,
+    floor: float = 0.0,
 ) -> LowSpectrum:
     """Lowest k eigenpairs (ascending); switches solver by dimension and storage.
 
     n < k is the number of lowest pairs the caller reads as a complete low
     space. The callers ask for k = n + 1: the count certificate reads the
     one value above the n, and nothing reads further. Dense matrices, and
-    clock blocks up to _PARTIAL_EIGH_DIM made dense, go to the dense
+    sparse ones up to _PARTIAL_EIGH_DIM made dense, go to the dense
     eigensolver (subset eigh above it); a Hermitian DenseOperator there
-    reuses its cached spectrum. Clock blocks above it go to shift-invert
+    reuses its cached spectrum. Sparse matrices above it go to shift-invert
     subspace iteration, which converges the n lowest pairs and certifies
-    their count with ClockBlocks.negative_count; a mismatch raises
-    SpectrumCertificateError. `start`, orthonormal columns near the low
-    space (history states, or a nearby operator's eigenvectors), seeds that
+    their count with an inertia count (operators.negative_count); a
+    mismatch raises SpectrumCertificateError. `floor` is a lower bound on a
+    sparse h's spectrum, 0 for the positive semidefinite clock Hamiltonians;
+    the iteration shifts just below it, and a wrong floor can only make the
+    certificate refuse. `start`, orthonormal columns near the low space
+    (history states, or a nearby operator's eigenvectors), seeds that
     iteration; the dense solvers ignore it.
     """
-    if isinstance(h, ClockBlocks):
-        if h.dim > _PARTIAL_EIGH_DIM:
-            return _shift_invert_spectrum(h, k, n, config or DEFAULT, start)
-        h = h.dense()
+    if scipy.sparse.issparse(h):
+        if h.shape[0] > _PARTIAL_EIGH_DIM:
+            return _shift_invert_spectrum(h, k, n, config or DEFAULT, start, floor)
+        h = _dense_entries(h)
     m = h.entries if isinstance(h, DenseOperator) else h
     d = m.shape[0]
     k = min(k, d)
@@ -350,33 +361,39 @@ def _low_spectrum(
 
 
 def _shift_invert_spectrum(
-    h: ClockBlocks, k: int, n: int, cfg: Config, start: np.ndarray | None = None
+    h: scipy.sparse.spmatrix,
+    k: int,
+    n: int,
+    cfg: Config,
+    start: np.ndarray | None,
+    floor: float,
 ) -> LowSpectrum:
     """Block shift-invert subspace iteration with a Rayleigh-Ritz step per iteration.
 
-    Factors H - sigma once (_hermitian_splu; positive definite, so diagonal
-    pivots are stable), sigma just below h.floor, and iterates a block of
-    k + _SI_OVERSAMPLE vectors: the columns of `start`, then fixed-seed random
-    ones drawn only for the columns it leaves free. Each step solves
-    Z = (H - sigma)^-1 Q and takes the Ritz pairs of H in span(Z) through the
-    Cholesky factor of Z's Gram matrix (_cholesky_ritz); the first Z, from a
-    (partly) random start, is ill-conditioned, so scipy's economic Householder
-    QR orthonormalizes it first. The iteration stops when the residuals of
-    the n lowest Ritz pairs fall below 64 u |H|_inf and stop shrinking (the
-    round-off floor). Ritz values beyond n are upper bounds of the
-    eigenvalues with their residuals; the n lowest pairs carry the count
-    certificate, made after the block and the factor are freed. A Cholesky
-    breakdown, or a returned block that is not orthonormal to 1e-12, raises
-    SpectrumCertificateError. Everything runs with scipy's BLAS and LAPACK
+    Converts h to CSC once: the factor and the count certificate read that
+    one matrix. Factors H - sigma once (_hermitian_splu; positive definite,
+    so diagonal pivots are stable), sigma just below `floor`, and iterates a
+    block of k + _SI_OVERSAMPLE vectors: the columns of `start`, then
+    fixed-seed random ones drawn only for the columns it leaves free. Each
+    step solves Z = (H - sigma)^-1 Q and takes the Ritz pairs of H in span(Z)
+    through the Cholesky factor of Z's Gram matrix (_cholesky_ritz); the
+    first Z, from a (partly) random start, is ill-conditioned, so scipy's
+    economic Householder QR orthonormalizes it first. The iteration stops
+    when the residuals of the n lowest Ritz pairs fall below 64 u |H|_inf
+    and stop shrinking (the round-off floor). Ritz values beyond n are upper
+    bounds of the eigenvalues with their residuals; the n lowest pairs carry
+    the count certificate, made after the block and the factor are freed. A
+    Cholesky breakdown, or a returned block that is not orthonormal to
+    1e-12, raises SpectrumCertificateError. Everything runs with scipy's BLAS and LAPACK
     held to one thread (operators._serial_scipy_blas) and under fixed malloc
     thresholds, the freed heap returned at the end (_steady_heap).
     """
     with _serial_scipy_blas() as threads, _steady_heap():
-        a = h._csc
-        d = h.dim
+        a = h.tocsc()
+        d = a.shape[0]
         k = min(k, d)
         m = min(k + _SI_OVERSAMPLE, d)
-        sigma = h.floor - _SI_MARGIN * max(1.0, abs(h.floor))
+        sigma = floor - _SI_MARGIN * max(1.0, abs(floor))
         lu = _hermitian_splu(a - sigma * scipy.sparse.identity(d, format="csc"))
         warm = 0 if start is None else min(start.shape[1], m)
         free = (d, m - warm)
@@ -425,7 +442,7 @@ def _shift_invert_spectrum(
         # a compact copy: the block, its scratch and the factor are freed before the count runs
         low = LowSpectrum(vals[:k], q[:, :k].copy(), residuals[:k])
         del q, hz, lu
-        low = replace(low, certificate=_count_certificate(h, low, n, cfg))
+        low = replace(low, certificate=_count_certificate(a, low, n, cfg))
     _log.debug(
         "shift-invert D=%d block=%d warm=%d steps=%d sigma=%.6g max residual of %d pairs "
         "%.3e, %d eigenvalues below %.6g certified, scipy BLAS threads %s on entry, %s inside",
@@ -456,7 +473,7 @@ def _cholesky_ritz(gram: np.ndarray, proj: np.ndarray, step: int) -> tuple[np.nd
 
 
 def _count_certificate(
-    h: ClockBlocks, low: LowSpectrum, n: int, cfg: Config
+    a: scipy.sparse.csc_matrix, low: LowSpectrum, n: int, cfg: Config
 ) -> tuple[float, int]:
     """(mu, n): mu halfway between the n-th and (n+1)-th returned values holds n eigenvalues below it.
 
@@ -473,7 +490,7 @@ def _count_certificate(
     guard_cut(vals, n, cfg, slack=float(low.residuals[n - 1]))
     mu = 0.5 * float(vals[n - 1] + vals[n])
     tol = _cluster_tol(vals, cfg)
-    count, error = h._inertia(mu, tol)
+    count, error = _inertia(a, mu, tol)
     if count != n or not error < tol:
         raise SpectrumCertificateError(
             f"{count} eigenvalues lie below {mu} to within the count's backward error "

@@ -1,4 +1,4 @@
-"""Complex operator algebra on multi-site layouts: dense, and clock-block sparse.
+"""Complex operators on multi-site layouts: dense algebra, and sparse Hermitian inertia counts.
 
 Conventions used throughout the package:
   * little-endian site ordering: site 0 is the fastest-varying index of the
@@ -280,125 +280,48 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-@dataclass(frozen=True)
-class ClockBlocks:
-    """Hermitian operator on a clock-subspace layout, stored by clock blocks.
+def negative_count(a: scipy.sparse.csc_matrix, mu: float) -> int:
+    """Number of eigenvalues of the Hermitian CSC matrix `a` below mu, from the inertia of an
+    LDL^dag factor of a - mu.
 
-    The clock is the slowest site, so flat index = circuit index + c_dim * t.
-    diag[t] is the block <t|H|t> and lower[t - 1] the block <t|H|t-1>, both
-    sparse c_dim x c_dim; the upper blocks are their adjoints and blocks more
-    than one clock step apart vanish. floor is a lower bound on the spectrum
-    that the algebra below carries along (0 for the positive semidefinite
-    clock-Hamiltonian terms).
+    SuperLU factors a - mu as the solve factors H - sigma (_hermitian_splu),
+    P (a - mu) P^T = L U with U = D L^dag up to rounding and D = Re diag(U),
+    and by Sylvester's law of inertia the count is D's negative entries. It
+    is exact for the Hermitian L D L^dag, within the factor's backward error
+    of a - mu. Unpivoted elimination does not bound that error, so _inertia
+    bounds it from the factor and _count_certificate refuses a cut it does
+    not resolve. Raises SpectrumCertificateError when a - mu is exactly
+    singular, or the factor exchanges a row (no congruence) or has a zero or
+    non-finite pivot. Dense off-diagonal clock blocks fill the factor: 4
+    random dense blocks of 648 x 648 took 2.0 s and about 56 such arrays. No
+    Hamiltonian this package builds has such blocks.
     """
+    return _inertia(a, mu)[0]
 
-    layout: SystemLayout
-    diag: tuple
-    lower: tuple
-    floor: float
 
-    @property
-    def c_dim(self) -> int:
-        return self.diag[0].shape[0]
+def _inertia(a: scipy.sparse.csc_matrix, mu: float, tol: float = np.inf) -> tuple[int, float]:
+    """(eigenvalues of the Hermitian CSC matrix `a` below mu, a bound on the factor's 2-norm
+    backward error).
 
-    @property
-    def dim(self) -> int:
-        return self.layout.total_dim
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.dim, self.dim)
-
-    def __add__(self, other: "ClockBlocks") -> "ClockBlocks":
-        return ClockBlocks(
-            self.layout,
-            tuple(a + b for a, b in zip(self.diag, other.diag)),
-            tuple(a + b for a, b in zip(self.lower, other.lower)),
-            self.floor + other.floor,
-        )
-
-    def __rmul__(self, c: float) -> "ClockBlocks":
-        if c < 0:
-            raise ValueError("a negative multiple has no floor from this one")
-        return ClockBlocks(
-            self.layout,
-            tuple(c * a for a in self.diag),
-            tuple(c * b for b in self.lower),
-            c * self.floor,
-        )
-
-    def plus_diagonal(self, values: np.ndarray | float) -> "ClockBlocks":
-        """self + diag(values); a scalar shifts every diagonal entry."""
-        values = np.broadcast_to(np.asarray(values, dtype=float), (self.dim,))
-        c = self.c_dim
-        diag = tuple(
-            (a + scipy.sparse.diags(values[t * c : (t + 1) * c])).tocsr()
-            for t, a in enumerate(self.diag)
-        )
-        return ClockBlocks(self.layout, diag, self.lower, self.floor + float(values.min()))
-
-    def sparse(self) -> scipy.sparse.csc_matrix:
-        n = len(self.diag)
-        grid = [[None] * n for _ in range(n)]
-        for t, a in enumerate(self.diag):
-            grid[t][t] = a
-        for t, b in enumerate(self.lower, start=1):
-            grid[t][t - 1] = b
-            grid[t - 1][t] = b.conj().T
-        return scipy.sparse.bmat(grid, format="csc")
-
-    @cached_property
-    def _csc(self) -> scipy.sparse.csc_matrix:
-        """sparse(), assembled once and kept: the shift-invert solve and its count factor it."""
-        return self.sparse()
-
-    def dense(self) -> np.ndarray:
-        out = self.sparse().toarray()
-        # conj() turns the +0.0 imaginary parts of real entries into -0.0;
-        # adding 0.0 restores them, so the dense matrix (and a dense
-        # eigensolver's output) does not depend on which triangle held a block
-        out += 0.0
-        return out
-
-    def negative_count(self, mu: float) -> int:
-        """Number of eigenvalues below mu, from the inertia of an LDL^dag factor of H - mu.
-
-        SuperLU factors H - mu as the solve factors H - sigma (_hermitian_splu),
-        P (H - mu) P^T = L U with U = D L^dag up to rounding and D = Re diag(U),
-        and by Sylvester's law of inertia the count is D's negative entries. It
-        is exact for the Hermitian L D L^dag, within the factor's backward error
-        of H - mu. Unpivoted elimination does not bound that error, so _inertia
-        bounds it from the factor and _count_certificate refuses a cut it does
-        not resolve. Raises SpectrumCertificateError when H - mu is exactly
-        singular, or the factor exchanges a row (no congruence) or has a zero or
-        non-finite pivot. Dense off-diagonal blocks fill the factor: 4 random
-        dense blocks of c_dim = 648 took 2.0 s and about 56 c_dim^2 arrays. No
-        Hamiltonian this package builds has such blocks.
-        """
-        return self._inertia(mu)[0]
-
-    def _inertia(self, mu: float, tol: float = np.inf) -> tuple[int, float]:
-        """(eigenvalues below mu, a bound on the factor's 2-norm backward error).
-
-        While the bound is not below `tol`, up to three times, the pivots whose
-        L columns grew past 64 are delayed to the end of the order and H - mu is
-        factored again, as multifrontal solvers delay pivots (Duff & Reid, ACM
-        TOMS 9 (1983)); the smallest bound is kept.
-        """
-        shifted = self._csc - mu * scipy.sparse.identity(self.dim, format="csc")
-        order, found = None, []  # SuperLU's minimum-degree ordering first
-        for _ in range(4):
-            *result, order, grown = _ldl_inertia(shifted, order, tol)
-            found.append(result)
-            if result[1] < tol:
-                break
-            order = np.concatenate([order[~grown], order[grown]])
-        count, error, nnz = min(found, key=lambda r: r[1])
-        _log.debug(
-            "inertia count: %d eigenvalues below %.6g, backward error %.3e, L + U nonzeros %d",
-            count, mu, error, nnz,
-        )
-        return count, error
+    While the bound is not below `tol`, up to three times, the pivots whose
+    L columns grew past 64 are delayed to the end of the order and a - mu is
+    factored again, as multifrontal solvers delay pivots (Duff & Reid, ACM
+    TOMS 9 (1983)); the smallest bound is kept.
+    """
+    shifted = a - mu * scipy.sparse.identity(a.shape[0], format="csc")
+    order, found = None, []  # SuperLU's minimum-degree ordering first
+    for _ in range(4):
+        *result, order, grown = _ldl_inertia(shifted, order, tol)
+        found.append(result)
+        if result[1] < tol:
+            break
+        order = np.concatenate([order[~grown], order[grown]])
+    count, error, nnz = min(found, key=lambda r: r[1])
+    _log.debug(
+        "inertia count: %d eigenvalues below %.6g, backward error %.3e, L + U nonzeros %d",
+        count, mu, error, nnz,
+    )
+    return count, error
 
 
 def _ldl_inertia(

@@ -47,6 +47,16 @@ def _integer(value, path: str) -> int:
     raise InputFormatError(path, f"expected an integer, got {value!r}")
 
 
+def _real(value, path: str) -> float:
+    """A finite JSON number (integer or float) as float; InputFormatError otherwise.
+
+    A bool, a string, null, NaN or an infinity is no real number here.
+    """
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise InputFormatError(path, f"expected a finite number, got {value!r}")
+
+
 def matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
     flat = np.asarray(m, dtype=complex).reshape(-1)
     return [[float(z.real), float(z.imag)] for z in flat]
@@ -185,14 +195,16 @@ def circuit_from_dict(
     else:
         witness = tuple(str(w) for w in witness)
     output_site = _integer(_require(obj, "output_site", path), f"{path}.output_site")
+    completeness = _real(_require(obj, "c", path), f"{path}.c")
+    soundness = _real(_require(obj, "s", path), f"{path}.s")
     try:
         return VerifierCircuit(
             layout=layout,
             gates=tuple(gates),
             witness_register=witness,
             output_site=output_site,
-            completeness=float(_require(obj, "c", path)),
-            soundness=float(_require(obj, "s", path)),
+            completeness=completeness,
+            soundness=soundness,
         )
     except ValueError as exc:
         raise InputFormatError(path, str(exc)) from exc

@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .config import DEFAULT, Config
 from .kitaev import LowSpectrum, _low_spectrum
 from .operators import (
-    ClockBlocks,
     DenseOperator,
     SystemLayout,
     _full_eigh,
@@ -220,7 +220,7 @@ class SimulationReport:
     conditions: dict[str, bool]
     h: np.ndarray
     h_values: np.ndarray  # ascending eigenvalues of h
-    h_prime: np.ndarray | ClockBlocks
+    h_prime: np.ndarray | scipy.sparse.spmatrix
     encoding: Encoding
 
     @property
@@ -230,7 +230,7 @@ class SimulationReport:
 
 def verify_simulation(
     h: DenseOperator | np.ndarray,
-    h_prime: DenseOperator | ClockBlocks | np.ndarray,
+    h_prime: DenseOperator | scipy.sparse.spmatrix | np.ndarray,
     enc: Encoding,
     delta: float,
     eta_target: float | None = None,
@@ -251,7 +251,7 @@ def verify_simulation(
     """
     cfg = config or DEFAULT
     h_mat = h.entries if isinstance(h, DenseOperator) else np.asarray(h, dtype=complex)
-    if not isinstance(h_prime, (DenseOperator, ClockBlocks)):
+    if not (isinstance(h_prime, DenseOperator) or scipy.sparse.issparse(h_prime)):
         h_prime = np.asarray(h_prime, dtype=complex)
     hp_mat = h_prime.entries if isinstance(h_prime, DenseOperator) else h_prime
     d_t = h_mat.shape[0]

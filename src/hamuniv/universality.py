@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .circuits import (
     Gate,
@@ -41,7 +42,6 @@ from .kitaev import (
     idling_state,
 )
 from .operators import (
-    ClockBlocks,
     DenseOperator,
     Register,
     SystemLayout,
@@ -406,19 +406,21 @@ def flag_hamiltonian(f: np.ndarray) -> FlagHamiltonian:
 
 
 def build_hsim(
-    h_ls: DenseOperator | ClockBlocks,
+    h_ls: DenseOperator | scipy.sparse.spmatrix,
     lam_min: float,
     flag_terms: tuple[tuple[int, FlagHamiltonian], ...] | list,
     delta: float,
     a: float,
-) -> DenseOperator | ClockBlocks:
+    layout: SystemLayout | None = None,
+) -> DenseOperator | scipy.sparse.csr_matrix:
     """Delta (H_LS - lam_min 1) + a sum_k 2^k (flag penalty on the k-th listed site).
 
-    Clock-block input gives clock-block output; it takes diagonal flags only.
+    A sparse H_LS gives a sparse H_sim. It takes diagonal flags only, and
+    `layout`, H_LS's layout, which the flag digits are read from.
     """
-    layout = h_ls.layout
-    blocks = isinstance(h_ls, ClockBlocks)
-    h = delta * h_ls if blocks else delta * h_ls.entries
+    sparse = scipy.sparse.issparse(h_ls)
+    layout = layout if sparse else h_ls.layout
+    h = delta * h_ls if sparse else delta * h_ls.entries
     diag = np.zeros(layout.total_dim)
     diag -= delta * lam_min
     digit_table = None
@@ -431,12 +433,12 @@ def build_hsim(
             if digit_table is None:
                 digit_table = layout.digit_table()
             diag += weight * np.real(np.diagonal(local))[digit_table[site]]
-        elif blocks:
-            raise ValueError("a clock-block H_LS takes diagonal flag penalties only")
+        elif sparse:
+            raise ValueError("a sparse H_LS takes diagonal flag penalties only")
         else:
             h = h + weight * tensor_embed(flag.h_f, (site,), layout).entries
-    if blocks:
-        return h.plus_diagonal(diag)
+    if sparse:
+        return h + scipy.sparse.diags(diag)
     h[np.arange(layout.total_dim), np.arange(layout.total_dim)] += diag
     return DenseOperator(layout, h, hermitian=True, validate=False)
 
@@ -562,6 +564,8 @@ def end_to_end(
     cfg = config or DEFAULT
     if target.dim > 4 or m > 2:
         raise ValueError("end-to-end runs are restricted to tiny instances (dim <= 4, m <= 2)")
+    if delta is not None and not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     fam = witness_family(target, a, m, tau, cfg)
     circuit = qpe_verifier(target, a, m, tau, fam=fam, config=cfg)
     idled = idle_prefix(circuit, idle_steps)
@@ -603,9 +607,13 @@ def end_to_end(
         delta_hat = delta * gap_mk
     lam_sh = target.norm + 1.0
     alignment = fam.shift + lam_sh
-    h_sim = build_hsim(h_mk, lam_min, flags, delta, flag_prefactor).plus_diagonal(-alignment)
-    # H_sim's low space lies near H_MK's: its eigenvectors start the solve
-    sim = _low_spectrum(h_sim, w_dim + 1, w_dim, cfg, start=mk.vectors)
+    h_sim = build_hsim(h_mk, lam_min, flags, delta, flag_prefactor, kh.layout)
+    h_sim = h_sim - alignment * scipy.sparse.identity(kh.layout.total_dim)
+    # H_sim's low space lies near H_MK's: its eigenvectors start the solve. H_MK
+    # and the flag terms are positive semidefinite, and delta > 0, so H_sim's
+    # spectrum lies at or above -delta lam_min - alignment
+    floor = -delta * lam_min - alignment
+    sim = _low_spectrum(h_sim, w_dim + 1, w_dim, cfg, start=mk.vectors, floor=floor)
 
     wtilde = wtilde_encodings(target, fam, cfg)
 

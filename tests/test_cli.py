@@ -239,7 +239,8 @@ class TestSw:
 
 
 class TestVerifySim:
-    def _fixture(self, tmp_path, eta_target=None, **v_fields):
+    @staticmethod
+    def doc(eta_target=None, **v_fields) -> dict:
         rng = np.random.default_rng(3)
         h = random_hermitian(rng, 2)
         delta = float(np.linalg.norm(h, 2) + 1.0)
@@ -262,7 +263,10 @@ class TestVerifySim:
         if eta_target is not None:
             obj["targets"] = {"eta": eta_target}
         obj["v"] |= v_fields
-        return write_json(tmp_path / "vs.json", obj)
+        return obj
+
+    def _fixture(self, tmp_path, eta_target=None, **v_fields):
+        return write_json(tmp_path / "vs.json", self.doc(eta_target, **v_fields))
 
     def test_exact_block_passes_with_csv(self, tmp_path):
         inp = self._fixture(tmp_path)
@@ -320,6 +324,89 @@ class TestUniversalDemo:
         err = capsys.readouterr().err
         assert f"input error: input.{field}: expected an integer, got 1.5" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("delta", [-1, 0])
+    def test_non_positive_delta_exits_before_any_solve(self, tmp_path, capsys, monkeypatch, delta):
+        import hamuniv.universality as universality
+
+        solves = []
+        monkeypatch.setattr(universality, "_low_spectrum", lambda *args, **kw: solves.append(args))
+        out = tmp_path / "demo_report.json"
+        inp = self._fixture(tmp_path, delta=delta)
+        assert main(["universal-demo", "--input", inp, "--output", str(out)]) == 2
+        assert f"input error: delta must be positive, got {delta}" in capsys.readouterr().err
+        assert solves == [] and not out.exists()
+
+
+REAL_FIELD_DOCS = {
+    "sw": TestSw.two_level_doc,
+    "universal-demo": lambda: {
+        "h_target": diag_operator_doc([0.0, 0.0]), "a": 2.0, "m": 1, "L": 1, "delta": 1e6
+    },
+    "hmk-check": lambda: {"circuit": circuit_to_dict(cnot_verifier()), "kappa": 0.02},
+    "verify-sim": TestVerifySim.doc,
+}
+
+
+class TestRealFields:
+    """A real-valued field takes a finite JSON number; anything else exits 2 at its path."""
+
+    @pytest.mark.parametrize(
+        "command, field, value, path",
+        [
+            ("sw", "delta", None, "input.delta"),
+            ("sw", "delta", [1.0], "input.delta"),
+            ("sw", "delta", True, "input.delta"),
+            ("universal-demo", "kappa", "0.0001", "input.kappa"),
+            ("universal-demo", "tau", [1], "input.tau"),
+            ("universal-demo", "a", [2.0], "input.a"),
+            ("universal-demo", "delta", "x", "input.delta"),
+            ("universal-demo", "delta_prime", float("nan"), "input.delta_prime"),
+            ("hmk-check", "kappa", "0.02", "input.kappa"),
+            ("hmk-check", "circuit.c", "1.0", "circuit.c"),
+            ("hmk-check", "circuit.s", None, "circuit.s"),
+            ("verify-sim", "delta", None, "input.delta"),
+            ("verify-sim", "beta", 1.0, "input.beta"),
+            ("verify-sim", "beta", [0.0, "1"], "input.beta[1]"),
+            ("verify-sim", "t", [float("inf")], "input.t[0]"),
+            ("verify-sim", "targets", [0.1], "input.targets"),
+            ("verify-sim", "targets", {"eta": "0.1"}, "input.targets.eta"),
+            ("verify-sim", "targets", {"epsilon": False}, "input.targets.epsilon"),
+        ],
+    )
+    def test_non_real_value_exits_two_at_its_path(
+        self, tmp_path, capsys, command, field, value, path
+    ):
+        doc = REAL_FIELD_DOCS[command]()
+        *outer, key = field.split(".")
+        holder = doc
+        for name in outer:
+            holder = holder[name]
+        holder[key] = value
+        out = tmp_path / "report.json"
+        assert main([command, "--input", write_json(tmp_path / "in.json", doc),
+                     "--output", str(out)]) == 2
+        assert f"input error: {path}: expected " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_optional_field_takes_its_default(self, tmp_path):
+        reports = []
+        for k, kappa in enumerate(({}, {"kappa": None})):
+            doc = {"circuit": circuit_to_dict(idle_prefix(cnot_verifier(), 2))} | kappa
+            out = tmp_path / f"hmk{k}.json"
+            assert main(["hmk-check", "--input", write_json(tmp_path / f"c{k}.json", doc),
+                         "--output", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_integer_reads_as_the_float(self, tmp_path):
+        reports = []
+        for k, delta in enumerate((1, 1.0)):
+            inp = write_json(tmp_path / f"sw{k}.json", TestSw.two_level_doc() | {"delta": delta})
+            out = tmp_path / f"sw_report{k}.json"
+            assert main(["sw", "--input", inp, "--output", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestValidateInputAndErrors:

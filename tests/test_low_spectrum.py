@@ -33,6 +33,7 @@ from hamuniv.kitaev import (
     ClockRep,
     LowSpectrum,
     _count_certificate,
+    _dense_entries,
     _low_spectrum,
     build_kitaev,
     check_hmk_lemma,
@@ -40,11 +41,11 @@ from hamuniv.kitaev import (
     kappa_limit,
 )
 from hamuniv.operators import (
-    ClockBlocks,
     ClusterSplitError,
     Register,
     SpectrumCertificateError,
     SystemLayout,
+    negative_count,
 )
 from hamuniv.universality import TargetHamiltonian, end_to_end, qpe_verifier
 
@@ -98,13 +99,14 @@ def cluster_ranges(vals: np.ndarray, tol: float) -> list[tuple[int, int]]:
 def large_hmk():
     """Clock-subspace H_MK above the dense switch (D = 128 x 11) with 4-fold clusters."""
     h, w = spectator_hmk(seed=5, n_spectators=2, n_ancilla=3, t_steps=10)
-    assert h.dim > _PARTIAL_EIGH_DIM
-    dense = h.dense()
+    assert h.shape[0] > _PARTIAL_EIGH_DIM
+    dense = _dense_entries(h)
     vals, vecs = np.linalg.eigh(dense)
     return h, w, dense, vals, vecs
 
 
 ROADMAP_TARGET = TargetHamiltonian.from_matrix(np.diag([0.0, 0.5]).astype(complex), (2,))
+ROADMAP_C_DIM = 648  # circuit states of the ROADMAP verifier; its clock has T' + 1 = 5 states
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +133,17 @@ class TestShiftInvertAgreesWithDense:
         recomputed = np.linalg.norm(dense @ low.vectors - low.vectors * low.values, axis=0)
         assert np.allclose(low.residuals, recomputed, rtol=1e-6, atol=1e-15)
         assert low.residuals[:w].max() <= 1e-12 * norm
+
+    def test_floor_moves_with_a_shifted_matrix(self, large_hmk):
+        # H_MK - 5 has the floor -5: the shift-invert solve shifts below it and
+        # certifies H_MK's values minus 5
+        h, w, dense = large_hmk[:3]
+        low = _low_spectrum(h, w + 8, w)
+        shifted = h - 5.0 * scipy.sparse.identity(h.shape[0], format="csr")
+        moved = _low_spectrum(shifted, w + 8, w, floor=-5.0)
+        norm = float(np.abs(dense).sum(axis=1).max())
+        assert moved.certificate is not None and moved.certificate[1] == w
+        assert np.abs(moved.values[:w] - (low.values[:w] - 5.0)).max() <= 1e-12 * norm
 
     def test_cluster_projectors_match_dense(self, large_hmk):
         h, w, _, vals, vecs = large_hmk
@@ -208,22 +221,22 @@ class TestShiftInvertSteps:
         # arrays live at once; a fourth would break the bound, which is
         # 7.05 MB here and so under 9 MB
         h, w = roadmap_hmk
-        _low_spectrum(h, w + 8, w)  # imports scipy.sparse.linalg and csgraph
+        _low_spectrum(h, w + 8, w)  # imports scipy.sparse.linalg
         tracemalloc.start()
         try:
             _low_spectrum(h, w + 8, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * h.dim * (w + 8 + _SI_OVERSAMPLE) * 16
+        assert peak < 4 * h.shape[0] * (w + 8 + _SI_OVERSAMPLE) * 16
 
 
 def recorded_solves(monkeypatch) -> list:
     """Route every _low_spectrum call through a wrapper that records (k, n, start, result)."""
     calls = []
 
-    def record(h, k, n, config=None, start=None):
-        low = _low_spectrum(h, k, n, config, start)
+    def record(h, k, n, config=None, start=None, floor=0.0):
+        low = _low_spectrum(h, k, n, config, start, floor)
         calls.append((k, n, start, low))
         return low
 
@@ -246,7 +259,7 @@ class TestSolvesSizedToTheCertificate:
         )
         assert (k, n) == (w + 1, w) and np.array_equal(start, history)
         cold = _low_spectrum(h, w + 1, w)
-        norm = float(abs(h.sparse()).sum(axis=1).max())
+        norm = float(abs(h).sum(axis=1).max())
         assert np.abs(warm.values[:w] - cold.values[:w]).max() <= 1e-12 * norm
         assert warm.certificate == (0.5 * float(warm.values[w - 1] + warm.values[w]), w)
         assert cold.certificate[1] == w
@@ -281,16 +294,16 @@ class TestSolvesSizedToTheCertificate:
 
 def test_small_clock_blocks_take_the_dense_path():
     h, w = spectator_hmk(seed=1, n_spectators=1, n_ancilla=1, t_steps=4)
-    assert h.dim <= _PARTIAL_EIGH_DIM
+    assert h.shape[0] <= _PARTIAL_EIGH_DIM
     low = _low_spectrum(h, w + 8, w)
-    vals, vecs = np.linalg.eigh(h.dense())
+    vals, vecs = np.linalg.eigh(_dense_entries(h))
     assert low.certificate is None
     assert np.array_equal(low.values, vals[: w + 8])
     assert np.array_equal(low.vectors, vecs[:, : w + 8])
 
 
-def dense_pairs(h: ClockBlocks) -> LowSpectrum:
-    dense = h.dense()
+def dense_pairs(h: scipy.sparse.spmatrix) -> LowSpectrum:
+    dense = _dense_entries(h)
     vals, vecs = np.linalg.eigh(dense)
     return LowSpectrum(vals, vecs, np.linalg.norm(dense @ vecs - vecs * vals, axis=0))
 
@@ -318,10 +331,11 @@ class TestCountCertificate:
         tol = DEFAULT.cluster_rtol * max(1.0, float(np.abs(low.values).max()))
         bounds = [stop for _, stop in cluster_ranges(low.values, tol)[:-1]]
         n = data.draw(st.sampled_from(bounds), label="cut")
-        assert _count_certificate(h, low, n, DEFAULT)[1] == n  # the complete result certifies
+        a = h.tocsc()
+        assert _count_certificate(a, low, n, DEFAULT)[1] == n  # the complete result certifies
         j = data.draw(st.integers(0, n - 1), label="dropped")
         with pytest.raises(SpectrumCertificateError):
-            _count_certificate(h, drop_pair(low, j), n - 1, DEFAULT)
+            _count_certificate(a, drop_pair(low, j), n - 1, DEFAULT)
 
     @settings(max_examples=25, deadline=None)
     @given(hw=small_hmk, data=st.data())
@@ -335,8 +349,9 @@ class TestCountCertificate:
             label="cut",
         )
         n, stop = cut
+        a = h.tocsc()
         with pytest.raises(ClusterSplitError):
-            _count_certificate(h, low, n, DEFAULT)
+            _count_certificate(a, low, n, DEFAULT)
         # a solver that misplaces the cluster's upper members feigns a gap at
         # the cut; only the inertia count can see the members left below it
         vals = low.values
@@ -345,56 +360,57 @@ class TestCountCertificate:
             np.concatenate([vals[:n], vals[n:] + lift]), low.vectors, low.residuals
         )
         with pytest.raises(SpectrumCertificateError):
-            _count_certificate(h, feigned, n, DEFAULT)
+            _count_certificate(a, feigned, n, DEFAULT)
 
     def test_negative_count_holds_few_dense_blocks(self):
-        # three clock blocks of c_dim = 512: the Schur complement carried from one
-        # step to the next is released, and no step keeps more than three arrays
+        # three clock states (T = 2) of c_dim = 512 circuit states: the count's
+        # arrays stay below four dense c_dim x c_dim blocks
         h, _ = spectator_hmk(seed=3, n_spectators=3, n_ancilla=4, t_steps=2)
-        c_dim = h.c_dim
-        assert c_dim >= 512 and len(h.diag) == 3
+        c_dim = h.shape[0] // 3
+        assert c_dim >= 512
+        a = h.tocsc()
         tracemalloc.start()
         try:
-            count = h.negative_count(0.3)
+            count = negative_count(a, 0.3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * c_dim * c_dim * 16
-        assert count == int(np.sum(np.linalg.eigvalsh(h.dense()) < 0.3))
+        assert count == int(np.sum(np.linalg.eigvalsh(_dense_entries(h)) < 0.3))
 
     @settings(max_examples=25, deadline=None)
     @given(hw=small_hmk, frac=st.floats(0.0, 1.0))
     def test_negative_count_matches_dense(self, hw, frac):
         h, _ = hw
-        vals = np.linalg.eigvalsh(h.dense())
+        vals = np.linalg.eigvalsh(_dense_entries(h))
         mu = float(vals[0] - 0.1 + frac * (vals[-1] - vals[0] + 0.2))
         if np.abs(vals - mu).min() < 1e-8:
             return
-        assert h.negative_count(mu) == int(np.sum(vals < mu))
+        assert negative_count(h.tocsc(), mu) == int(np.sum(vals < mu))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dense_blocks_count_as_eigvalsh(self, seed):
-        # dense random blocks: every Schur complement is one component, factored whole
+        # block tridiagonal with dense random blocks: the factor fills in, and the
+        # unpivoted LDL^dag still counts right
         rng = np.random.default_rng(seed)
         c_dim, n_clock = 12, 4
         shape = (c_dim, c_dim)
-        h = ClockBlocks(
-            SystemLayout((c_dim, n_clock)),
-            tuple(scipy.sparse.csr_matrix(random_hermitian(rng, c_dim)) for _ in range(n_clock)),
-            tuple(
-                scipy.sparse.csr_matrix(rng.normal(size=shape) + 1j * rng.normal(size=shape))
-                for _ in range(n_clock - 1)
-            ),
-            floor=-np.inf,
-        )
-        vals = np.linalg.eigvalsh(h.dense())
+        grid = [[None] * n_clock for _ in range(n_clock)]
+        for t in range(n_clock):
+            grid[t][t] = random_hermitian(rng, c_dim)
+        for t in range(1, n_clock):
+            grid[t][t - 1] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            grid[t - 1][t] = grid[t][t - 1].conj().T
+        h = scipy.sparse.bmat(grid, format="csc")
+        vals = np.linalg.eigvalsh(h.toarray())
         for mu in np.linspace(vals[0] - 1.0, vals[-1] + 1.0, 41):
             if np.abs(vals - mu).min() > 1e-8:
-                assert h.negative_count(mu) == int(np.sum(vals < mu))
+                assert negative_count(h, mu) == int(np.sum(vals < mu))
 
     def test_shift_on_isolated_diagonal_entry_raises(self):
         h, _ = spectator_hmk(seed=2, n_spectators=1, n_ancilla=1, t_steps=3)
-        s_0 = h.diag[0]
+        c_dim = h.shape[0] // 4  # T = 3: four clock states
+        s_0 = h[:c_dim, :c_dim].tocsc()  # the t = 0 block
         off_diagonal = abs(s_0 - scipy.sparse.diags(s_0.diagonal()))
         isolated = np.flatnonzero(
             (np.asarray(off_diagonal.sum(axis=0)).ravel() == 0)
@@ -402,23 +418,24 @@ class TestCountCertificate:
         )
         assert len(isolated) > 0
         mu = float(np.real(s_0.diagonal()[isolated[0]]))
-        # S_0 alone is also the last complement, whose zero pivot no later step meets
-        first_block = ClockBlocks(SystemLayout((h.c_dim,)), h.diag[:1], (), h.floor)
-        for blocks in (h, first_block):
+        # mu zeroes that diagonal entry: the factor of H_MK - mu, and of the t = 0
+        # block alone, meets a zero pivot
+        for a in (h.tocsc(), s_0):
             with pytest.raises(SpectrumCertificateError):
-                blocks.negative_count(mu)
+                negative_count(a, mu)
 
     def test_roadmap_count_holds_less_than_one_dense_block(self, roadmap_hmk):
         h, _ = roadmap_hmk
-        assert h.c_dim == 648
-        assert h.negative_count(0.025) == 18  # the first count also imports csgraph
+        a = h.tocsc()
+        assert a.shape[0] == 5 * ROADMAP_C_DIM
+        assert negative_count(a, 0.025) == 18  # the first count also imports scipy.sparse.linalg
         tracemalloc.start()
         try:
-            h.negative_count(0.025)
+            negative_count(a, 0.025)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < h.c_dim * h.c_dim * 16
+        assert peak < ROADMAP_C_DIM * ROADMAP_C_DIM * 16
 
     def test_backward_error_above_the_cluster_tolerance_refuses(self):
         # H - mu = [[eps, 1], [1, -eps]]: the unpivoted factor takes the pivot eps,
@@ -427,27 +444,35 @@ class TestCountCertificate:
         # tolerance, though the count itself is right
         eps = 1e-12
         m = np.array([[eps, 1.0], [1.0, -eps]], dtype=complex)
-        h = ClockBlocks(SystemLayout((2,)), (scipy.sparse.csr_matrix(m),), (), floor=-2.0)
+        h = scipy.sparse.csc_matrix(m)
         vals, vecs = np.linalg.eigh(m)
         low = LowSpectrum(vals, vecs, np.linalg.norm(m @ vecs - vecs * vals, axis=0))
-        assert 0.5 * (vals[0] + vals[1]) == 0.0 and h.negative_count(0.0) == 1
+        assert 0.5 * (vals[0] + vals[1]) == 0.0 and negative_count(h, 0.0) == 1
         with pytest.raises(SpectrumCertificateError, match="backward error"):
             _count_certificate(h, low, 1, DEFAULT)
 
     def test_one_assembly_per_solve(self, monkeypatch):
-        # the solve and its count factor the same assembled matrix
+        # the solve converts H_MK to CSC once, and its count factors that same matrix
         circuit = idle_prefix(qpe_verifier(ROADMAP_TARGET, 2.0, 2, tau=np.pi), 1)
         kh = build_kitaev(circuit, 0.5 * kappa_limit(circuit.n_steps), ClockRep.CLOCK_SUBSPACE)
         h, w = kh.h_mk_operator(), circuit.witness_dim
-        bmat, assembled = scipy.sparse.bmat, []
+        tocsc, inertia, converted, counted = type(h).tocsc, kitaev._inertia, [], []
 
-        def record(*args, **kwargs):
-            assembled.append(bmat(*args, **kwargs))
-            return assembled[-1]
+        def record_tocsc(self, *args, **kwargs):
+            out = tocsc(self, *args, **kwargs)
+            if self is h:
+                converted.append(out)
+            return out
 
-        monkeypatch.setattr(scipy.sparse, "bmat", record)
+        def record_inertia(a, *args):
+            counted.append(a)
+            return inertia(a, *args)
+
+        monkeypatch.setattr(type(h), "tocsc", record_tocsc)
+        monkeypatch.setattr(kitaev, "_inertia", record_inertia)
         low = _low_spectrum(h, w + 1, w)
-        assert low.certificate[1] == w and len(assembled) == 1
+        assert low.certificate[1] == w and len(converted) == 1
+        assert len(counted) == 1 and counted[0] is converted[0]
 
     def test_count_factor_holds_less_than_one_dense_block(self, roadmap_hmk, monkeypatch):
         h, _ = roadmap_hmk
@@ -458,14 +483,15 @@ class TestCountCertificate:
             return factors[-1]
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
-        assert h.negative_count(0.025) == 18
+        assert negative_count(h.tocsc(), 0.025) == 18
         [lu] = factors
-        assert lu.L.nnz + lu.U.nnz < h.c_dim * h.c_dim
+        assert lu.L.nnz + lu.U.nnz < ROADMAP_C_DIM * ROADMAP_C_DIM
 
     def test_count_logs_one_debug_record(self, caplog):
         h, _ = spectator_hmk(seed=4, n_spectators=1, n_ancilla=1, t_steps=3)
+        a = h.tocsc()
         with caplog.at_level(logging.DEBUG, logger="hamuniv"):
-            count = h.negative_count(0.3)
+            count = negative_count(a, 0.3)
         records = [r for r in caplog.records if "inertia count" in r.getMessage()]
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
         message = records[0].getMessage()
