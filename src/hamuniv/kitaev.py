@@ -101,7 +101,8 @@ class KitaevHamiltonian:
 
     `parts`, assembled on first read and then kept, holds (H_in, H_prop,
     H_out, H_clock) as sparse CSR matrices in both representations, each
-    term the Kronecker product of a clock matrix and a circuit block. Each
+    term the Kronecker product of a clock matrix and a circuit block; the
+    clock-subspace H_prop is written straight into its CSR arrays. Each
     gate enters through its sparse embedding and the pin and reject penalties
     as diagonals without stored zeros, so no dense c_dim x c_dim array is
     formed. The h_* properties, h0() and h_mk() materialize dense operators
@@ -123,31 +124,25 @@ class KitaevHamiltonian:
     def parts(self) -> tuple:
         circuit, rep, layout, t_steps = self.circuit, self.rep, self.layout, self.t_steps
         c_dim = circuit.layout.total_dim
+        if rep is ClockRep.CLOCK_SUBSPACE:
+            # first: its assembly is the peak, and holds nothing else then
+            h_prop = _clock_subspace_h_prop(circuit)
         # diagonal penalties, stored without zeros: at t = 0 one unit for each of the
         # flag qubit and ancillas off |0>, at t = T one for an output qubit off |1>
         digits = circuit.layout.digit_table()
         pin_count = (digits[list(circuit.ancilla_sites)] != 0).sum(axis=0)
         pin = scipy.sparse.diags(pin_count.astype(complex), format="csr")
         reject = scipy.sparse.diags((digits[circuit.output_site] != 1).astype(complex), format="csr")
-        embedded = [sparse_embed(g.unitary, g.targets, circuit.layout) for g in circuit.gates]
-
-        eye_c = scipy.sparse.identity(c_dim, dtype=complex, format="csr")
         zero = scipy.sparse.csr_matrix((layout.total_dim,) * 2, dtype=complex)
         if rep is ClockRep.CLOCK_SUBSPACE:
 
-            def at(t: int, s: int, circ) -> scipy.sparse.csr_matrix:
-                # |t><s| (x) circ, the clock the slow factor
-                clock = scipy.sparse.csr_matrix(([1.0], ([t], [s])), shape=(t_steps + 1,) * 2)
+            def at(t: int, circ) -> scipy.sparse.csr_matrix:
+                # |t><t| (x) circ, the clock the slow factor
+                clock = scipy.sparse.csr_matrix(([1.0], ([t], [t])), shape=(t_steps + 1,) * 2)
                 return scipy.sparse.kron(clock, circ, format="csr")
 
-            h_in = at(0, 0, pin)
-            h_out = at(t_steps, t_steps, reject)
-            for u in embedded:  # -U_t/2 as 0.0 - 0.5 U_t, not -0.5 U_t: every zero part is +0.0
-                u.data = 0.0 - 0.5 * u.data
-            # H_prop: 1/2 on each end of every step, -U_t/2 from time t-1 to t
-            ends = scipy.sparse.diags([0.5 * ((t > 0) + (t < t_steps)) for t in range(t_steps + 1)])
-            hop = sum(at(t, t - 1, u) for t, u in enumerate(embedded, start=1))
-            h_prop = scipy.sparse.kron(ends, eye_c, format="csr") + hop + hop.conj().T
+            h_in = at(0, pin)
+            h_out = at(t_steps, reject)
             h_clock = zero
         else:
             eye2 = np.eye(2, dtype=complex)
@@ -166,6 +161,8 @@ class KitaevHamiltonian:
                 factor = scipy.sparse.kron(factor, scipy.sparse.identity(2 ** (lo - 1)))
                 return scipy.sparse.kron(factor, circ, format="csr")
 
+            embedded = [sparse_embed(g.unitary, g.targets, circuit.layout) for g in circuit.gates]
+            eye_c = scipy.sparse.identity(c_dim, dtype=complex, format="csr")
             h_in = term({1: proj0}, pin)
             h_out = term({t_steps: proj1}, reject)
             h_clock = h_prop = zero
@@ -211,6 +208,65 @@ def _dense_entries(m: scipy.sparse.spmatrix) -> np.ndarray:
     out = m.toarray()
     out += 0.0
     return out
+
+
+def _clock_subspace_h_prop(circuit: VerifierCircuit) -> scipy.sparse.csr_matrix:
+    """H_prop on the clock subspace, its CSR arrays sized first and then filled.
+
+    Block row t is [-U_t/2, e_t I, -U_{t+1}^dag/2], e_t = 1/2 at the two ends of
+    the clock and 1 between. A sum of Kronecker terms would copy its operands
+    at every +; here each row's length comes from the gates' local patterns,
+    and each gate's embedding is written into the arrays and dropped, so the
+    assembly holds the result, one gate and its adjoint.
+    """
+    layout, t_steps = circuit.layout, circuit.n_steps
+    c_dim, strides, index = layout.total_dim, layout.strides(), np.arange(layout.total_dim)
+    counts = np.ones((t_steps + 1, c_dim), dtype=np.int32)
+    for t, g in enumerate(circuit.gates, start=1):
+        # the embedding stores local row (column) a of U_t in each row whose target digits read a
+        digits = (index // strides[s] % layout.site_dims[s] for s in g.targets)
+        local = sum(d * w for d, w in zip(digits, g.unitary.layout.strides()))
+        stored = g.unitary.entries != 0
+        counts[t] += stored.sum(axis=1, dtype=np.int32)[local]
+        counts[t - 1] += stored.sum(axis=0, dtype=np.int32)[local]
+    indptr = np.zeros(counts.size + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    data = np.empty(indptr[-1], dtype=complex)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    cursor = counts  # reused: each row's next free position
+    cursor.flat = indptr[:-1]
+
+    def place(t: int, s: int, m: scipy.sparse.csr_matrix) -> None:
+        # block (t, s) = m, each row after what block row t holds so far
+        n = np.diff(m.indptr)
+        pos = np.repeat(cursor[t] - m.indptr[:-1], n) + np.arange(m.nnz)
+        data[pos] = m.data
+        indices[pos] = m.indices + s * c_dim
+        cursor[t] += n
+
+    def step(t: int) -> None:
+        # -U_t/2 from time t - 1 to t as 0.0 - 0.5 U_t, not -0.5 U_t: every zero
+        # part is +0.0, and adding 0.0 restores those that conj() flips. In
+        # place, and the hop is dropped before its adjoint is written: the two
+        # are held together only while one is copied from the other
+        g = circuit.gates[t - 1]
+        hop = sparse_embed(g.unitary, g.targets, layout)
+        hop.data *= 0.5
+        np.subtract(0.0, hop.data, out=hop.data)
+        place(t, t - 1, hop)
+        back = hop.T.tocsr()
+        del hop
+        np.conjugate(back.data, out=back.data)
+        back.data += 0.0
+        place(t - 1, t, back)
+
+    for t in range(t_steps + 1):  # each row: hop in, e_t, hop out, so its columns ascend
+        if t > 0:
+            step(t)
+        data[cursor[t]] = 0.5 * ((t > 0) + (t < t_steps))
+        indices[cursor[t]] = index + t * c_dim
+        cursor[t] += 1
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(counts.size,) * 2)
 
 
 def build_kitaev(
@@ -326,7 +382,7 @@ def _low_spectrum(
     n: int,
     config: Config | None = None,
     start: np.ndarray | None = None,
-    floor: float = 0.0,
+    floor: float | None = None,
 ) -> LowSpectrum:
     """Lowest k eigenpairs (ascending); switches solver by dimension and storage.
 
@@ -338,15 +394,17 @@ def _low_spectrum(
     reuses its cached spectrum. Sparse matrices above it go to shift-invert
     subspace iteration, which converges the n lowest pairs and certifies
     their count with an inertia count (operators.negative_count); a
-    mismatch raises SpectrumCertificateError. `floor` is a lower bound on a
-    sparse h's spectrum, 0 for the positive semidefinite clock Hamiltonians;
-    the iteration shifts just below it, and a wrong floor can only make the
-    certificate refuse. `start`, orthonormal columns near the low space
+    mismatch raises SpectrumCertificateError. `floor`, a lower bound on the
+    spectrum, is required there (0 for the positive semidefinite clock
+    Hamiltonians): the iteration shifts just below it, and a wrong floor can
+    only make the certificate refuse. `start`, orthonormal columns near the low space
     (history states, or a nearby operator's eigenvectors), seeds that
     iteration; the dense solvers ignore it.
     """
     if scipy.sparse.issparse(h):
         if h.shape[0] > _PARTIAL_EIGH_DIM:
+            if floor is None:
+                raise ValueError("a sparse solve needs floor, a lower bound on the spectrum")
             return _shift_invert_spectrum(h, k, n, config or DEFAULT, start, floor)
         h = _dense_entries(h)
     m = h.entries if isinstance(h, DenseOperator) else h
@@ -606,7 +664,7 @@ def check_hmk_lemma(
         clock = build_kitaev(circuit, kappa) if unary else kh
         # the history states span the kernel of H_0, H_MK at kappa = 0
         history = _history_columns(circuit, np.eye(w, dtype=complex), ClockRep.CLOCK_SUBSPACE)
-        _low = _low_spectrum(clock.h_mk_operator(), w + 1, w, cfg, start=history)
+        _low = _low_spectrum(clock.h_mk_operator(), w + 1, w, cfg, start=history, floor=0.0)
     vals, vecs = _low.values, _low.vectors
 
     q_desc = np.sort(acc.eigen.values)[::-1]

@@ -411,15 +411,14 @@ def build_hsim(
     flag_terms: tuple[tuple[int, FlagHamiltonian], ...] | list,
     delta: float,
     a: float,
-    layout: SystemLayout | None = None,
+    layout: SystemLayout,
 ) -> DenseOperator | scipy.sparse.csr_matrix:
     """Delta (H_LS - lam_min 1) + a sum_k 2^k (flag penalty on the k-th listed site).
 
-    A sparse H_LS gives a sparse H_sim. It takes diagonal flags only, and
-    `layout`, H_LS's layout, which the flag digits are read from.
+    `layout` is H_LS's, which the flag digits are read from. A sparse H_LS
+    gives a sparse H_sim, and takes diagonal flags only.
     """
     sparse = scipy.sparse.issparse(h_ls)
-    layout = layout if sparse else h_ls.layout
     h = delta * h_ls if sparse else delta * h_ls.entries
     diag = np.zeros(layout.total_dim)
     diag -= delta * lam_min
@@ -587,7 +586,7 @@ def end_to_end(
     # start the solve. Both solves go through this module's _low_spectrum,
     # H_MK first, which is how perfbench's tracer tells them apart
     history = _history_columns(idled, np.eye(w_dim, dtype=complex), ClockRep.CLOCK_SUBSPACE)
-    mk = _low_spectrum(h_mk, w_dim + 1, w_dim, cfg, start=history)
+    mk = _low_spectrum(h_mk, w_dim + 1, w_dim, cfg, start=history, floor=0.0)
     hmk_report = check_hmk_lemma(kh, cfg, _low=mk, _acc=acc)
     lam_min = float(mk.values[0])
     gap_mk = hmk_report.gap_above_low_space

@@ -35,6 +35,7 @@ from hamuniv.operators import (
     Subspace,
     SystemLayout,
     subspace_distance,
+    tensor_embed,
 )
 
 from conftest import (
@@ -151,9 +152,7 @@ class TestBuildKitaev:
         for part in kh.parts:
             # sparse, and no stored zeros: the sparse LU orders by the stored pattern
             assert scipy.sparse.issparse(part) and np.all(part.data != 0)
-        # the flat H_prop stores both off-diagonal triangles, and each sparse sum
-        # copies its operands: about 1.1 MB here, a quarter of one dense block
-        assert peak < c_dim * c_dim * 16 / 2
+        assert peak < c_dim * c_dim * 16 / 8
 
     @pytest.mark.parametrize("rep", BOTH_REPS)
     def test_parts_assembled_once_on_first_read(self, rep):
@@ -196,6 +195,33 @@ class TestBuildKitaev:
                 term(window | {t: p0}, np.eye(4)) + term(window | {t: p1}, np.eye(4)) - hop - hop.T
             )
         for part, ref in zip(kh.parts, (h_in, h_prop, h_out, h_clock)):
+            assert np.array_equal(part.toarray(), ref)
+
+    @pytest.mark.parametrize(
+        "circuit",
+        # descending two-site targets, and a CNOT whose local matrix has zeros
+        [random_verifier(np.random.default_rng(2), 5, 3), cnot_verifier(2)],
+        ids=["random", "cnot"],
+    )
+    def test_clock_subspace_parts_match_kron_reference(self, circuit):
+        t_steps, c_dim = circuit.n_steps, circuit.layout.total_dim
+        kh = build_kitaev(circuit, 0.5 * kappa_limit(t_steps))
+
+        def at(t, s, circ):
+            clock = np.zeros((t_steps + 1,) * 2)
+            clock[t, s] = 1.0
+            return np.kron(clock, circ)
+
+        h_prop = sum(at(t, t, 0.5 * ((t > 0) + (t < t_steps)) * np.eye(c_dim)) for t in range(t_steps + 1))
+        for t, g in enumerate(circuit.gates, start=1):
+            u = tensor_embed(g.unitary, g.targets, circuit.layout).entries
+            h_prop = h_prop - 0.5 * (at(t, t - 1, u) + at(t - 1, t, u.conj().T))
+        digits = circuit.layout.digit_table()
+        pin = np.diag((digits[list(circuit.ancilla_sites)] != 0).sum(axis=0))
+        reject = np.diag(digits[circuit.output_site] != 1)
+        refs = (at(0, 0, pin), h_prop, at(t_steps, t_steps, reject), 0 * h_prop)
+        for part, ref in zip(kh.parts, refs):
+            assert part.has_canonical_format and np.all(part.data != 0)
             assert np.array_equal(part.toarray(), ref)
 
     def test_x_flag_circuit_kernel_regime(self):

@@ -47,6 +47,7 @@ from hamuniv.operators import (
     SystemLayout,
     negative_count,
 )
+from hamuniv.simulation import plain_encoding, verify_simulation
 from hamuniv.universality import TargetHamiltonian, end_to_end, qpe_verifier
 
 from conftest import random_hermitian, random_unitary
@@ -122,7 +123,7 @@ def roadmap_hmk():
 class TestShiftInvertAgreesWithDense:
     def test_certified_pairs_match_dense(self, large_hmk):
         h, w, dense, vals, vecs = large_hmk
-        low = _low_spectrum(h, w + 8, w)
+        low = _low_spectrum(h, w + 8, w, floor=0.0)
         norm = float(np.abs(dense).sum(axis=1).max())
         assert low.certificate is not None and low.certificate[1] == w
         assert np.abs(low.values[:w] - vals[:w]).max() <= 1e-12 * norm
@@ -138,16 +139,26 @@ class TestShiftInvertAgreesWithDense:
         # H_MK - 5 has the floor -5: the shift-invert solve shifts below it and
         # certifies H_MK's values minus 5
         h, w, dense = large_hmk[:3]
-        low = _low_spectrum(h, w + 8, w)
+        low = _low_spectrum(h, w + 8, w, floor=0.0)
         shifted = h - 5.0 * scipy.sparse.identity(h.shape[0], format="csr")
         moved = _low_spectrum(shifted, w + 8, w, floor=-5.0)
         norm = float(np.abs(dense).sum(axis=1).max())
         assert moved.certificate is not None and moved.certificate[1] == w
         assert np.abs(moved.values[:w] - (low.values[:w] - 5.0)).max() <= 1e-12 * norm
 
+    def test_sparse_solve_without_floor_raises(self, large_hmk):
+        # a sparse solve never assumes a positive semidefinite matrix; nor does
+        # verify_simulation on a sparse h_prime it is not handed the spectrum of
+        h, w = large_hmk[:2]
+        with pytest.raises(ValueError, match="lower bound on the spectrum"):
+            _low_spectrum(h, w + 8, w)
+        enc = plain_encoding(np.eye(h.shape[0], w), w)
+        with pytest.raises(ValueError, match="lower bound on the spectrum"):
+            verify_simulation(np.zeros((w, w)), h, enc, 1.0)
+
     def test_cluster_projectors_match_dense(self, large_hmk):
         h, w, _, vals, vecs = large_hmk
-        low = _low_spectrum(h, w + 8, w)
+        low = _low_spectrum(h, w + 8, w, floor=0.0)
         clusters = cluster_ranges(vals[: w + 1], 1e-9)
         assert any(stop - start > 1 for start, stop in clusters[:-1])
         for start, stop in clusters[:-1]:  # whole clusters inside the certified band
@@ -157,7 +168,7 @@ class TestShiftInvertAgreesWithDense:
 
     def test_repeated_call_is_bit_identical(self, large_hmk):
         h, w = large_hmk[:2]
-        first, second = _low_spectrum(h, w + 8, w), _low_spectrum(h, w + 8, w)
+        first, second = _low_spectrum(h, w + 8, w, floor=0.0), _low_spectrum(h, w + 8, w, floor=0.0)
         for name in ("values", "vectors", "residuals"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
         assert first.certificate == second.certificate
@@ -182,8 +193,8 @@ class TestShiftInvertSteps:
 
     def test_warm_start_is_bit_identical_and_exact(self, large_hmk):
         h, w, dense, vals, _ = large_hmk
-        start = _low_spectrum(h, w + 8, w).vectors
-        first, second = (_low_spectrum(h, w + 8, w, start=start) for _ in range(2))
+        start = _low_spectrum(h, w + 8, w, floor=0.0).vectors
+        first, second = (_low_spectrum(h, w + 8, w, start=start, floor=0.0) for _ in range(2))
         for name in ("values", "vectors", "residuals"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
         assert first.certificate == second.certificate
@@ -202,7 +213,7 @@ class TestShiftInvertSteps:
 
         monkeypatch.setattr(np.linalg, "cholesky", indefinite_third_gram)
         with pytest.raises(SpectrumCertificateError, match="broke down at step 3"):
-            _low_spectrum(h, w + 8, w)
+            _low_spectrum(h, w + 8, w, floor=0.0)
 
     def test_lost_orthonormality_raises(self, large_hmk, monkeypatch):
         h, w = large_hmk[:2]
@@ -214,17 +225,17 @@ class TestShiftInvertSteps:
 
         monkeypatch.setattr(kitaev, "_cholesky_ritz", stretched)
         with pytest.raises(SpectrumCertificateError, match="orthonormality"):
-            _low_spectrum(h, w + 8, w)
+            _low_spectrum(h, w + 8, w, floor=0.0)
 
     def test_roadmap_solve_holds_three_blocks(self, roadmap_hmk):
         # z, its conjugate (then the new block) and H z are the only D x m
         # arrays live at once; a fourth would break the bound, which is
         # 7.05 MB here and so under 9 MB
         h, w = roadmap_hmk
-        _low_spectrum(h, w + 8, w)  # imports scipy.sparse.linalg
+        _low_spectrum(h, w + 8, w, floor=0.0)  # imports scipy.sparse.linalg
         tracemalloc.start()
         try:
-            _low_spectrum(h, w + 8, w)
+            _low_spectrum(h, w + 8, w, floor=0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -235,7 +246,7 @@ def recorded_solves(monkeypatch) -> list:
     """Route every _low_spectrum call through a wrapper that records (k, n, start, result)."""
     calls = []
 
-    def record(h, k, n, config=None, start=None, floor=0.0):
+    def record(h, k, n, config=None, start=None, floor=None):
         low = _low_spectrum(h, k, n, config, start, floor)
         calls.append((k, n, start, low))
         return low
@@ -258,7 +269,7 @@ class TestSolvesSizedToTheCertificate:
             circuit, np.eye(w, dtype=complex), ClockRep.CLOCK_SUBSPACE
         )
         assert (k, n) == (w + 1, w) and np.array_equal(start, history)
-        cold = _low_spectrum(h, w + 1, w)
+        cold = _low_spectrum(h, w + 1, w, floor=0.0)
         norm = float(abs(h).sum(axis=1).max())
         assert np.abs(warm.values[:w] - cold.values[:w]).max() <= 1e-12 * norm
         assert warm.certificate == (0.5 * float(warm.values[w - 1] + warm.values[w]), w)
@@ -287,7 +298,7 @@ class TestSolvesSizedToTheCertificate:
             return factors[-1]
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
-        _low_spectrum(h, w + 1, w)
+        _low_spectrum(h, w + 1, w, floor=0.0)
         solve, _ = factors  # H - sigma for the solve, then H - mu for its count
         assert solve.L.nnz + solve.U.nnz < 30_000
 
@@ -295,7 +306,7 @@ class TestSolvesSizedToTheCertificate:
 def test_small_clock_blocks_take_the_dense_path():
     h, w = spectator_hmk(seed=1, n_spectators=1, n_ancilla=1, t_steps=4)
     assert h.shape[0] <= _PARTIAL_EIGH_DIM
-    low = _low_spectrum(h, w + 8, w)
+    low = _low_spectrum(h, w + 8, w, floor=0.0)
     vals, vecs = np.linalg.eigh(_dense_entries(h))
     assert low.certificate is None
     assert np.array_equal(low.values, vals[: w + 8])
@@ -470,7 +481,7 @@ class TestCountCertificate:
 
         monkeypatch.setattr(type(h), "tocsc", record_tocsc)
         monkeypatch.setattr(kitaev, "_inertia", record_inertia)
-        low = _low_spectrum(h, w + 1, w)
+        low = _low_spectrum(h, w + 1, w, floor=0.0)
         assert low.certificate[1] == w and len(converted) == 1
         assert len(counted) == 1 and counted[0] is converted[0]
 
@@ -566,7 +577,7 @@ class TestSerialScipyBlas:
 
         monkeypatch.setattr(kitaev, "_cholesky_ritz", breakdown)
         with pytest.raises(SpectrumCertificateError):
-            _low_spectrum(h, w + 8, w)
+            _low_spectrum(h, w + 8, w, floor=0.0)
         assert scipy_blas_threads() == 3
 
     def test_bundled_openblas_resolves_the_thread_symbols(self):

@@ -219,7 +219,7 @@ class TestBuildHsim:
         h = random_hermitian(rng, 4)
         h_ls = DenseOperator(lay, h, hermitian=True)
         lam = float(np.linalg.eigvalsh(h)[0])
-        out = build_hsim(h_ls, lam, (), delta=3.0, a=1.0)
+        out = build_hsim(h_ls, lam, (), delta=3.0, a=1.0, layout=lay)
         assert np.abs(out.entries - 3.0 * (h - lam * np.eye(4))).max() <= 1e-12
         assert np.linalg.eigvalsh(out.entries).min() >= -1e-9
 
@@ -231,7 +231,7 @@ class TestBuildHsim:
         one[1] = 1.0
         flags = tuple((site, flag_hamiltonian(one)) for site in range(3))
         a = 0.7
-        out = build_hsim(h_ls, 0.0, flags, delta=1.0, a=a)
+        out = build_hsim(h_ls, 0.0, flags, delta=1.0, a=a, layout=lay)
         diag = np.real(np.diagonal(out.entries))
         table = lay.digit_table()
         for idx in range(27):
@@ -245,7 +245,7 @@ class TestBuildHsim:
         one = np.zeros(3, dtype=complex)
         one[1] = 1.0
         with pytest.raises(ValueError, match="flag dimension"):
-            build_hsim(h_ls, 0.0, ((0, flag_hamiltonian(one)),), 1.0, 1.0)
+            build_hsim(h_ls, 0.0, ((0, flag_hamiltonian(one)),), 1.0, 1.0, lay)
 
 
 class TestFirstOrderSimCheck:
