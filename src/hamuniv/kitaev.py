@@ -397,9 +397,9 @@ def _low_spectrum(
     mismatch raises SpectrumCertificateError. `floor`, a lower bound on the
     spectrum, is required there (0 for the positive semidefinite clock
     Hamiltonians): the iteration shifts just below it, and a wrong floor can
-    only make the certificate refuse. `start`, orthonormal columns near the low space
-    (history states, or a nearby operator's eigenvectors), seeds that
-    iteration; the dense solvers ignore it.
+    only make the certificate refuse. `start`, orthonormal columns near the
+    low space (history states, or a nearby operator's eigenvectors), seeds
+    that iteration; the dense solvers ignore it.
     """
     if scipy.sparse.issparse(h):
         if h.shape[0] > _PARTIAL_EIGH_DIM:
