@@ -11,6 +11,7 @@ from .operators import (
     DenseOperator,
     EigenSystem,
     SystemLayout,
+    _embedding_rows,
     eigh,
     hermitize,
     tensor_embed,
@@ -202,12 +203,8 @@ def initial_state(circuit: VerifierCircuit, witness: np.ndarray) -> np.ndarray:
     if witness.shape[0] != circuit.witness_dim:
         raise ValueError(f"witness dimension {witness.shape[0]} != {circuit.witness_dim}")
     layout = circuit.layout
-    strides = layout.strides()
-    positions = np.zeros(1, dtype=np.int64)
-    for s in circuit.witness_sites:  # ascending, so each new site is the slower local digit
-        positions = (positions[None, :] + (np.arange(layout.site_dims[s]) * strides[s])[:, None]).reshape(-1)
     vec = np.zeros((layout.total_dim,) + witness.shape[1:], dtype=complex)
-    vec[positions] = witness
+    vec[_embedding_rows(layout, circuit.witness_sites)[1]] = witness  # the flat witness indices
     return vec
 
 

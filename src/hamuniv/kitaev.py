@@ -42,12 +42,15 @@ from .operators import (
     Subspace,
     SystemLayout,
     _cluster_tol,
+    _embedding_rows,
     _full_eigh,
     _hermitian_splu,
     _inertia,
     _principal_residual,
+    _row_lengths,
     _serial_scipy_blas,
     _steady_heap,
+    _write_embedded,
     cluster_bounds,
     eigh,
     guard_cut,
@@ -102,11 +105,11 @@ class KitaevHamiltonian:
     `parts`, assembled on first read and then kept, holds (H_in, H_prop,
     H_out, H_clock) as sparse CSR matrices in both representations, each
     term the Kronecker product of a clock matrix and a circuit block; the
-    clock-subspace H_prop is written straight into its CSR arrays. Each
-    gate enters through its sparse embedding and the pin and reject penalties
-    as diagonals without stored zeros, so no dense c_dim x c_dim array is
-    formed. The h_* properties, h0() and h_mk() materialize dense operators
-    on demand.
+    clock-subspace H_prop is written straight into its CSR arrays, each gate's
+    local nonzeros by operators._write_embedded, the writer sparse_embed uses
+    for the unary gates. The pin and reject penalties are diagonals without
+    stored zeros, so no dense c_dim x c_dim array is formed. The h_*
+    properties, h0() and h_mk() materialize dense operators on demand.
     """
 
     circuit: VerifierCircuit
@@ -216,53 +219,36 @@ def _clock_subspace_h_prop(circuit: VerifierCircuit) -> scipy.sparse.csr_matrix:
     Block row t is [-U_t/2, e_t I, -U_{t+1}^dag/2], e_t = 1/2 at the two ends of
     the clock and 1 between. A sum of Kronecker terms would copy its operands
     at every +; here each row's length comes from the gates' local patterns,
-    and each gate's embedding is written into the arrays and dropped, so the
-    assembly holds the result, one gate and its adjoint.
+    and _write_embedded writes each gate's local nonzeros, and their adjoint,
+    straight into the arrays, so the assembly holds the result and one gate.
     """
-    layout, t_steps = circuit.layout, circuit.n_steps
-    c_dim, strides, index = layout.total_dim, layout.strides(), np.arange(layout.total_dim)
+    layout, t_steps, gates = circuit.layout, circuit.n_steps, circuit.gates
+    c_dim = layout.total_dim
     counts = np.ones((t_steps + 1, c_dim), dtype=np.int32)
-    for t, g in enumerate(circuit.gates, start=1):
-        # the embedding stores local row (column) a of U_t in each row whose target digits read a
-        digits = (index // strides[s] % layout.site_dims[s] for s in g.targets)
-        local = sum(d * w for d, w in zip(digits, g.unitary.layout.strides()))
-        stored = g.unitary.entries != 0
-        counts[t] += stored.sum(axis=1, dtype=np.int32)[local]
-        counts[t - 1] += stored.sum(axis=0, dtype=np.int32)[local]
+    for t, g in enumerate(gates, start=1):
+        # U_t's local row (column) a fills each row of block t (t - 1) whose digits read a
+        rows, cols = np.nonzero(g.unitary.entries)
+        embedding = _embedding_rows(layout, g.targets)
+        counts[t] += _row_lengths(rows, embedding)
+        counts[t - 1] += _row_lengths(cols, embedding)
     indptr = np.zeros(counts.size + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     data = np.empty(indptr[-1], dtype=complex)
     indices = np.empty(indptr[-1], dtype=np.int32)
     cursor = counts  # reused: each row's next free position
     cursor.flat = indptr[:-1]
-
-    def place(t: int, s: int, m: scipy.sparse.csr_matrix) -> None:
-        # block (t, s) = m, each row after what block row t holds so far
-        n = np.diff(m.indptr)
-        pos = np.repeat(cursor[t] - m.indptr[:-1], n) + np.arange(m.nnz)
-        data[pos] = m.data
-        indices[pos] = m.indices + s * c_dim
-        cursor[t] += n
-
-    def step(t: int) -> None:
-        # -U_t/2 from time t - 1 to t as 0.0 - 0.5 U_t, not -0.5 U_t: every zero
-        # part is +0.0, and adding 0.0 restores those that conj() flips. In
-        # place, and the hop is dropped before its adjoint is written: the two
-        # are held together only while one is copied from the other
-        g = circuit.gates[t - 1]
-        hop = sparse_embed(g.unitary, g.targets, layout)
-        hop.data *= 0.5
-        np.subtract(0.0, hop.data, out=hop.data)
-        place(t, t - 1, hop)
-        back = hop.T.tocsr()
-        del hop
-        np.conjugate(back.data, out=back.data)
-        back.data += 0.0
-        place(t - 1, t, back)
-
+    index = np.arange(c_dim)
     for t in range(t_steps + 1):  # each row: hop in, e_t, hop out, so its columns ascend
         if t > 0:
-            step(t)
+            # -U_t/2 as 0.0 - 0.5 U_t, not -0.5 U_t: every zero part is +0.0. The
+            # adjoint's embedding embeds the swapped, conjugated local nonzeros,
+            # and adding 0.0 restores the zero parts that conj() flips
+            g = gates[t - 1]
+            rows, cols = np.nonzero(g.unitary.entries)
+            hop = 0.0 - 0.5 * g.unitary.entries[rows, cols]
+            fill = (_embedding_rows(layout, g.targets), data, indices)
+            _write_embedded(rows, cols, hop, *fill, cursor[t], (t - 1) * c_dim)
+            _write_embedded(cols, rows, np.conj(hop) + 0.0, *fill, cursor[t - 1], t * c_dim)
         data[cursor[t]] = 0.5 * ((t > 0) + (t < t_steps))
         indices[cursor[t]] = index + t * c_dim
         cursor[t] += 1
@@ -288,7 +274,6 @@ class HistoryState:
     vector: np.ndarray
     witness: np.ndarray
     rep: ClockRep
-    idle_split: int | None = None
 
     def __post_init__(self):
         norm = float(np.linalg.norm(self.vector))
@@ -327,13 +312,12 @@ def history_state(
     circuit: VerifierCircuit,
     witness: np.ndarray,
     rep: ClockRep = ClockRep.CLOCK_SUBSPACE,
-    idle_split: int | None = None,
 ) -> HistoryState:
     witness = np.asarray(witness, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(witness) - 1.0) > 1e-12:
         raise ValueError("witness state must be normalized")
     vec = _history_columns(circuit, witness, rep)
-    return HistoryState(vector=vec, witness=witness, rep=rep, idle_split=idle_split)
+    return HistoryState(vector=vec, witness=witness, rep=rep)
 
 
 def _check_idle_window(circuit: VerifierCircuit, idle_steps: int) -> None:

@@ -492,6 +492,44 @@ def expm_i(op: DenseOperator, t: float) -> DenseOperator:
     return DenseOperator(op.layout, u, hermitian=False)
 
 
+def _embedding_rows(layout: SystemLayout, targets: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(local, offset) for an operator on `targets`, targets[0] its fastest local digit: flat
+    index i is offset[local[i]], the offset of the local index its target digits read, plus
+    the other sites' part, which an embedding keeps."""
+    strides, index = layout.strides(), np.arange(layout.total_dim)
+    local, offset = np.zeros_like(index), np.zeros(1, dtype=np.int64)
+    for s in targets:  # each site the slower local digit, weighted by the local size so far
+        local += index // strides[s] % layout.site_dims[s] * offset.size
+        offset = (np.arange(layout.site_dims[s])[:, None] * strides[s] + offset).ravel()
+    return local, offset
+
+
+def _row_lengths(rows: np.ndarray, embedding: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Entries in each flat row of the embedding of local nonzeros in local rows `rows`."""
+    local, offset = embedding
+    return np.bincount(rows, minlength=offset.size)[local]
+
+
+def _write_embedded(rows, cols, values, embedding, data, indices, cursor, column_offset=0) -> None:
+    """Write local nonzeros (rows, cols, values), embedded by the _embedding_rows map, into CSR
+    arrays: flat row i's entries go to data and indices from cursor[i] on, their columns
+    ascending and shifted by column_offset, and cursor[i] moves past them. One pass per slot
+    of the longest local row, on flat-dimension arrays: no temporary grows with the entries."""
+    local, offset = embedding
+    order = np.lexsort((offset[cols], rows))  # by local row, then by flat column
+    rows, cols, values = rows[order], cols[order], values[order]
+    first = np.searchsorted(rows, np.arange(offset.size))  # each local row's first triplet
+    length = _row_lengths(rows, embedding)
+    shift = np.arange(local.size) - offset[local] + column_offset
+    for k in range(length.max(initial=0)):
+        live = np.flatnonzero(length > k)
+        pick = first[local[live]] + k
+        at = cursor[live]
+        data[at] = values[pick]
+        indices[at] = shift[live] + offset[cols[pick]]
+        cursor[live] += 1
+
+
 def sparse_embed(
     local_op: DenseOperator, target_sites: tuple[int, ...] | list[int], layout: SystemLayout
 ) -> scipy.sparse.csr_matrix:
@@ -500,7 +538,7 @@ def sparse_embed(
     The local operator's own layout lists the target sites' dimensions in
     target order, with target_sites[0] the fastest-varying local index. Each
     nonzero local entry is stored once per basis state of the other sites,
-    bit for bit; zero local entries are not stored.
+    bit for bit; zero local entries are not stored. Each row's columns ascend.
     """
     targets = tuple(int(t) for t in target_sites)
     if len(set(targets)) != len(targets):
@@ -514,17 +552,15 @@ def sparse_embed(
             f"local operator dims {local_op.layout.site_dims} do not match "
             f"target site dims {local_dims}"
         )
-    # flat index = offset of the target sites' digits + offset of the other sites' digits
-    strides = layout.strides()
-    rest = [s for s in range(layout.n_sites) if s not in targets]
-    rest_layout = SystemLayout(tuple(layout.site_dims[s] for s in rest), dim_cap=layout.dim_cap)
-    loc_offset = local_op.layout.digit_table().T @ strides[list(targets)]
-    rest_offset = rest_layout.digit_table().T @ strides[rest]
-    a, b = np.nonzero(local_op.entries)
-    rows = (loc_offset[a, None] + rest_offset).ravel()
-    cols = (loc_offset[b, None] + rest_offset).ravel()
-    data = np.repeat(local_op.entries[a, b], rest_offset.size)
-    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(layout.total_dim,) * 2)
+    rows, cols = np.nonzero(local_op.entries)
+    embedding = _embedding_rows(layout, targets)
+    indptr = np.zeros(layout.total_dim + 1, dtype=np.int32)
+    np.cumsum(_row_lengths(rows, embedding), out=indptr[1:])
+    data = np.empty(indptr[-1], dtype=complex)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    values = local_op.entries[rows, cols]
+    _write_embedded(rows, cols, values, embedding, data, indices, indptr[:-1].copy())
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(layout.total_dim,) * 2)
 
 
 def tensor_embed(

@@ -33,7 +33,7 @@ from .operators import (
 
 OFF_BLOCK_TOL = 1e-10
 HIGH_FLOOR = 1.0 - 1e-9  # the least accepted h0 eigenvalue on H_+
-SW_ORDER = 1  # the truncation order sw_exact measures
+SW_ORDER = 1  # the truncation order of SWExpansion.bounds
 
 
 def _unitary_log(w: np.ndarray) -> np.ndarray:
@@ -72,7 +72,7 @@ class SWProblem:
     delta: float
     minus: Subspace
     lambda0: float = 0.0
-    # sw_exact's bounds by config, so sw_bounds does not repeat it; floats
+    # sw_exact's bounds by config, then by order, so sw_bounds does not repeat it; floats
     # only, since an SWExpansion here would make a reference cycle
     _bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -188,40 +188,31 @@ def sw_exact(prob: SWProblem, config: Config | None = None) -> SWExpansion:
         raise ValueError(f"e^S failed to block-diagonalize: off-block norm {off:.3e}")
     h_eff = DenseOperator(h_t.layout, hermitize(b @ m @ b.conj().T), hermitian=True, validate=False)
     orders = tuple(sw_series(prob, 1))
-    bounds = _bound_values(prob, s_norm, h_eff, orders, SW_ORDER, cfg)
-    prob._bounds[cfg] = dict(bounds)
+    # the bounds at truncation orders 0 and 1, for sw_bounds; h_eff and the series
+    # terms act within the span of b and h0 b, and one D x D remainder is held at a time
+    factor = 1.0 + prob.lambda0 / (np.pi * prob.delta)
+    s_bound = cfg.c_sw * prob.h1_norm / prob.delta * factor
+    span, _ = np.linalg.qr(np.hstack([b, prob.h0.entries @ b]))
+    bounds = {}
+    for order in range(len(orders)):
+        rest = span.conj().T @ (h_eff.entries - sum(t.entries for t in orders[: order + 1]))
+        trunc_bound = cfg.c_sw * prob.delta ** (-order) * prob.h1_norm ** (order + 1) * factor
+        bounds[order] = {
+            "s_norm_measured": s_norm,
+            "s_norm_bound": float(s_bound),
+            "truncation_order": float(order),
+            "truncation_measured": _norm(rest @ span),
+            "truncation_bound": float(trunc_bound),
+        }
+    prob._bounds[cfg] = bounds
     s = q @ s_small @ q.conj().T
     return SWExpansion(
         s_exact=(s - s.conj().T) / 2,
         h_eff_exact=h_eff,
         h_eff_orders=orders,
-        bounds=bounds,
+        bounds=dict(bounds[SW_ORDER]),
         problem=prob,
     )
-
-
-def _bound_values(
-    prob: SWProblem,
-    s_norm: float,
-    h_eff: DenseOperator,
-    orders: tuple[DenseOperator, ...],
-    k: int,
-    cfg: Config,
-) -> dict[str, float]:
-    factor = 1.0 + prob.lambda0 / (np.pi * prob.delta)
-    s_bound = cfg.c_sw * prob.h1_norm / prob.delta * factor
-    trunc_bound = cfg.c_sw * prob.delta ** (-k) * prob.h1_norm ** (k + 1) * factor
-    # h_eff and the series terms all act within the span of b and h0 b
-    b = prob.minus.basis
-    span, _ = np.linalg.qr(np.hstack([b, prob.h0.entries @ b]))
-    rest = h_eff.entries - sum(term.entries for term in orders[: k + 1])
-    return {
-        "s_norm_measured": s_norm,
-        "s_norm_bound": float(s_bound),
-        "truncation_order": float(k),
-        "truncation_measured": _norm(span.conj().T @ rest @ span),
-        "truncation_bound": float(trunc_bound),
-    }
 
 
 @dataclass(frozen=True)
@@ -243,22 +234,15 @@ class SWBounds:
 def sw_bounds(prob: SWProblem, k: int = 1, config: Config | None = None) -> SWBounds:
     """Evaluate the |S| and order-k truncation bounds next to their measured values.
 
-    At order 1 the values sw_exact already measured on prob are reused.
+    sw_exact measures both orders; its values on prob are reused, and it runs
+    only on a problem it has not measured yet.
     """
-    if k > 1:
-        raise ValueError("series coefficients beyond first order are out of scope")
+    if not 0 <= k <= 1:
+        raise ValueError(f"truncation order {k} is not 0 or 1: higher orders are out of scope")
     cfg = config or DEFAULT
-    values = prob._bounds.get(cfg) if k == SW_ORDER else None
-    if values is None:
-        expansion = sw_exact(prob, cfg)
-        values = _bound_values(
-            prob,
-            expansion.bounds["s_norm_measured"],
-            expansion.h_eff_exact,
-            expansion.h_eff_orders,
-            k,
-            cfg,
-        )
+    if cfg not in prob._bounds:
+        sw_exact(prob, cfg)
+    values = prob._bounds[cfg][k]
     return SWBounds(
         s_norm_measured=values["s_norm_measured"],
         s_norm_bound=values["s_norm_bound"],

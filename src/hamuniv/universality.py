@@ -48,7 +48,6 @@ from .operators import (
     eigh,
     hermitize,
     op_norm,
-    tensor_embed,
 )
 from .simulation import (
     SimulationReport,
@@ -415,27 +414,22 @@ def build_hsim(
 ) -> DenseOperator | scipy.sparse.csr_matrix:
     """Delta (H_LS - lam_min 1) + a sum_k 2^k (flag penalty on the k-th listed site).
 
-    `layout` is H_LS's, which the flag digits are read from. A sparse H_LS
-    gives a sparse H_sim, and takes diagonal flags only.
+    `layout` is H_LS's, which the flag digits are read from. Every flag
+    penalty is diagonal, so it adds to the diagonal; a sparse H_LS gives a
+    sparse H_sim.
     """
     sparse = scipy.sparse.issparse(h_ls)
     h = delta * h_ls if sparse else delta * h_ls.entries
     diag = np.zeros(layout.total_dim)
     diag -= delta * lam_min
-    digit_table = None
+    digit_table = layout.digit_table()
     for k, (site, flag) in enumerate(flag_terms):
         if layout.site_dims[site] != flag.h_f.dim:
             raise ValueError(f"flag dimension {flag.h_f.dim} does not match site {site}")
         local = flag.h_f.entries
-        weight = a * 2.0**k
-        if np.abs(local - np.diag(np.diagonal(local))).max() < 1e-15:
-            if digit_table is None:
-                digit_table = layout.digit_table()
-            diag += weight * np.real(np.diagonal(local))[digit_table[site]]
-        elif sparse:
-            raise ValueError("a sparse H_LS takes diagonal flag penalties only")
-        else:
-            h = h + weight * tensor_embed(flag.h_f, (site,), layout).entries
+        if not np.abs(local - np.diag(np.diagonal(local))).max() < 1e-15:
+            raise ValueError(f"flag penalty on site {site} is not diagonal")
+        diag += a * 2.0**k * np.real(np.diagonal(local))[digit_table[site]]
     if sparse:
         return h + scipy.sparse.diags(diag)
     h[np.arange(layout.total_dim), np.arange(layout.total_dim)] += diag

@@ -271,7 +271,7 @@ class TestHistoryState:
         circuit = idle_prefix(cnot_verifier(), 2)
         t_steps, idle = circuit.n_steps, 2
         alpha = np.array([0.0, 1.0])
-        full = history_state(circuit, alpha, idle_split=idle).vector
+        full = history_state(circuit, alpha).vector
         idling = idling_state(circuit, alpha, idle)
         comp = full - np.sqrt((idle + 1) / (t_steps + 1)) * idling
         weight = np.linalg.norm(comp)

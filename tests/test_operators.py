@@ -148,7 +148,9 @@ class TestSparseEmbed:
     @given(case=embed_cases())
     def test_matches_dense_embedding_and_digit_oracle(self, case):
         local, targets, lay = case
-        emb = sparse_embed(local, targets, lay).tocoo()
+        emb = sparse_embed(local, targets, lay)
+        assert emb.has_canonical_format  # each row's columns ascend, as the H_prop fill needs
+        emb = emb.tocoo()
         dense = tensor_embed(local, targets, lay).entries
         # oracle: <r|O|c> = local[r's target digits, c's target digits] when r and
         # c agree on every other site, else 0

@@ -319,9 +319,12 @@ class TestJointSpan:
         assert abs(exp.bounds["s_norm_measured"] - s_norm_ref) <= 1e-12
         assert abs(exp.bounds["truncation_measured"] - trunc_ref) <= 1e-12
 
-    def test_sw_bounds_after_sw_exact_factors_nothing(self, rng, monkeypatch):
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_sw_bounds_after_sw_exact_factors_nothing(self, rng, monkeypatch, order):
         prob = random_problem(rng, 8)
         exp = sw_exact(prob)
+        rest = exp.h_eff_exact.entries - sum(t.entries for t in exp.h_eff_orders[: order + 1])
+        trunc_ref = np.linalg.norm(rest, 2)
         calls = []
 
         def counted(name, fn):
@@ -334,11 +337,14 @@ class TestJointSpan:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
-        bounds = sw_bounds(prob)
+        bounds = sw_bounds(prob, order)
         assert calls == []
+        assert bounds.order == order
         assert bounds.s_norm_measured == exp.bounds["s_norm_measured"]
-        assert bounds.truncation_measured == exp.bounds["truncation_measured"]
-        sw_bounds(random_problem(rng, 8))  # a fresh problem is measured, and counted
+        assert abs(bounds.truncation_measured - trunc_ref) <= 1e-12
+        if order == 1:
+            assert bounds.truncation_measured == exp.bounds["truncation_measured"]
+        sw_bounds(random_problem(rng, 8), order)  # a fresh problem is measured, and counted
         assert "schur" in calls and "eigh" in calls
 
     def test_verify_simulation_after_sw_exact_decomposes_no_full_matrix(self, rng, monkeypatch):

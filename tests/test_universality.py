@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from hamuniv.circuits import acceptance_gap, acceptance_operator
 from hamuniv.operators import (
@@ -246,6 +247,14 @@ class TestBuildHsim:
         one[1] = 1.0
         with pytest.raises(ValueError, match="flag dimension"):
             build_hsim(h_ls, 0.0, ((0, flag_hamiltonian(one)),), 1.0, 1.0, lay)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_diagonal_flag_refused(self, sparse):
+        lay = SystemLayout((2, 2))
+        h_ls = scipy.sparse.csr_matrix((4, 4), dtype=complex) if sparse else DenseOperator.identity(lay)
+        plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+        with pytest.raises(ValueError, match="not diagonal"):
+            build_hsim(h_ls, 0.0, ((1, flag_hamiltonian(plus)),), 1.0, 1.0, lay)
 
 
 class TestFirstOrderSimCheck:
