@@ -49,7 +49,6 @@ from .operators import (
     _principal_residual,
     _row_lengths,
     _serial_scipy_blas,
-    _steady_heap,
     _write_embedded,
     cluster_bounds,
     eigh,
@@ -59,9 +58,9 @@ from .operators import (
     sparse_embed,
 )
 
-# above this dimension, dense inputs (a verify-sim h_prime) go to the subset
-# eigensolver and sparse matrices (every H_MK, H_sim) to shift-invert iteration
-_PARTIAL_EIGH_DIM = 1200
+# above this dimension sparse matrices (every H_MK, H_sim) go to shift-invert
+# iteration; dense inputs of any size, and sparse ones up to it, to the full eigh
+_SHIFT_INVERT_DIM = 1200
 # shift-invert subspace iteration: extra block vectors, iteration cap, and the
 # distance of the shift below the spectrum's floor, relative to max(1, |floor|)
 _SI_OVERSAMPLE = 8
@@ -372,33 +371,28 @@ def _low_spectrum(
 
     n < k is the number of lowest pairs the caller reads as a complete low
     space. The callers ask for k = n + 1: the count certificate reads the
-    one value above the n, and nothing reads further. Dense matrices, and
-    sparse ones up to _PARTIAL_EIGH_DIM made dense, go to the dense
-    eigensolver (subset eigh above it); a Hermitian DenseOperator there
-    reuses its cached spectrum. Sparse matrices above it go to shift-invert
-    subspace iteration, which converges the n lowest pairs and certifies
-    their count with an inertia count (operators.negative_count); a
-    mismatch raises SpectrumCertificateError. `floor`, a lower bound on the
-    spectrum, is required there (0 for the positive semidefinite clock
-    Hamiltonians): the iteration shifts just below it, and a wrong floor can
-    only make the certificate refuse. `start`, orthonormal columns near the
-    low space (history states, or a nearby operator's eigenvectors), seeds
-    that iteration; the dense solvers ignore it.
+    one value above the n, and nothing reads further. Sparse matrices above
+    _SHIFT_INVERT_DIM go to shift-invert subspace iteration, which converges
+    the n lowest pairs and certifies their count with an inertia count
+    (operators.negative_count); a mismatch raises SpectrumCertificateError.
+    `floor`, a lower bound on the spectrum, is required there (0 for the
+    positive semidefinite clock Hamiltonians): the iteration shifts just
+    below it, and a wrong floor can only make the certificate refuse.
+    `start`, orthonormal columns near the low space (history states, or a
+    nearby operator's eigenvectors), seeds that iteration. Everything else,
+    dense matrices of any size and sparse ones made dense, goes to the full
+    dense eigh (_full_eigh), which ignores `start`; a Hermitian DenseOperator
+    reuses its cached spectrum.
     """
     if scipy.sparse.issparse(h):
-        if h.shape[0] > _PARTIAL_EIGH_DIM:
+        if h.shape[0] > _SHIFT_INVERT_DIM:
             if floor is None:
                 raise ValueError("a sparse solve needs floor, a lower bound on the spectrum")
             return _shift_invert_spectrum(h, k, n, config or DEFAULT, start, floor)
         h = _dense_entries(h)
     m = h.entries if isinstance(h, DenseOperator) else h
-    d = m.shape[0]
-    k = min(k, d)
-    if d <= _PARTIAL_EIGH_DIM or k == d:
-        vals, vecs = _full_eigh(h)
-        vals, vecs = vals[:k], vecs[:, :k]
-    else:
-        vals, vecs = scipy.linalg.eigh(m, subset_by_index=(0, k - 1), driver="evr")
+    vals, vecs = _full_eigh(h)
+    vals, vecs = vals[:k], vecs[:, :k]
     return LowSpectrum(vals, vecs, np.linalg.norm(m @ vecs - vecs * vals, axis=0))
 
 
@@ -419,18 +413,19 @@ def _shift_invert_spectrum(
     fixed-seed random ones drawn only for the columns it leaves free. Each
     step solves Z = (H - sigma)^-1 Q and takes the Ritz pairs of H in span(Z)
     through the Cholesky factor of Z's Gram matrix (_cholesky_ritz); the
-    first Z, from a (partly) random start, is ill-conditioned, so scipy's
-    economic Householder QR orthonormalizes it first. The iteration stops
-    when the residuals of the n lowest Ritz pairs fall below 64 u |H|_inf
-    and stop shrinking (the round-off floor). Ritz values beyond n are upper
-    bounds of the eigenvalues with their residuals; the n lowest pairs carry
-    the count certificate, made after the block and the factor are freed. A
-    Cholesky breakdown, or a returned block that is not orthonormal to
-    1e-12, raises SpectrumCertificateError. Everything runs with scipy's BLAS and LAPACK
-    held to one thread (operators._serial_scipy_blas) and under fixed malloc
-    thresholds, the freed heap returned at the end (_steady_heap).
+    first Z can be numerically singular even from a warm start (H_sim's
+    column-scaled Gram matrix passes 1e15 on the ROADMAP instance at a >= 8),
+    so scipy's economic Householder QR orthonormalizes it first. The
+    iteration stops when the residuals of the n lowest Ritz pairs fall below
+    64 u |H|_inf and stop shrinking (the round-off floor). Ritz values beyond
+    n are upper bounds of the eigenvalues with their residuals; the n lowest
+    pairs carry the count certificate, made after the block and the factor
+    are freed. A Cholesky breakdown, or a returned block that is not
+    orthonormal to 1e-12, raises SpectrumCertificateError. Everything runs
+    with scipy's BLAS and LAPACK held to one thread
+    (operators._serial_scipy_blas).
     """
-    with _serial_scipy_blas() as threads, _steady_heap():
+    with _serial_scipy_blas() as threads:
         a = h.tocsc()
         d = a.shape[0]
         k = min(k, d)

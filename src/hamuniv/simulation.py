@@ -243,9 +243,11 @@ def verify_simulation(
     Preconditions: the number of h_prime eigenvalues at or below delta equals
     (p+q) * dim(h), and delta falls in a spectral gap (cluster-guarded).
     The lowest (p+q) dim(h) + 1 pairs of h_prime come from _low_spectrum,
-    or from `_low` when the caller already solved for them. A sparse h_prime
-    above _PARTIAL_EIGH_DIM needs `_low`: its solve needs a lower bound on
-    the spectrum that h_prime alone does not give.
+    or from `_low` when the caller already solved for them. A Hermitian
+    DenseOperator h_prime, of any size, reads its cached full spectrum, so
+    check_partition_function and check_dynamics on it solve nothing again.
+    A sparse h_prime above _SHIFT_INVERT_DIM needs `_low`: its solve needs a
+    lower bound on the spectrum that h_prime alone does not give.
 
     With L the w low vectors, V~ = L M where M = polar(L^dag V) is w x w:
     eta = 2 sin(theta_max / 2) with sin theta_max = |V - L L^dag V|, and

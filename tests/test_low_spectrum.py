@@ -2,16 +2,13 @@
 
 import ctypes
 import logging
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
@@ -28,7 +25,7 @@ from hamuniv.circuits import (
 )
 from hamuniv.config import DEFAULT
 from hamuniv.kitaev import (
-    _PARTIAL_EIGH_DIM,
+    _SHIFT_INVERT_DIM,
     _SI_OVERSAMPLE,
     ClockRep,
     LowSpectrum,
@@ -42,12 +39,13 @@ from hamuniv.kitaev import (
 )
 from hamuniv.operators import (
     ClusterSplitError,
+    DenseOperator,
     Register,
     SpectrumCertificateError,
     SystemLayout,
     negative_count,
 )
-from hamuniv.simulation import plain_encoding, verify_simulation
+from hamuniv.simulation import check_partition_function, plain_encoding, verify_simulation
 from hamuniv.universality import TargetHamiltonian, end_to_end, qpe_verifier
 
 from conftest import random_hermitian, random_unitary
@@ -100,7 +98,7 @@ def cluster_ranges(vals: np.ndarray, tol: float) -> list[tuple[int, int]]:
 def large_hmk():
     """Clock-subspace H_MK above the dense switch (D = 128 x 11) with 4-fold clusters."""
     h, w = spectator_hmk(seed=5, n_spectators=2, n_ancilla=3, t_steps=10)
-    assert h.shape[0] > _PARTIAL_EIGH_DIM
+    assert h.shape[0] > _SHIFT_INVERT_DIM
     dense = _dense_entries(h)
     vals, vecs = np.linalg.eigh(dense)
     return h, w, dense, vals, vecs
@@ -305,12 +303,46 @@ class TestSolvesSizedToTheCertificate:
 
 def test_small_clock_blocks_take_the_dense_path():
     h, w = spectator_hmk(seed=1, n_spectators=1, n_ancilla=1, t_steps=4)
-    assert h.shape[0] <= _PARTIAL_EIGH_DIM
+    assert h.shape[0] <= _SHIFT_INVERT_DIM
     low = _low_spectrum(h, w + 8, w, floor=0.0)
     vals, vecs = np.linalg.eigh(_dense_entries(h))
     assert low.certificate is None
     assert np.array_equal(low.values, vals[: w + 8])
     assert np.array_equal(low.vectors, vecs[:, : w + 8])
+
+
+def test_a_dense_operator_above_the_switch_reads_its_cached_spectrum(monkeypatch):
+    # a D = 48 simulator of a 3-level target, its 45 other levels above delta
+    monkeypatch.setattr(kitaev, "_SHIFT_INVERT_DIM", 32)
+    rng = np.random.default_rng(5)
+    h = random_hermitian(rng, 3)
+    delta = float(np.linalg.norm(h, 2)) + 1.0
+    entries = np.zeros((48, 48), dtype=complex)
+    entries[:3, :3] = h
+    entries[3:, 3:] = (delta + 2.0) * np.eye(45) + random_hermitian(rng, 45, scale=0.05)
+    h_prime = DenseOperator(SystemLayout((48,)), entries, hermitian=True)
+    solves = []
+
+    def counted(fn):
+        def wrapper(a, *args, **kwargs):
+            if np.shape(a) == (48, 48):
+                solves.append(fn)
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for module, name in [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")]:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    enc = plain_encoding(np.eye(48, 3), 3)
+    report = verify_simulation(h, h_prime, enc, delta)
+    check_partition_function(h, h_prime, enc, delta, beta=1.0, report=report)
+    assert len(solves) == 1
+    low = _low_spectrum(h_prime, 4, 3)
+    vals, vecs = h_prime.spectrum
+    assert low.certificate is None
+    assert np.array_equal(low.values, vals[:4])
+    assert np.array_equal(low.vectors, vecs[:, :4])
+    assert len(solves) == 1
 
 
 def dense_pairs(h: scipy.sparse.spmatrix) -> LowSpectrum:
@@ -586,64 +618,3 @@ class TestSerialScipyBlas:
         if blas["name"] != "scipy-openblas":
             pytest.skip(f"scipy is built on {blas['name']}, not the bundled OpenBLAS")
         assert operators._scipy_blas_thread_control() is not None
-
-
-MAPPED_AFTER_A_FREED_16_MIB_BLOCK = """
-import ctypes, numpy as np
-import hamuniv.operators as operators
-
-class MallInfo2(ctypes.Structure):
-    _fields_ = [(f, ctypes.c_size_t) for f in "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()]
-
-libc = ctypes.CDLL(None)
-libc.mallinfo2.restype = MallInfo2
-held = operators._glibc() is not None if HOLD else False
-big = np.ones(16 << 20, dtype=np.uint8)  # glibc's own rule lifts its mmap threshold to 16 MiB
-del big
-before = libc.mallinfo2().hblkhd
-block = np.ones(4 << 20, dtype=np.uint8)
-print(held, libc.mallinfo2().hblkhd - before >= block.nbytes)
-"""
-
-
-class TestMallocThresholds:
-    @pytest.mark.parametrize("hold", [True, False])
-    def test_a_4_mib_block_is_mapped_after_a_16_mib_one_is_freed_only_when_held(self, hold):
-        if not hasattr(ctypes.CDLL(None), "mallinfo2"):
-            pytest.skip("the C library is not glibc >= 2.33")
-        src = str(Path(operators.__file__).resolve().parent.parent)
-        out = subprocess.run(  # a new process: the test process's heap may hold a free 4 MiB block
-            [sys.executable, "-c", f"HOLD = {hold}\n" + MAPPED_AFTER_A_FREED_16_MIB_BLOCK],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.split() == [str(hold), str(hold)]
-
-    def test_another_c_library_is_left_alone(self, monkeypatch):
-        class NoGlibc:  # a C library without gnu_get_libc_version, mallopt or malloc_trim
-            def __init__(self, path):
-                pass
-
-        monkeypatch.setattr(ctypes, "CDLL", NoGlibc)
-        operators._glibc.cache_clear()
-        try:
-            assert operators._glibc() is None
-            with operators._steady_heap():
-                pass
-        finally:
-            monkeypatch.undo()
-            operators._glibc.cache_clear()
-
-    def test_freed_heap_is_returned_after_a_raising_body(self, monkeypatch):
-        class Libc:
-            trims = []
-
-            def malloc_trim(self, pad):
-                self.trims.append(pad)
-
-        monkeypatch.setattr(operators, "_glibc", Libc)
-        with pytest.raises(RuntimeError, match="body"):
-            with operators._steady_heap():
-                assert Libc.trims == []
-                raise RuntimeError("body")
-        assert Libc.trims == [0]
