@@ -379,7 +379,15 @@ def _low_spectrum(
     positive semidefinite clock Hamiltonians): the iteration shifts just
     below it, and a wrong floor can only make the certificate refuse.
     `start`, orthonormal columns near the low space (history states, or a
-    nearby operator's eigenvectors), seeds that iteration. Everything else,
+    nearby operator's eigenvectors), seeds that iteration, and decides how
+    it is split: when each start column lies inside one connected component
+    of h's nonzero pattern, an invariant subspace (sector) of h, as the
+    history states of a QPE H_MK and the eigenvectors of its split solve do,
+    only the sectors holding start columns are solved, each alone, and the
+    inertia count on the whole matrix certifies the rest
+    (_shift_invert_spectrum).
+    Without `start`, or with a column that straddles sectors, the whole
+    matrix is solved. Everything else,
     dense matrices of any size and sparse ones made dense, goes to the full
     dense eigh (_full_eigh), which ignores `start`; a Hermitian DenseOperator
     reuses its cached spectrum.
@@ -404,88 +412,183 @@ def _shift_invert_spectrum(
     start: np.ndarray | None,
     floor: float,
 ) -> LowSpectrum:
-    """Block shift-invert subspace iteration with a Rayleigh-Ritz step per iteration.
+    """Block shift-invert subspace iteration, sector by sector where `start` allows it.
 
-    Converts h to CSC once: the factor and the count certificate read that
-    one matrix. Factors H - sigma once (_hermitian_splu; positive definite,
-    so diagonal pivots are stable), sigma just below `floor`, and iterates a
-    block of k + _SI_OVERSAMPLE vectors: the columns of `start`, then
-    fixed-seed random ones drawn only for the columns it leaves free. Each
-    step solves Z = (H - sigma)^-1 Q and takes the Ritz pairs of H in span(Z)
-    through the Cholesky factor of Z's Gram matrix (_cholesky_ritz); the
-    first Z can be numerically singular even from a warm start (H_sim's
-    column-scaled Gram matrix passes 1e15 on the ROADMAP instance at a >= 8),
-    so scipy's economic Householder QR orthonormalizes it first. The
-    iteration stops when the residuals of the n lowest Ritz pairs fall below
-    64 u |H|_inf and stop shrinking (the round-off floor). Ritz values beyond
-    n are upper bounds of the eigenvalues with their residuals; the n lowest
-    pairs carry the count certificate, made after the block and the factor
-    are freed. A Cholesky breakdown, or a returned block that is not
-    orthonormal to 1e-12, raises SpectrumCertificateError. Everything runs
-    with scipy's BLAS and LAPACK held to one thread
-    (operators._serial_scipy_blas).
+    Converts h to CSC once: every factor, sector and the count certificate
+    read that one matrix. With `start`, the connected components of its
+    nonzero pattern are invariant subspaces (sectors); when there are
+    several and each start column lies inside one, every sector holding n_c
+    of the first n columns is solved alone for n_c + k - n pairs, started
+    from its columns, and the pairs are merged by value (stable order) into
+    one D x k block, exactly zero outside each pair's sector. Sectors holding
+    none of those columns are not solved: the count on the whole matrix
+    certifies that none of their values lies below mu. When the merged n
+    lowest are not each sector's n_c converged pairs, or that count is not
+    n, the split is discarded and the whole matrix solved, as it is without
+    `start` or when a start column straddles sectors.
+
+    Each solve (_subspace_iteration) runs with scipy's BLAS and LAPACK held
+    to one thread (operators._serial_scipy_blas) and stops when the
+    residuals of its n_c lowest Ritz pairs fall below 64 u |H|_inf, |H| the
+    whole matrix, and stop shrinking (the round-off floor). Ritz values
+    beyond n are upper bounds of the eigenvalues with their residuals; the n
+    lowest pairs carry the count certificate, made after every block and
+    factor is freed.
     """
     with _serial_scipy_blas() as threads:
         a = h.tocsc()
         d = a.shape[0]
         k = min(k, d)
-        m = min(k + _SI_OVERSAMPLE, d)
         sigma = floor - _SI_MARGIN * max(1.0, abs(floor))
-        lu = _hermitian_splu(a - sigma * scipy.sparse.identity(d, format="csc"))
-        warm = 0 if start is None else min(start.shape[1], m)
-        free = (d, m - warm)
-        rng = np.random.default_rng(0)
-        q = np.empty((d, m), dtype=complex)
-        if warm:
-            q[:, :warm] = start[:, :warm]
-        q[:, warm:] = rng.standard_normal(free) + 1j * rng.standard_normal(free)
         tol = 64 * np.finfo(float).eps * float(abs(a).sum(axis=1).max())
-        previous = np.inf
-        for steps in range(1, _SI_MAX_ITER + 1):
-            # at most three D x m blocks are live: z, its C-ordered conjugate
-            # (a @ z would copy the Fortran-ordered solve) and H z
-            z = lu.solve(q)
-            del q
-            if steps == 1:
-                z = scipy.linalg.qr(z, mode="economic", overwrite_a=True, check_finite=False)[0]
-            zc = np.array(z, order="C")
-            hz = a @ zc
-            np.conjugate(zc, out=zc)
-            vals, c = _cholesky_ritz(zc.T @ z, hermitize(zc.T @ hz), steps)
-            q = np.matmul(z, c, out=zc)
-            del z
-            hq = hz @ c
-            np.multiply(q, vals, out=hz)
-            np.subtract(hq, hz, out=hz)
-            del hq
-            # column norms through one real scratch block (np.linalg.norm takes two complex ones)
-            squares = np.square(hz.view(float)).sum(axis=0)
-            residuals = np.sqrt(squares[0::2] + squares[1::2])
-            worst = float(residuals[:n].max())
-            if worst <= tol and worst > previous / 4:
-                break
-            previous = worst
-            del hz
-        else:
-            raise SpectrumCertificateError(
-                f"shift-invert iteration left residual {worst:.3e} > {tol:.3e} "
-                f"after {_SI_MAX_ITER} steps"
-            )
-        drift = float(np.abs(np.conjugate(q, out=hz).T @ q - np.eye(m)).max())
-        if drift > 1e-12:
-            raise SpectrumCertificateError(
-                f"shift-invert block lost orthonormality: max |Q^H Q - I| = {drift:.3e}"
-            )
-        # a compact copy: the block, its scratch and the factor are freed before the count runs
-        low = LowSpectrum(vals[:k], q[:, :k].copy(), residuals[:k])
-        del q, hz, lu
-        low = replace(low, certificate=_count_certificate(a, low, n, cfg))
+        split = None if start is None else _solve_sectors(a, k, n, start, sigma, tol)
+        if split is not None:
+            low, stats = split
+            try:
+                low = replace(low, certificate=_count_certificate(a, low, n, cfg))
+            except SpectrumCertificateError:  # e.g. an unsolved sector holds a value below mu
+                split = None
+        if split is None:
+            low, stats = _subspace_iteration(a, k, n, sigma, start, tol)
+            low = replace(low, certificate=_count_certificate(a, low, n, cfg))
+            stats = (1, d, *stats)
     _log.debug(
-        "shift-invert D=%d block=%d warm=%d steps=%d sigma=%.6g max residual of %d pairs "
-        "%.3e, %d eigenvalues below %.6g certified, scipy BLAS threads %s on entry, %s inside",
-        d, m, warm, steps, sigma, n, worst, low.certificate[1], low.certificate[0], *threads,
+        "shift-invert D=%d sectors=%d largest=%d block=%d warm=%d steps=%d sigma=%.6g max "
+        "residual of %d pairs %.3e, %d eigenvalues below %.6g certified, scipy BLAS threads "
+        "%s on entry, %s inside",
+        d, *stats[:5], sigma, n, stats[5], low.certificate[1], low.certificate[0], *threads,
     )
     return low
+
+
+def _solve_sectors(
+    a: scipy.sparse.csc_matrix,
+    k: int,
+    n: int,
+    start: np.ndarray,
+    sigma: float,
+    tol: float,
+) -> tuple[LowSpectrum, tuple] | None:
+    """The k lowest merged pairs of the sectors holding the first n start columns, uncertified,
+    with (sectors solved, largest, widest block, start columns used, most steps, worst
+    residual); None where the split does not apply, or where the n lowest merged pairs are
+    not each sector's converged ones."""
+    from scipy.sparse.csgraph import connected_components  # here: it slows every start-up
+
+    # a real pattern: the cast of complex entries to float warns
+    pattern = scipy.sparse.csc_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+    count, labels = connected_components(pattern, directed=False)
+    if count == 1:
+        return None
+    homes = np.empty(start.shape[1], dtype=labels.dtype)
+    for j in range(start.shape[1]):
+        found = labels[np.flatnonzero(start[:, j])]
+        if found.size == 0 or np.any(found != found[0]):
+            return None
+        homes[j] = found[0]
+    held = np.bincount(homes[:n], minlength=count)
+    solved = np.flatnonzero(held)
+    sectors, lows, stats = [], [], []
+    for c in solved:
+        rows = np.flatnonzero(labels == c)
+        n_c = int(held[c])
+        low, info = _subspace_iteration(
+            a[:, rows][rows, :], min(n_c + k - n, rows.size), n_c, sigma,
+            start[np.ix_(rows, np.flatnonzero(homes == c))], tol,
+        )
+        sectors.append(rows)
+        lows.append(low)
+        stats.append(info)
+    values = np.concatenate([low.values for low in lows])
+    owner = np.repeat(np.arange(len(lows)), [len(low.values) for low in lows])
+    order = np.argsort(values, kind="stable")[:k]
+    # the n lowest merged pairs must be each sector's n_c converged ones
+    if order.size < k or not np.array_equal(np.bincount(owner[order[:n]]), held[solved]):
+        return None
+    vectors = np.zeros((a.shape[0], k), dtype=complex)
+    first = 0
+    for i, (rows, low) in enumerate(zip(sectors, lows)):
+        cols = np.flatnonzero(owner[order] == i)
+        vectors[np.ix_(rows, cols)] = low.vectors[:, order[cols] - first]
+        first += len(low.values)
+    residuals = np.concatenate([low.residuals for low in lows])[order]
+    block, warm, steps, worst = zip(*stats)
+    largest = max(rows.size for rows in sectors)
+    summary = (len(lows), largest, max(block), sum(warm), max(steps), max(worst))
+    return LowSpectrum(values[order], vectors, residuals), summary
+
+
+def _subspace_iteration(
+    a: scipy.sparse.csc_matrix,
+    k: int,
+    n: int,
+    sigma: float,
+    start: np.ndarray | None,
+    tol: float,
+) -> tuple[LowSpectrum, tuple[int, int, int, float]]:
+    """The k lowest Ritz pairs of `a` (uncertified), with (block, start columns used, steps, worst
+    residual of the n lowest).
+
+    Factors a - sigma once (_hermitian_splu; positive definite, so diagonal
+    pivots are stable) and iterates a block of k + _SI_OVERSAMPLE vectors:
+    the columns of `start`, then fixed-seed random ones drawn only for the
+    columns it leaves free. Each step solves Z = (a - sigma)^-1 Q and takes
+    the Ritz pairs of a in span(Z) through the Cholesky factor of Z's Gram
+    matrix (_cholesky_ritz); the first Z can be numerically singular even
+    from a warm start (H_sim's column-scaled Gram matrix passes 1e15 on the
+    ROADMAP instance at a >= 8), so scipy's economic Householder QR
+    orthonormalizes it first. Stops when the n lowest residuals are below
+    `tol` and stop shrinking. A Cholesky breakdown, or a returned block that
+    is not orthonormal to 1e-12, raises SpectrumCertificateError.
+    """
+    d = a.shape[0]
+    m = min(k + _SI_OVERSAMPLE, d)
+    lu = _hermitian_splu(a - sigma * scipy.sparse.identity(d, format="csc"))
+    warm = 0 if start is None else min(start.shape[1], m)
+    free = (d, m - warm)
+    rng = np.random.default_rng(0)
+    q = np.empty((d, m), dtype=complex)
+    if warm:
+        q[:, :warm] = start[:, :warm]
+    q[:, warm:] = rng.standard_normal(free) + 1j * rng.standard_normal(free)
+    previous = np.inf
+    for steps in range(1, _SI_MAX_ITER + 1):
+        # at most three D x m blocks are live: z, its C-ordered conjugate
+        # (a @ z would copy the Fortran-ordered solve) and H z
+        z = lu.solve(q)
+        del q
+        if steps == 1:
+            z = scipy.linalg.qr(z, mode="economic", overwrite_a=True, check_finite=False)[0]
+        zc = np.array(z, order="C")
+        hz = a @ zc
+        np.conjugate(zc, out=zc)
+        vals, c = _cholesky_ritz(zc.T @ z, hermitize(zc.T @ hz), steps)
+        q = np.matmul(z, c, out=zc)
+        del z
+        hq = hz @ c
+        np.multiply(q, vals, out=hz)
+        np.subtract(hq, hz, out=hz)
+        del hq
+        # column norms through one real scratch block (np.linalg.norm takes two complex ones)
+        squares = np.square(hz.view(float)).sum(axis=0)
+        residuals = np.sqrt(squares[0::2] + squares[1::2])
+        worst = float(residuals[:n].max())
+        if worst <= tol and worst > previous / 4:
+            break
+        previous = worst
+        del hz
+    else:
+        raise SpectrumCertificateError(
+            f"shift-invert iteration left residual {worst:.3e} > {tol:.3e} "
+            f"after {_SI_MAX_ITER} steps"
+        )
+    drift = float(np.abs(np.conjugate(q, out=hz).T @ q - np.eye(m)).max())
+    if drift > 1e-12:
+        raise SpectrumCertificateError(
+            f"shift-invert block lost orthonormality: max |Q^H Q - I| = {drift:.3e}"
+        )
+    # a compact copy: the block, its scratch and the factor are freed on return
+    return LowSpectrum(vals[:k], q[:, :k].copy(), residuals[:k]), (m, warm, steps, worst)
 
 
 def _cholesky_ritz(gram: np.ndarray, proj: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:

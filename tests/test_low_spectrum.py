@@ -254,6 +254,25 @@ def recorded_solves(monkeypatch) -> list:
     return calls
 
 
+def recorded_assembly(monkeypatch, h) -> tuple[list, list]:
+    """Record the CSC conversions of `h` and the matrices every inertia count factors."""
+    tocsc, inertia, converted, counted = type(h).tocsc, kitaev._inertia, [], []
+
+    def record_tocsc(self, *args, **kwargs):
+        out = tocsc(self, *args, **kwargs)
+        if self is h:
+            converted.append(out)
+        return out
+
+    def record_inertia(a, *args):
+        counted.append(a)
+        return inertia(a, *args)
+
+    monkeypatch.setattr(type(h), "tocsc", record_tocsc)
+    monkeypatch.setattr(kitaev, "_inertia", record_inertia)
+    return converted, counted
+
+
 class TestSolvesSizedToTheCertificate:
     def test_history_started_hmk_matches_cold_solve(self, monkeypatch):
         circuit = idle_prefix(qpe_verifier(ROADMAP_TARGET, 2.0, 2, tau=np.pi), 1)
@@ -299,6 +318,117 @@ class TestSolvesSizedToTheCertificate:
         _low_spectrum(h, w + 1, w, floor=0.0)
         solve, _ = factors  # H - sigma for the solve, then H - mu for its count
         assert solve.L.nnz + solve.U.nnz < 30_000
+
+
+def sector_problem(spectra: list, seed: int = 11) -> tuple:
+    """A sparse Hermitian matrix with one dense sector per spectrum, its rows scattered by a
+    fixed permutation: (matrix, sector of each row, each sector's eigenvectors on its rows)."""
+    rng = np.random.default_rng(seed)
+    owner = rng.permutation(np.repeat(np.arange(len(spectra)), [len(s) for s in spectra]))
+    dense = np.zeros((owner.size, owner.size), dtype=complex)
+    bases = []
+    for c, spectrum in enumerate(spectra):
+        rows = np.flatnonzero(owner == c)
+        u = random_unitary(rng, len(spectrum))
+        dense[np.ix_(rows, rows)] = operators.hermitize((u * spectrum) @ u.conj().T)
+        bases.append(u)
+    return scipy.sparse.csr_matrix(dense), owner, bases
+
+
+def sector_start(owner: np.ndarray, bases: list, picks: list, seed: int = 12) -> np.ndarray:
+    """Orthonormal columns near the picked (sector, index) eigenvectors, zero outside their
+    sectors."""
+    rng = np.random.default_rng(seed)
+    start = np.zeros((owner.size, len(picks)), dtype=complex)
+    for c in sorted({c for c, _ in picks}):
+        cols = [i for i, (s, _) in enumerate(picks) if s == c]
+        rows = np.flatnonzero(owner == c)
+        near = bases[c][:, [picks[i][1] for i in cols]]
+        near = near + 1e-3 * rng.standard_normal(near.shape)
+        start[np.ix_(rows, cols)] = np.linalg.qr(near)[0]
+    return start
+
+
+def logged_sectors(caplog) -> tuple[int, int]:
+    [msg] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("shift-invert")]
+    found = re.search(r"sectors=(\d+) largest=(\d+)", msg)
+    return int(found.group(1)), int(found.group(2))
+
+
+class TestSectorSplit:
+    """Four sectors of 60, 50, 40 and 70 states; the three lowest values 0, 0.05 and 0.1 lie
+    in the first two, and the next at 1 (sector 0) unless a spectrum below moves it."""
+
+    @staticmethod
+    def spectra(third_low: float = 3.0, second_next: float = 1.2) -> list:
+        return [
+            np.concatenate([[0.0, 0.1], np.linspace(1.0, 2.0, 58)]),
+            np.concatenate([[0.05, second_next], np.linspace(1.3, 2.2, 48)]),
+            np.linspace(third_low, third_low + 1.0, 40),
+            np.linspace(4.0, 5.0, 70),
+        ]
+
+    @pytest.fixture(autouse=True)
+    def switch(self, monkeypatch):
+        monkeypatch.setattr(kitaev, "_SHIFT_INVERT_DIM", 32)
+
+    def test_history_aligned_start_splits(self, monkeypatch, caplog):
+        h, owner, bases = sector_problem(self.spectra())
+        start = sector_start(owner, bases, [(0, 0), (0, 1), (1, 0)])
+        cold = _low_spectrum(h, 4, 3, floor=0.0)
+        converted, counted = recorded_assembly(monkeypatch, h)
+        with caplog.at_level(logging.DEBUG, logger="hamuniv"):
+            low = _low_spectrum(h, 4, 3, start=start, floor=0.0)
+        assert logged_sectors(caplog) == (2, 60)  # sectors 2 and 3 are not solved
+        assert len(converted) == 1 and len(counted) == 1 and counted[0] is converted[0]
+        norm = float(abs(h).sum(axis=1).max())
+        assert low.certificate[1] == cold.certificate[1] == 3
+        assert np.abs(low.values[:3] - cold.values[:3]).max() <= 1e-12 * norm
+        assert np.abs(low.values[:3] - [0.0, 0.05, 0.1]).max() <= 1e-12 * norm
+        for column in low.vectors.T:
+            assert np.unique(owner[np.flatnonzero(column)]).size == 1
+        gram = low.vectors.conj().T @ low.vectors
+        assert np.abs(gram - np.eye(4)).max() <= 1e-12
+
+    def test_start_across_sectors_solves_the_whole_matrix(self, monkeypatch, caplog):
+        h, owner, bases = sector_problem(self.spectra())
+        start = sector_start(owner, bases, [(0, 0), (0, 1), (1, 0)])
+        start[np.flatnonzero(owner == 2)[0], 2] = 1e-3  # the third column reaches sector 2
+        start[:, 2] /= np.linalg.norm(start[:, 2])
+        splu, factors = scipy.sparse.linalg.splu, []
+
+        def record(*args, **kwargs):
+            factors.append(splu(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
+        with caplog.at_level(logging.DEBUG, logger="hamuniv"):
+            low = _low_spectrum(h, 4, 3, start=start, floor=0.0)
+        solve, _ = factors  # H - sigma for the solve, then H - mu for its count
+        assert solve.shape == h.shape and logged_sectors(caplog) == (1, h.shape[0])
+        assert low.certificate[1] == 3
+
+    @pytest.mark.parametrize(
+        "spectra",
+        [
+            # sector 2's lowest value, 0.5, lies below the merged mu of 0.55
+            {"third_low": 0.5},
+            # sector 1's second value, 0.07, lies below sector 0's second, 0.1
+            {"second_next": 0.07},
+        ],
+        ids=["unsolved-sector-below-mu", "start-misplaces-the-low-space"],
+    )
+    def test_split_that_does_not_certify_falls_back(self, spectra, caplog):
+        h, owner, bases = sector_problem(self.spectra(**spectra))
+        start = sector_start(owner, bases, [(0, 0), (0, 1), (1, 0)])
+        with caplog.at_level(logging.DEBUG, logger="hamuniv"):
+            low = _low_spectrum(h, 4, 3, start=start, floor=0.0)
+        assert logged_sectors(caplog) == (1, h.shape[0])
+        vals = np.linalg.eigvalsh(h.toarray())
+        norm = float(abs(h).sum(axis=1).max())
+        assert np.abs(low.values[:3] - vals[:3]).max() <= 1e-12 * norm
+        assert vals[3] - 1e-12 * norm <= low.values[3] < 1.0
+        assert low.certificate == (0.5 * float(low.values[2] + low.values[3]), 3)
 
 
 def test_small_clock_blocks_take_the_dense_path():
@@ -499,20 +629,7 @@ class TestCountCertificate:
         circuit = idle_prefix(qpe_verifier(ROADMAP_TARGET, 2.0, 2, tau=np.pi), 1)
         kh = build_kitaev(circuit, 0.5 * kappa_limit(circuit.n_steps), ClockRep.CLOCK_SUBSPACE)
         h, w = kh.h_mk_operator(), circuit.witness_dim
-        tocsc, inertia, converted, counted = type(h).tocsc, kitaev._inertia, [], []
-
-        def record_tocsc(self, *args, **kwargs):
-            out = tocsc(self, *args, **kwargs)
-            if self is h:
-                converted.append(out)
-            return out
-
-        def record_inertia(a, *args):
-            counted.append(a)
-            return inertia(a, *args)
-
-        monkeypatch.setattr(type(h), "tocsc", record_tocsc)
-        monkeypatch.setattr(kitaev, "_inertia", record_inertia)
+        converted, counted = recorded_assembly(monkeypatch, h)
         low = _low_spectrum(h, w + 1, w, floor=0.0)
         assert low.certificate[1] == w and len(converted) == 1
         assert len(counted) == 1 and counted[0] is converted[0]
