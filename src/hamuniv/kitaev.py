@@ -346,11 +346,11 @@ def idling_state(
 
 @dataclass(frozen=True)
 class LowSpectrum:
-    """Lowest eigenpairs in ascending order, with residuals |H v - lambda v|.
+    """The n + 1 lowest eigenpairs in ascending order, with residuals |H v - lambda v|.
 
     `certificate` is (mu, n) when an inertia count made apart from the
-    eigensolver showed that exactly the n lowest returned values lie below mu,
-    a point in the gap above them; None for the dense solvers.
+    eigensolver showed that exactly the n lowest values lie below mu, a
+    point in the gap above them; None for the dense solvers.
     """
 
     values: np.ndarray
@@ -361,176 +361,173 @@ class LowSpectrum:
 
 def _low_spectrum(
     h: scipy.sparse.spmatrix | DenseOperator | np.ndarray,
-    k: int,
     n: int,
     config: Config | None = None,
     start: np.ndarray | None = None,
     floor: float | None = None,
 ) -> LowSpectrum:
-    """Lowest k eigenpairs (ascending); switches solver by dimension and storage.
+    """The n + 1 lowest eigenpairs (ascending); switches solver by dimension and storage.
 
-    n < k is the number of lowest pairs the caller reads as a complete low
-    space. The callers ask for k = n + 1: the count certificate reads the
-    one value above the n, and nothing reads further. Sparse matrices above
-    _SHIFT_INVERT_DIM go to shift-invert subspace iteration, which converges
-    the n lowest pairs and certifies their count with an inertia count
+    The caller reads the n lowest as a complete low space; the count
+    certificate reads the one value above them, and nothing reads further.
+    Sparse matrices above _SHIFT_INVERT_DIM go to shift-invert subspace
+    iteration (_shift_invert_spectrum), which converges the n lowest pairs
+    and certifies their count with an inertia count
     (operators.negative_count); a mismatch raises SpectrumCertificateError.
     `floor`, a lower bound on the spectrum, is required there (0 for the
     positive semidefinite clock Hamiltonians): the iteration shifts just
     below it, and a wrong floor can only make the certificate refuse.
     `start`, orthonormal columns near the low space (history states, or a
-    nearby operator's eigenvectors), seeds that iteration, and decides how
-    it is split: when each start column lies inside one connected component
-    of h's nonzero pattern, an invariant subspace (sector) of h, as the
-    history states of a QPE H_MK and the eigenvectors of its split solve do,
-    only the sectors holding start columns are solved, each alone, and the
-    inertia count on the whole matrix certifies the rest
-    (_shift_invert_spectrum).
-    Without `start`, or with a column that straddles sectors, the whole
-    matrix is solved. Everything else,
-    dense matrices of any size and sparse ones made dense, goes to the full
-    dense eigh (_full_eigh), which ignores `start`; a Hermitian DenseOperator
-    reuses its cached spectrum.
+    nearby operator's eigenvectors), seeds that iteration and decides its
+    sectors: the whole matrix is the one sector unless each start column
+    lies inside one of several connected components of h's nonzero pattern.
+    Everything else, dense matrices of any size and sparse ones made dense,
+    goes to the full dense eigh (_full_eigh), which ignores `start`; a
+    Hermitian DenseOperator reuses its cached spectrum.
     """
     if scipy.sparse.issparse(h):
         if h.shape[0] > _SHIFT_INVERT_DIM:
             if floor is None:
                 raise ValueError("a sparse solve needs floor, a lower bound on the spectrum")
-            return _shift_invert_spectrum(h, k, n, config or DEFAULT, start, floor)
+            return _shift_invert_spectrum(h, n, config or DEFAULT, start, floor)
         h = _dense_entries(h)
     m = h.entries if isinstance(h, DenseOperator) else h
     vals, vecs = _full_eigh(h)
-    vals, vecs = vals[:k], vecs[:, :k]
+    vals, vecs = vals[: n + 1], vecs[:, : n + 1]
     return LowSpectrum(vals, vecs, np.linalg.norm(m @ vecs - vecs * vals, axis=0))
 
 
 def _shift_invert_spectrum(
     h: scipy.sparse.spmatrix,
-    k: int,
     n: int,
     cfg: Config,
     start: np.ndarray | None,
     floor: float,
 ) -> LowSpectrum:
-    """Block shift-invert subspace iteration, sector by sector where `start` allows it.
+    """Block shift-invert subspace iteration of the sectors that hold the low space.
 
     Converts h to CSC once: every factor, sector and the count certificate
-    read that one matrix. With `start`, the connected components of its
-    nonzero pattern are invariant subspaces (sectors); when there are
-    several and each start column lies inside one, every sector holding n_c
-    of the first n columns is solved alone for n_c + k - n pairs, started
-    from its columns, and the pairs are merged by value (stable order) into
-    one D x k block, exactly zero outside each pair's sector. Sectors holding
-    none of those columns are not solved: the count on the whole matrix
-    certifies that none of their values lies below mu. When the merged n
-    lowest are not each sector's n_c converged pairs, or that count is not
-    n, the split is discarded and the whole matrix solved, as it is without
-    `start` or when a start column straddles sectors.
+    read that one matrix. The sectors (_sector_labels) are the connected
+    components of its nonzero pattern, invariant subspaces of h. Only those
+    holding some of the first n start columns are solved (_solve_sectors),
+    and the count on the whole matrix certifies that no other holds a value
+    below mu. When a sector's solve, the merge or the count refuses the
+    split, the whole matrix is solved as the one sector; a refusal there raises.
 
     Each solve (_subspace_iteration) runs with scipy's BLAS and LAPACK held
     to one thread (operators._serial_scipy_blas) and stops when the
     residuals of its n_c lowest Ritz pairs fall below 64 u |H|_inf, |H| the
-    whole matrix, and stop shrinking (the round-off floor). Ritz values
-    beyond n are upper bounds of the eigenvalues with their residuals; the n
+    whole matrix, and stop shrinking (the round-off floor). The (n + 1)-th
+    Ritz value is an upper bound of its eigenvalue with its residual; the n
     lowest pairs carry the count certificate, made after every block and
     factor is freed.
     """
     with _serial_scipy_blas() as threads:
         a = h.tocsc()
-        d = a.shape[0]
-        k = min(k, d)
         sigma = floor - _SI_MARGIN * max(1.0, abs(floor))
         tol = 64 * np.finfo(float).eps * float(abs(a).sum(axis=1).max())
-        split = None if start is None else _solve_sectors(a, k, n, start, sigma, tol)
-        if split is not None:
-            low, stats = split
+        labels = _sector_labels(a, start)
+        while True:
             try:
+                low, stats = _solve_sectors(a, n, start, labels, sigma, tol)
                 low = replace(low, certificate=_count_certificate(a, low, n, cfg))
+                break
             except SpectrumCertificateError:  # e.g. an unsolved sector holds a value below mu
-                split = None
-        if split is None:
-            low, stats = _subspace_iteration(a, k, n, sigma, start, tol)
-            low = replace(low, certificate=_count_certificate(a, low, n, cfg))
-            stats = (1, d, *stats)
+                if not labels.any():
+                    raise
+                labels = np.zeros_like(labels)
     _log.debug(
         "shift-invert D=%d sectors=%d largest=%d block=%d warm=%d steps=%d sigma=%.6g max "
         "residual of %d pairs %.3e, %d eigenvalues below %.6g certified, scipy BLAS threads "
         "%s on entry, %s inside",
-        d, *stats[:5], sigma, n, stats[5], low.certificate[1], low.certificate[0], *threads,
+        a.shape[0], *stats[:5], sigma, n, stats[5], *low.certificate[::-1], *threads,
     )
     return low
 
 
-def _solve_sectors(
-    a: scipy.sparse.csc_matrix,
-    k: int,
-    n: int,
-    start: np.ndarray,
-    sigma: float,
-    tol: float,
-) -> tuple[LowSpectrum, tuple] | None:
-    """The k lowest merged pairs of the sectors holding the first n start columns, uncertified,
-    with (sectors solved, largest, widest block, start columns used, most steps, worst
-    residual); None where the split does not apply, or where the n lowest merged pairs are
-    not each sector's converged ones."""
+def _sector_labels(a: scipy.sparse.csc_matrix, start: np.ndarray | None) -> np.ndarray:
+    """The sector, the connected component of a's nonzero pattern, of each index; all zeros,
+    the whole matrix one sector, without `start` or when a start column straddles sectors."""
+    if start is None:
+        return np.zeros(a.shape[0], dtype=np.int32)
     from scipy.sparse.csgraph import connected_components  # here: it slows every start-up
 
     # a real pattern: the cast of complex entries to float warns
     pattern = scipy.sparse.csc_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
-    count, labels = connected_components(pattern, directed=False)
-    if count == 1:
-        return None
-    homes = np.empty(start.shape[1], dtype=labels.dtype)
-    for j in range(start.shape[1]):
-        found = labels[np.flatnonzero(start[:, j])]
-        if found.size == 0 or np.any(found != found[0]):
-            return None
-        homes[j] = found[0]
-    held = np.bincount(homes[:n], minlength=count)
+    labels = connected_components(pattern, directed=False)[1]
+    for column in start.T:
+        sectors = labels[np.flatnonzero(column)]
+        if sectors.size == 0 or np.any(sectors != sectors[0]):
+            return np.zeros_like(labels)
+    return labels
+
+
+def _solve_sectors(
+    a: scipy.sparse.csc_matrix,
+    n: int,
+    start: np.ndarray | None,
+    labels: np.ndarray,
+    sigma: float,
+    tol: float,
+) -> tuple[LowSpectrum, tuple]:
+    """The n + 1 lowest pairs of the sectors holding the first n start columns, merged by
+    value (stable order) and uncertified, with (sectors solved, largest, widest block, start
+    columns used, most steps, worst residual).
+
+    A sector holding n_c of those columns is sliced out and solved for n_c + 1 pairs from
+    every start column inside it, its vectors exactly zero outside it; all-zero labels make
+    `a` and `start`, uncopied, the one sector. Raises SpectrumCertificateError unless the n
+    lowest merged pairs are each sector's n_c converged ones.
+    """
+    whole = not labels.any()
+    if whole:
+        held = np.array([n])
+    else:
+        homes = labels[np.argmax(start != 0, axis=0)]  # each column's sector, at its first nonzero
+        held = np.bincount(homes[:n])
     solved = np.flatnonzero(held)
-    sectors, lows, stats = [], [], []
+    solves = []
     for c in solved:
-        rows = np.flatnonzero(labels == c)
-        n_c = int(held[c])
-        low, info = _subspace_iteration(
-            a[:, rows][rows, :], min(n_c + k - n, rows.size), n_c, sigma,
-            start[np.ix_(rows, np.flatnonzero(homes == c))], tol,
-        )
-        sectors.append(rows)
-        lows.append(low)
-        stats.append(info)
+        if whole:
+            sector, columns = a, start
+        else:
+            rows = np.flatnonzero(labels == c)
+            sector, columns = a[:, rows][rows, :], start[np.ix_(rows, np.flatnonzero(homes == c))]
+        solves.append(_subspace_iteration(sector, int(held[c]), sigma, columns, tol))
+    lows, stats = zip(*solves)
     values = np.concatenate([low.values for low in lows])
     owner = np.repeat(np.arange(len(lows)), [len(low.values) for low in lows])
-    order = np.argsort(values, kind="stable")[:k]
-    # the n lowest merged pairs must be each sector's n_c converged ones
-    if order.size < k or not np.array_equal(np.bincount(owner[order[:n]]), held[solved]):
-        return None
-    vectors = np.zeros((a.shape[0], k), dtype=complex)
+    order = np.argsort(values, kind="stable")[: n + 1]
+    if order.size <= n or not np.array_equal(np.bincount(owner[order[:n]]), held[solved]):
+        raise SpectrumCertificateError(
+            f"the {n} lowest merged pairs are not each sector's converged ones"
+        )
+    size, block, warm, steps, worst = zip(*stats)
+    summary = (len(lows), max(size), max(block), sum(warm), max(steps), max(worst))
+    if whole:  # the one sector's pairs are the merged ones, in order
+        return lows[0], summary
+    vectors = np.zeros((a.shape[0], n + 1), dtype=complex)
     first = 0
-    for i, (rows, low) in enumerate(zip(sectors, lows)):
+    for i, (c, low) in enumerate(zip(solved, lows)):
         cols = np.flatnonzero(owner[order] == i)
-        vectors[np.ix_(rows, cols)] = low.vectors[:, order[cols] - first]
+        vectors[np.ix_(labels == c, cols)] = low.vectors[:, order[cols] - first]
         first += len(low.values)
     residuals = np.concatenate([low.residuals for low in lows])[order]
-    block, warm, steps, worst = zip(*stats)
-    largest = max(rows.size for rows in sectors)
-    summary = (len(lows), largest, max(block), sum(warm), max(steps), max(worst))
     return LowSpectrum(values[order], vectors, residuals), summary
 
 
 def _subspace_iteration(
     a: scipy.sparse.csc_matrix,
-    k: int,
     n: int,
     sigma: float,
     start: np.ndarray | None,
     tol: float,
-) -> tuple[LowSpectrum, tuple[int, int, int, float]]:
-    """The k lowest Ritz pairs of `a` (uncertified), with (block, start columns used, steps, worst
-    residual of the n lowest).
+) -> tuple[LowSpectrum, tuple[int, int, int, int, float]]:
+    """The n + 1 lowest Ritz pairs of `a` (uncertified), with (dimension, block, start columns
+    used, steps, worst residual of the n lowest).
 
     Factors a - sigma once (_hermitian_splu; positive definite, so diagonal
-    pivots are stable) and iterates a block of k + _SI_OVERSAMPLE vectors:
+    pivots are stable) and iterates a block of n + 1 + _SI_OVERSAMPLE vectors:
     the columns of `start`, then fixed-seed random ones drawn only for the
     columns it leaves free. Each step solves Z = (a - sigma)^-1 Q and takes
     the Ritz pairs of a in span(Z) through the Cholesky factor of Z's Gram
@@ -541,7 +538,7 @@ def _subspace_iteration(
     `tol` and stop shrinking. A Cholesky breakdown, or a returned block that
     is not orthonormal to 1e-12, raises SpectrumCertificateError.
     """
-    d = a.shape[0]
+    d, k = a.shape[0], n + 1
     m = min(k + _SI_OVERSAMPLE, d)
     lu = _hermitian_splu(a - sigma * scipy.sparse.identity(d, format="csc"))
     warm = 0 if start is None else min(start.shape[1], m)
@@ -588,7 +585,7 @@ def _subspace_iteration(
             f"shift-invert block lost orthonormality: max |Q^H Q - I| = {drift:.3e}"
         )
     # a compact copy: the block, its scratch and the factor are freed on return
-    return LowSpectrum(vals[:k], q[:, :k].copy(), residuals[:k]), (m, warm, steps, worst)
+    return LowSpectrum(vals[:k], q[:, :k].copy(), residuals[:k]), (d, m, warm, steps, worst)
 
 
 def _cholesky_ritz(gram: np.ndarray, proj: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
@@ -746,7 +743,7 @@ def check_hmk_lemma(
         clock = build_kitaev(circuit, kappa) if unary else kh
         # the history states span the kernel of H_0, H_MK at kappa = 0
         history = _history_columns(circuit, np.eye(w, dtype=complex), ClockRep.CLOCK_SUBSPACE)
-        _low = _low_spectrum(clock.h_mk_operator(), w + 1, w, cfg, start=history, floor=0.0)
+        _low = _low_spectrum(clock.h_mk_operator(), w, cfg, start=history, floor=0.0)
     vals, vecs = _low.values, _low.vectors
 
     q_desc = np.sort(acc.eigen.values)[::-1]

@@ -580,7 +580,7 @@ def end_to_end(
     # start the solve. Both solves go through this module's _low_spectrum,
     # H_MK first, which is how perfbench's tracer tells them apart
     history = _history_columns(idled, np.eye(w_dim, dtype=complex), ClockRep.CLOCK_SUBSPACE)
-    mk = _low_spectrum(h_mk, w_dim + 1, w_dim, cfg, start=history, floor=0.0)
+    mk = _low_spectrum(h_mk, w_dim, cfg, start=history, floor=0.0)
     hmk_report = check_hmk_lemma(kh, cfg, _low=mk, _acc=acc)
     lam_min = float(mk.values[0])
     gap_mk = hmk_report.gap_above_low_space
@@ -606,7 +606,7 @@ def end_to_end(
     # and the flag terms are positive semidefinite, and delta > 0, so H_sim's
     # spectrum lies at or above -delta lam_min - alignment
     floor = -delta * lam_min - alignment
-    sim = _low_spectrum(h_sim, w_dim + 1, w_dim, cfg, start=mk.vectors, floor=floor)
+    sim = _low_spectrum(h_sim, w_dim, cfg, start=mk.vectors, floor=floor)
 
     wtilde = wtilde_encodings(target, fam, cfg)
 

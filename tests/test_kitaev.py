@@ -446,7 +446,7 @@ class TestCheckHmkLemma:
         subs = build_kitaev(circuit, kappa)
         unary = build_kitaev(circuit, kappa, ClockRep.UNARY_FULL_SPACE)
         w = circuit.witness_dim
-        low = kitaev._low_spectrum(subs.h_mk_operator(), w + 8, w)
+        low = kitaev._low_spectrum(subs.h_mk_operator(), w)
         k_low = check_hmk_lemma(unary, _low=low).low_space_dim
         values = low.values.copy()
         values[k_low:] = 1.0

@@ -121,7 +121,7 @@ def roadmap_hmk():
 class TestShiftInvertAgreesWithDense:
     def test_certified_pairs_match_dense(self, large_hmk):
         h, w, dense, vals, vecs = large_hmk
-        low = _low_spectrum(h, w + 8, w, floor=0.0)
+        low = _low_spectrum(h, w, floor=0.0)
         norm = float(np.abs(dense).sum(axis=1).max())
         assert low.certificate is not None and low.certificate[1] == w
         assert np.abs(low.values[:w] - vals[:w]).max() <= 1e-12 * norm
@@ -137,9 +137,9 @@ class TestShiftInvertAgreesWithDense:
         # H_MK - 5 has the floor -5: the shift-invert solve shifts below it and
         # certifies H_MK's values minus 5
         h, w, dense = large_hmk[:3]
-        low = _low_spectrum(h, w + 8, w, floor=0.0)
+        low = _low_spectrum(h, w, floor=0.0)
         shifted = h - 5.0 * scipy.sparse.identity(h.shape[0], format="csr")
-        moved = _low_spectrum(shifted, w + 8, w, floor=-5.0)
+        moved = _low_spectrum(shifted, w, floor=-5.0)
         norm = float(np.abs(dense).sum(axis=1).max())
         assert moved.certificate is not None and moved.certificate[1] == w
         assert np.abs(moved.values[:w] - (low.values[:w] - 5.0)).max() <= 1e-12 * norm
@@ -149,14 +149,14 @@ class TestShiftInvertAgreesWithDense:
         # verify_simulation on a sparse h_prime it is not handed the spectrum of
         h, w = large_hmk[:2]
         with pytest.raises(ValueError, match="lower bound on the spectrum"):
-            _low_spectrum(h, w + 8, w)
+            _low_spectrum(h, w)
         enc = plain_encoding(np.eye(h.shape[0], w), w)
         with pytest.raises(ValueError, match="lower bound on the spectrum"):
             verify_simulation(np.zeros((w, w)), h, enc, 1.0)
 
     def test_cluster_projectors_match_dense(self, large_hmk):
         h, w, _, vals, vecs = large_hmk
-        low = _low_spectrum(h, w + 8, w, floor=0.0)
+        low = _low_spectrum(h, w, floor=0.0)
         clusters = cluster_ranges(vals[: w + 1], 1e-9)
         assert any(stop - start > 1 for start, stop in clusters[:-1])
         for start, stop in clusters[:-1]:  # whole clusters inside the certified band
@@ -166,7 +166,7 @@ class TestShiftInvertAgreesWithDense:
 
     def test_repeated_call_is_bit_identical(self, large_hmk):
         h, w = large_hmk[:2]
-        first, second = _low_spectrum(h, w + 8, w, floor=0.0), _low_spectrum(h, w + 8, w, floor=0.0)
+        first, second = _low_spectrum(h, w, floor=0.0), _low_spectrum(h, w, floor=0.0)
         for name in ("values", "vectors", "residuals"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
         assert first.certificate == second.certificate
@@ -191,8 +191,8 @@ class TestShiftInvertSteps:
 
     def test_warm_start_is_bit_identical_and_exact(self, large_hmk):
         h, w, dense, vals, _ = large_hmk
-        start = _low_spectrum(h, w + 8, w, floor=0.0).vectors
-        first, second = (_low_spectrum(h, w + 8, w, start=start, floor=0.0) for _ in range(2))
+        start = _low_spectrum(h, w, floor=0.0).vectors
+        first, second = (_low_spectrum(h, w, start=start, floor=0.0) for _ in range(2))
         for name in ("values", "vectors", "residuals"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
         assert first.certificate == second.certificate
@@ -211,7 +211,7 @@ class TestShiftInvertSteps:
 
         monkeypatch.setattr(np.linalg, "cholesky", indefinite_third_gram)
         with pytest.raises(SpectrumCertificateError, match="broke down at step 3"):
-            _low_spectrum(h, w + 8, w, floor=0.0)
+            _low_spectrum(h, w, floor=0.0)
 
     def test_lost_orthonormality_raises(self, large_hmk, monkeypatch):
         h, w = large_hmk[:2]
@@ -223,30 +223,31 @@ class TestShiftInvertSteps:
 
         monkeypatch.setattr(kitaev, "_cholesky_ritz", stretched)
         with pytest.raises(SpectrumCertificateError, match="orthonormality"):
-            _low_spectrum(h, w + 8, w, floor=0.0)
+            _low_spectrum(h, w, floor=0.0)
 
     def test_roadmap_solve_holds_three_blocks(self, roadmap_hmk):
         # z, its conjugate (then the new block) and H z are the only D x m
         # arrays live at once; a fourth would break the bound, which is
-        # 7.05 MB here and so under 9 MB
+        # 5.6 MB here, against a 4.7 MB peak
         h, w = roadmap_hmk
-        _low_spectrum(h, w + 8, w, floor=0.0)  # imports scipy.sparse.linalg
+        _low_spectrum(h, w, floor=0.0)  # imports scipy.sparse.linalg
         tracemalloc.start()
         try:
-            _low_spectrum(h, w + 8, w, floor=0.0)
+            _low_spectrum(h, w, floor=0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * h.shape[0] * (w + 8 + _SI_OVERSAMPLE) * 16
+        assert peak < 4 * h.shape[0] * (w + 1 + _SI_OVERSAMPLE) * 16
 
 
 def recorded_solves(monkeypatch) -> list:
-    """Route every _low_spectrum call through a wrapper that records (k, n, start, result)."""
+    """Route every _low_spectrum call through a wrapper that records (pairs returned, n, start,
+    result)."""
     calls = []
 
-    def record(h, k, n, config=None, start=None, floor=None):
-        low = _low_spectrum(h, k, n, config, start, floor)
-        calls.append((k, n, start, low))
+    def record(h, n, config=None, start=None, floor=None):
+        low = _low_spectrum(h, n, config, start, floor)
+        calls.append((len(low.values), n, start, low))
         return low
 
     for module in (kitaev, universality):
@@ -286,7 +287,7 @@ class TestSolvesSizedToTheCertificate:
             circuit, np.eye(w, dtype=complex), ClockRep.CLOCK_SUBSPACE
         )
         assert (k, n) == (w + 1, w) and np.array_equal(start, history)
-        cold = _low_spectrum(h, w + 1, w, floor=0.0)
+        cold = _low_spectrum(h, w, floor=0.0)
         norm = float(abs(h).sum(axis=1).max())
         assert np.abs(warm.values[:w] - cold.values[:w]).max() <= 1e-12 * norm
         assert warm.certificate == (0.5 * float(warm.values[w - 1] + warm.values[w]), w)
@@ -315,7 +316,7 @@ class TestSolvesSizedToTheCertificate:
             return factors[-1]
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
-        _low_spectrum(h, w + 1, w, floor=0.0)
+        _low_spectrum(h, w, floor=0.0)
         solve, _ = factors  # H - sigma for the solve, then H - mu for its count
         assert solve.L.nnz + solve.U.nnz < 30_000
 
@@ -375,10 +376,10 @@ class TestSectorSplit:
     def test_history_aligned_start_splits(self, monkeypatch, caplog):
         h, owner, bases = sector_problem(self.spectra())
         start = sector_start(owner, bases, [(0, 0), (0, 1), (1, 0)])
-        cold = _low_spectrum(h, 4, 3, floor=0.0)
+        cold = _low_spectrum(h, 3, floor=0.0)
         converted, counted = recorded_assembly(monkeypatch, h)
         with caplog.at_level(logging.DEBUG, logger="hamuniv"):
-            low = _low_spectrum(h, 4, 3, start=start, floor=0.0)
+            low = _low_spectrum(h, 3, start=start, floor=0.0)
         assert logged_sectors(caplog) == (2, 60)  # sectors 2 and 3 are not solved
         assert len(converted) == 1 and len(counted) == 1 and counted[0] is converted[0]
         norm = float(abs(h).sum(axis=1).max())
@@ -403,10 +404,48 @@ class TestSectorSplit:
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
         with caplog.at_level(logging.DEBUG, logger="hamuniv"):
-            low = _low_spectrum(h, 4, 3, start=start, floor=0.0)
+            low = _low_spectrum(h, 3, start=start, floor=0.0)
         solve, _ = factors  # H - sigma for the solve, then H - mu for its count
         assert solve.shape == h.shape and logged_sectors(caplog) == (1, h.shape[0])
         assert low.certificate[1] == 3
+
+    def test_one_held_sector_among_several_fills_the_whole_block(self, caplog):
+        spectra = self.spectra()
+        spectra[1] = spectra[1] + 1.0  # sector 1 above 1: sector 0 holds the two lowest
+        h, owner, bases = sector_problem(spectra)
+        start = sector_start(owner, bases, [(0, 0), (0, 1)])
+        with caplog.at_level(logging.DEBUG, logger="hamuniv"):
+            low = _low_spectrum(h, 2, start=start, floor=0.0)
+        assert logged_sectors(caplog) == (1, 60)
+        assert low.vectors.shape == (h.shape[0], 3) and not low.vectors[owner != 0].any()
+        vals = np.linalg.eigvalsh(h.toarray())
+        norm = float(abs(h).sum(axis=1).max())
+        assert np.abs(low.values[:2] - vals[:2]).max() <= 1e-12 * norm
+        assert vals[2] - 1e-12 * norm <= low.values[2]  # a Ritz value: an upper bound
+        assert low.certificate == (0.5 * float(low.values[1] + low.values[2]), 2)
+
+    def test_sector_breakdown_falls_back_to_the_whole_matrix(self, monkeypatch, caplog):
+        # the Rayleigh-Ritz step breaks down on the sectors' blocks (11 and 10 columns),
+        # never on the whole matrix's (3 + 1 + 8)
+        h, owner, bases = sector_problem(self.spectra())
+        start = sector_start(owner, bases, [(0, 0), (0, 1), (1, 0)])
+        ritz, widths = kitaev._cholesky_ritz, []
+
+        def narrow_blocks_break_down(gram, proj, step):
+            widths.append(len(gram))
+            if len(gram) < 3 + 1 + _SI_OVERSAMPLE:
+                raise SpectrumCertificateError(f"Cholesky Rayleigh-Ritz broke down at step {step}")
+            return ritz(gram, proj, step)
+
+        monkeypatch.setattr(kitaev, "_cholesky_ritz", narrow_blocks_break_down)
+        with caplog.at_level(logging.DEBUG, logger="hamuniv"):
+            low = _low_spectrum(h, 3, start=start, floor=0.0)
+        assert widths[0] < 3 + 1 + _SI_OVERSAMPLE  # the split was tried first
+        assert logged_sectors(caplog) == (1, h.shape[0])
+        vals = np.linalg.eigvalsh(h.toarray())
+        norm = float(abs(h).sum(axis=1).max())
+        assert np.abs(low.values[:3] - vals[:3]).max() <= 1e-12 * norm
+        assert low.certificate == (0.5 * float(low.values[2] + low.values[3]), 3)
 
     @pytest.mark.parametrize(
         "spectra",
@@ -422,7 +461,7 @@ class TestSectorSplit:
         h, owner, bases = sector_problem(self.spectra(**spectra))
         start = sector_start(owner, bases, [(0, 0), (0, 1), (1, 0)])
         with caplog.at_level(logging.DEBUG, logger="hamuniv"):
-            low = _low_spectrum(h, 4, 3, start=start, floor=0.0)
+            low = _low_spectrum(h, 3, start=start, floor=0.0)
         assert logged_sectors(caplog) == (1, h.shape[0])
         vals = np.linalg.eigvalsh(h.toarray())
         norm = float(abs(h).sum(axis=1).max())
@@ -434,11 +473,11 @@ class TestSectorSplit:
 def test_small_clock_blocks_take_the_dense_path():
     h, w = spectator_hmk(seed=1, n_spectators=1, n_ancilla=1, t_steps=4)
     assert h.shape[0] <= _SHIFT_INVERT_DIM
-    low = _low_spectrum(h, w + 8, w, floor=0.0)
+    low = _low_spectrum(h, w, floor=0.0)
     vals, vecs = np.linalg.eigh(_dense_entries(h))
     assert low.certificate is None
-    assert np.array_equal(low.values, vals[: w + 8])
-    assert np.array_equal(low.vectors, vecs[:, : w + 8])
+    assert np.array_equal(low.values, vals[: w + 1])
+    assert np.array_equal(low.vectors, vecs[:, : w + 1])
 
 
 def test_a_dense_operator_above_the_switch_reads_its_cached_spectrum(monkeypatch):
@@ -467,7 +506,7 @@ def test_a_dense_operator_above_the_switch_reads_its_cached_spectrum(monkeypatch
     report = verify_simulation(h, h_prime, enc, delta)
     check_partition_function(h, h_prime, enc, delta, beta=1.0, report=report)
     assert len(solves) == 1
-    low = _low_spectrum(h_prime, 4, 3)
+    low = _low_spectrum(h_prime, 3)
     vals, vecs = h_prime.spectrum
     assert low.certificate is None
     assert np.array_equal(low.values, vals[:4])
@@ -630,7 +669,7 @@ class TestCountCertificate:
         kh = build_kitaev(circuit, 0.5 * kappa_limit(circuit.n_steps), ClockRep.CLOCK_SUBSPACE)
         h, w = kh.h_mk_operator(), circuit.witness_dim
         converted, counted = recorded_assembly(monkeypatch, h)
-        low = _low_spectrum(h, w + 1, w, floor=0.0)
+        low = _low_spectrum(h, w, floor=0.0)
         assert low.certificate[1] == w and len(converted) == 1
         assert len(counted) == 1 and counted[0] is converted[0]
 
@@ -726,7 +765,7 @@ class TestSerialScipyBlas:
 
         monkeypatch.setattr(kitaev, "_cholesky_ritz", breakdown)
         with pytest.raises(SpectrumCertificateError):
-            _low_spectrum(h, w + 8, w, floor=0.0)
+            _low_spectrum(h, w, floor=0.0)
         assert scipy_blas_threads() == 3
 
     def test_bundled_openblas_resolves_the_thread_symbols(self):
