@@ -223,7 +223,7 @@ def acceptance_operator(circuit: VerifierCircuit, config: Config | None = None) 
     columns = run_circuit(circuit, np.eye(circuit.witness_dim, dtype=complex))
     accept_mask = circuit.layout.digit_table()[circuit.output_site] == 1
     q = hermitize(columns.conj().T @ (accept_mask[:, None] * columns))
-    q_op = DenseOperator(circuit.witness_layout(), q, hermitian=True)
+    q_op = DenseOperator(circuit.witness_layout(), q, hermitian=True, validate=False)
     return AcceptanceOperator(q=q_op, eigen=eigh(q_op, config))
 
 

@@ -383,7 +383,7 @@ def _low_spectrum(
     lies inside one of several connected components of h's nonzero pattern.
     Everything else, dense matrices of any size and sparse ones made dense,
     goes to the full dense eigh (_full_eigh), which ignores `start`; a
-    Hermitian DenseOperator reuses its cached spectrum.
+    DenseOperator reads its cached spectrum, so it needs the hermitian flag.
     """
     if scipy.sparse.issparse(h):
         if h.shape[0] > _SHIFT_INVERT_DIM:
@@ -649,8 +649,8 @@ def ground_space(
 def spectral_gap_above(
     h: DenseOperator, threshold: float, config: Config | None = None
 ) -> float:
-    """lambda_(k+1) - lambda_k where k = dim ground_space(h, threshold)."""
-    vals = eigh(h, config).values
+    """lambda_(k+1) - lambda_k, k = dim ground_space(h, threshold), from h's cached spectrum."""
+    vals = h.spectrum[0]
     k = int(np.searchsorted(vals, threshold, side="right"))
     if k == len(vals):
         raise ValueError("threshold above the full spectrum: no gap is defined")
@@ -876,10 +876,7 @@ def geometrical_bound(
     sin_min = np.linalg.svd(resid, compute_uv=False).min()
     theta = float(np.arctan2(sin_min, np.linalg.svd(x, compute_uv=False).max()))  # smallest angle
     bound = a1 + a2 + 2.0 * lam * np.sin(theta / 2.0) ** 2
-    total = DenseOperator(
-        h1.layout, hermitize(h1.entries + h2.entries), hermitian=True
-    )
-    actual = float(np.linalg.eigvalsh(total.entries)[0])
+    actual = float(np.linalg.eigvalsh(hermitize(h1.entries + h2.entries))[0])
     return GeometricalReport(
         bound=float(bound), actual=actual, a1=a1, a2=a2, gap=float(lam), angle=theta
     )

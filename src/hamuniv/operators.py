@@ -222,7 +222,8 @@ class DenseOperator:
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, vectors) of np.linalg.eigh, computed once: the entries are read-only."""
+        """(values, vectors) of np.linalg.eigh, computed once from the read-only entries; without
+        the hermitian flag, ValueError, since eigh reads only the lower triangle."""
         if not self.hermitian:
             raise ValueError("spectrum requires the hermitian flag")
         values, vectors = np.linalg.eigh(self.entries)
@@ -236,10 +237,10 @@ class DenseOperator:
 
 
 def _full_eigh(h: DenseOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of h; a Hermitian-flagged DenseOperator reads its cached spectrum."""
-    if isinstance(h, DenseOperator):
-        return h.spectrum if h.hermitian else np.linalg.eigh(h.entries)
-    return np.linalg.eigh(np.asarray(h, dtype=complex))
+    """np.linalg.eigh of an array, or a DenseOperator's cached spectrum; sparse raises ValueError."""
+    if scipy.sparse.issparse(h):
+        raise ValueError("no full spectrum of a sparse operator is formed")
+    return h.spectrum if isinstance(h, DenseOperator) else np.linalg.eigh(np.asarray(h, dtype=complex))
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -451,10 +452,8 @@ def op_norm(op: DenseOperator | np.ndarray) -> float:
 
 
 def expm_i(op: DenseOperator, t: float) -> DenseOperator:
-    """exp(i H t) via eigendecomposition; exact unitarity up to rounding."""
-    if not op.hermitian:
-        raise ValueError("expm_i requires a Hermitian operator")
-    values, vectors = np.linalg.eigh(op.entries)
+    """exp(i H t) from op's cached spectrum (hermitian flag required); unitary up to rounding."""
+    values, vectors = op.spectrum
     u = (vectors * np.exp(1j * values * t)) @ vectors.conj().T
     return DenseOperator(op.layout, u, hermitian=False)
 

@@ -71,7 +71,7 @@ class SWProblem:
     h1: DenseOperator
     delta: float
     minus: Subspace
-    lambda0: float = 0.0
+    lambda0: float = field(init=False)  # largest h0 eigenvalue on H_-, set from h0
     # sw_exact's bounds by config, then by order, so sw_bounds does not repeat it; floats
     # only, since an SWExpansion here would make a reference cycle
     _bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -243,9 +243,9 @@ def verify_simulation(
     Preconditions: the number of h_prime eigenvalues at or below delta equals
     (p+q) * dim(h), and delta falls in a spectral gap (cluster-guarded).
     The n + 1 lowest pairs of h_prime, n = (p+q) dim(h), come from _low_spectrum,
-    or from `_low` when the caller already solved for them. A Hermitian
-    DenseOperator h_prime, of any size, reads its cached full spectrum, so
-    check_partition_function and check_dynamics on it solve nothing again.
+    or from `_low` when the caller already solved for them. A DenseOperator h or
+    h_prime without the hermitian flag raises ValueError. A DenseOperator h_prime, of
+    any size, reads its cached full spectrum, which the two checks below reuse.
     A sparse h_prime above _SHIFT_INVERT_DIM needs `_low`: its solve needs a
     lower bound on the spectrum that h_prime alone does not give.
 
@@ -254,6 +254,8 @@ def verify_simulation(
     epsilon = |diag(lambda_low) - M core M^dag|. Neither W nor V~ is formed.
     """
     cfg = config or DEFAULT
+    if isinstance(h, DenseOperator) and not h.hermitian:
+        raise ValueError("verify_simulation requires h to carry the hermitian flag")
     h_mat = h.entries if isinstance(h, DenseOperator) else np.asarray(h, dtype=complex)
     if not (isinstance(h_prime, DenseOperator) or scipy.sparse.issparse(h_prime)):
         h_prime = np.asarray(h_prime, dtype=complex)
@@ -327,7 +329,7 @@ def check_partition_function(
     rep = report if report is not None else verify_simulation(h, h_prime, enc, delta, config=config)
     h_mat, hp_mat, vals_t = rep.h, rep.h_prime, rep.h_values
     pq = enc.anc_dim
-    vals_s = _full_eigh(h_prime)[0] if isinstance(h_prime, DenseOperator) else np.linalg.eigvalsh(hp_mat)
+    vals_s = _full_eigh(h_prime)[0]
     z_t = float(np.exp(-beta * vals_t).sum())
     z_s = float(np.exp(-beta * vals_s).sum())
     rel_err = abs(z_s - pq * z_t) / (pq * z_t)

@@ -332,7 +332,7 @@ def _rank_one_sum(
     h = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
     for weight, w in zip(weights, fam.states.T):
         h += weight * np.outer(w, w.conj())
-    return DenseOperator(layout, hermitize(h), hermitian=True)
+    return DenseOperator(layout, hermitize(h), hermitian=True, validate=False)
 
 
 def build_hprime(target: TargetHamiltonian, fam: WitnessFamily) -> DenseOperator:

@@ -294,6 +294,19 @@ class TestVerifySim:
         assert f"input error: input.v.{field}: expected an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    # an unflagged operator whose upper triangle disagrees with its lower one:
+    # h_prime's (0, 3) entry, or h's (0, 1) entry, set apart from its mirror
+    @pytest.mark.parametrize("name, index, value", [("h_prime", 3, 5.0), ("h", 1, 7.0)])
+    def test_unflagged_operator_exits_two(self, tmp_path, capsys, name, index, value):
+        doc = self.doc()
+        doc[name]["hermitian"] = False
+        doc[name]["entries"][index] = [value, 0.0]
+        inp = write_json(tmp_path / "vs.json", doc)
+        out = tmp_path / "report.json"
+        assert main(["verify-sim", "--input", inp, "--output", str(out)]) == 2
+        assert "hermitian flag" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestUniversalDemo:
     def _fixture(self, tmp_path, **fields):

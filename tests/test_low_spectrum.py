@@ -36,6 +36,7 @@ from hamuniv.kitaev import (
     check_hmk_lemma,
     default_kappa,
     kappa_limit,
+    spectral_gap_above,
 )
 from hamuniv.operators import (
     ClusterSplitError,
@@ -43,6 +44,7 @@ from hamuniv.operators import (
     Register,
     SpectrumCertificateError,
     SystemLayout,
+    expm_i,
     negative_count,
 )
 from hamuniv.simulation import check_partition_function, plain_encoding, verify_simulation
@@ -511,6 +513,10 @@ def test_a_dense_operator_above_the_switch_reads_its_cached_spectrum(monkeypatch
     assert low.certificate is None
     assert np.array_equal(low.values, vals[:4])
     assert np.array_equal(low.vectors, vecs[:, :4])
+    assert spectral_gap_above(h_prime, delta) == vals[3] - vals[2]
+    for t in (0.5, 2.0):
+        u = expm_i(h_prime, t).entries
+        assert np.array_equal(u, (vecs * np.exp(1j * vals * t)) @ vecs.conj().T)
     assert len(solves) == 1
 
 

@@ -101,6 +101,14 @@ class TestSWProblemValidation:
         ok = DenseOperator(lay, np.diag([0.9, 1.0, 1.5]).astype(complex), hermitian=True)
         assert SWProblem(h0=ok, h1=zero, delta=1.0, minus=minus).lambda0 == pytest.approx(0.9)
 
+    def test_lambda0_is_not_an_argument(self):
+        lay = SystemLayout((2,))
+        zero = DenseOperator(lay, np.zeros((2, 2)), hermitian=True)
+        h0 = DenseOperator(lay, np.diag([0.0, 1.0]).astype(complex), hermitian=True)
+        minus = Subspace.from_basis(lay, np.eye(2, dtype=complex)[:, :1])
+        with pytest.raises(TypeError, match="lambda0"):
+            SWProblem(h0=h0, h1=zero, delta=1.0, minus=minus, lambda0=0.5)
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

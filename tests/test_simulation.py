@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from hamuniv.circuits import idle_prefix
 from hamuniv.kitaev import build_kitaev, idling_state
@@ -275,6 +276,41 @@ class TestDynamics:
                 assert ok == (dist <= bound + 1e-9)
         with pytest.raises(ValueError, match="encoded subspace"):
             check_dynamics(h, hp, enc, np.eye(d_sim) / d_sim, 1.0, 0.01, 0.02)
+
+
+class TestOperatorInputs:
+    """A full spectrum of h_prime is read only from a flagged DenseOperator or an array."""
+
+    @staticmethod
+    def _block(rng):
+        h = random_hermitian(rng, 2)
+        delta = np.linalg.norm(h, 2) + 1.0
+        hp, v = block_pad_simulator(h, pad=2, delta=delta)
+        enc = plain_encoding(v, 2)
+        return h, hp, enc, delta, verify_simulation(h, hp, enc, delta)
+
+    def test_unflagged_operators_refused(self, rng):
+        h, hp, enc, delta, report = self._block(rng)
+        unflagged = DenseOperator(SystemLayout((4,)), hp)
+        rho = enc.image_projector() / 2.0
+        with pytest.raises(ValueError, match="hermitian flag"):
+            verify_simulation(h, unflagged, enc, delta)
+        with pytest.raises(ValueError, match="hermitian flag"):
+            check_partition_function(h, unflagged, enc, delta, 1.0, report=report)
+        with pytest.raises(ValueError, match="hermitian flag"):
+            check_dynamics(h, unflagged, enc, rho, 0.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match="hermitian flag"):
+            verify_simulation(DenseOperator(SystemLayout((2,)), h), hp, enc, delta)
+
+    def test_sparse_h_prime_has_no_full_spectrum(self, rng):
+        h, hp, enc, delta, _ = self._block(rng)
+        sparse = scipy.sparse.csr_matrix(hp)
+        report = verify_simulation(h, sparse, enc, delta)
+        rho = enc.image_projector() / 2.0
+        with pytest.raises(ValueError, match="no full spectrum of a sparse operator"):
+            check_partition_function(h, sparse, enc, delta, 1.0, report=report)
+        with pytest.raises(ValueError, match="no full spectrum of a sparse operator"):
+            check_dynamics(h, sparse, enc, rho, 0.5, report.epsilon_measured, report.eta_measured)
 
 
 class TestCompose:
