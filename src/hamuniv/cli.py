@@ -28,7 +28,7 @@ from .kitaev import (
     default_kappa,
     history_state,
 )
-from .operators import DimensionCapError, Subspace, eigh
+from .operators import DenseOperator, DimensionCapError, Subspace, eigh
 from .schrieffer_wolff import SWProblem, sw_bounds, sw_exact
 from .simulation import (
     Encoding,
@@ -112,15 +112,32 @@ def _real_list(obj: dict, key: str) -> list[float]:
     return [serialize._real(v, f"input.{key}[{i}]") for i, v in enumerate(values)]
 
 
+def _operator(run: RunConfig, obj: dict, key: str) -> DenseOperator:
+    """input.<key>, an operator that must carry "hermitian": true, else an input error at
+    input.<key>.hermitian: no command reads a spectrum from one triangle of its matrix."""
+    path = f"input.{key}"
+    op = serialize.operator_from_dict(serialize._require(obj, key, "input"), path,
+                                      dim_cap=run.config.dim_cap)
+    if not op.hermitian:
+        raise InputFormatError(f"{path}.hermitian", "must be true: the hermitian flag is required")
+    return op
+
+
+def _clock_rep(obj: dict) -> ClockRep:
+    """input.rep, by default the clock subspace."""
+    value, accepted = obj.get("rep", "clock-subspace"), [r.value for r in ClockRep]
+    if value not in accepted:
+        raise InputFormatError("input.rep", f"expected one of {accepted}, got {value!r}")
+    return ClockRep(value)
+
+
 def _hmk_dict(report) -> dict:
     # the report's keys are HmkReport's and HmkRow's field names (docs/schemas.md)
     return {**asdict(report), "pass": report.ok}
 
 
 def _cmd_spectrum(run: RunConfig, obj: dict) -> tuple[dict | None, bool]:
-    op = serialize.operator_from_dict(obj.get("operator", obj), dim_cap=run.config.dim_cap)
-    if not op.hermitian:
-        raise InputFormatError("operator.hermitian", "spectrum requires a Hermitian operator")
+    op = _operator(run, obj if "operator" in obj else {"operator": obj}, "operator")
     values = eigh(op, run.config).values
     rows = [[float(v)] for v in values]
     serialize.write_csv(run.output_path, rows)
@@ -135,7 +152,7 @@ def _cmd_compile(run: RunConfig, obj: dict) -> tuple[dict, bool]:
 
 def _cmd_history(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     circuit = serialize.circuit_from_dict(obj.get("circuit", obj), dim_cap=run.config.dim_cap)
-    rep = ClockRep(obj.get("rep", "clock-subspace"))
+    rep = _clock_rep(obj)
     if "witness" in obj:
         witness = serialize.pairs_to_vector(obj["witness"], "witness")
     else:
@@ -148,7 +165,7 @@ def _cmd_history(run: RunConfig, obj: dict) -> tuple[dict, bool]:
 def _cmd_hmk_check(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     circuit = serialize.circuit_from_dict(serialize._require(obj, "circuit", "input"),
                                           dim_cap=run.config.dim_cap)
-    rep = ClockRep(obj.get("rep", "clock-subspace"))
+    rep = _clock_rep(obj)
     idle_steps = None
     if "idle_steps" in obj:
         idle_steps = serialize._integer(obj["idle_steps"], "input.idle_steps")
@@ -174,10 +191,7 @@ def _cmd_hmk_check(run: RunConfig, obj: dict) -> tuple[dict, bool]:
 
 
 def _cmd_sw(run: RunConfig, obj: dict) -> tuple[dict, bool]:
-    h0 = serialize.operator_from_dict(serialize._require(obj, "h0", "input"), "input.h0",
-                                      dim_cap=run.config.dim_cap)
-    h1 = serialize.operator_from_dict(serialize._require(obj, "h1", "input"), "input.h1",
-                                      dim_cap=run.config.dim_cap)
+    h0, h1 = _operator(run, obj, "h0"), _operator(run, obj, "h1")
     delta = serialize._real(serialize._require(obj, "delta", "input"), "input.delta")
     minus_dim = serialize._integer(serialize._require(obj, "minus_dim", "input"),
                                    "input.minus_dim")
@@ -233,10 +247,7 @@ def _parse_encoding(obj: dict, sim_dim: int, target_dim: int) -> Encoding:
 
 
 def _cmd_verify_sim(run: RunConfig, obj: dict) -> tuple[dict, bool]:
-    h = serialize.operator_from_dict(serialize._require(obj, "h", "input"), "input.h",
-                                     dim_cap=run.config.dim_cap)
-    h_prime = serialize.operator_from_dict(serialize._require(obj, "h_prime", "input"),
-                                           "input.h_prime", dim_cap=run.config.dim_cap)
+    h, h_prime = _operator(run, obj, "h"), _operator(run, obj, "h_prime")
     enc = _parse_encoding(obj, h_prime.dim, h.dim)
     delta = serialize._real(serialize._require(obj, "delta", "input"), "input.delta")
     targets = obj.get("targets")
@@ -289,9 +300,7 @@ def _cmd_verify_sim(run: RunConfig, obj: dict) -> tuple[dict, bool]:
 
 
 def _cmd_universal_demo(run: RunConfig, obj: dict) -> tuple[dict, bool]:
-    h_target = serialize.operator_from_dict(serialize._require(obj, "h_target", "input"),
-                                            "input.h_target", dim_cap=run.config.dim_cap)
-    target = TargetHamiltonian.from_operator(h_target, run.config)
+    target = TargetHamiltonian.from_operator(_operator(run, obj, "h_target"), run.config)
     idle_key = "L" if "L" in obj else "idle_steps"
     report = end_to_end(
         target,

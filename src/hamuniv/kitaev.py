@@ -43,7 +43,7 @@ from .operators import (
     SystemLayout,
     _cluster_tol,
     _embedding_rows,
-    _full_eigh,
+    _hermitian,
     _hermitian_splu,
     _inertia,
     _principal_residual,
@@ -382,17 +382,17 @@ def _low_spectrum(
     sectors: the whole matrix is the one sector unless each start column
     lies inside one of several connected components of h's nonzero pattern.
     Everything else, dense matrices of any size and sparse ones made dense,
-    goes to the full dense eigh (_full_eigh), which ignores `start`; a
-    DenseOperator reads its cached spectrum, so it needs the hermitian flag.
+    goes to the full dense eigh, which ignores `start`. A dense h must pass
+    operators._hermitian: a DenseOperator needs the hermitian flag and reads
+    its cached spectrum, and a plain array is checked once. A sparse h made
+    dense is taken as built, as the sparse solve takes it.
     """
-    if scipy.sparse.issparse(h):
-        if h.shape[0] > _SHIFT_INVERT_DIM:
-            if floor is None:
-                raise ValueError("a sparse solve needs floor, a lower bound on the spectrum")
-            return _shift_invert_spectrum(h, n, config or DEFAULT, start, floor)
-        h = _dense_entries(h)
-    m = h.entries if isinstance(h, DenseOperator) else h
-    vals, vecs = _full_eigh(h)
+    if scipy.sparse.issparse(h) and h.shape[0] > _SHIFT_INVERT_DIM:
+        if floor is None:
+            raise ValueError("a sparse solve needs floor, a lower bound on the spectrum")
+        return _shift_invert_spectrum(h, n, config or DEFAULT, start, floor)
+    m = _dense_entries(h) if scipy.sparse.issparse(h) else _hermitian(h, "h")
+    vals, vecs = h.spectrum if isinstance(h, DenseOperator) else np.linalg.eigh(m)
     vals, vecs = vals[: n + 1], vecs[:, : n + 1]
     return LowSpectrum(vals, vecs, np.linalg.norm(m @ vecs - vecs * vals, axis=0))
 

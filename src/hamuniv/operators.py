@@ -205,13 +205,7 @@ class DenseOperator:
             raise ValueError(f"entries shape {m.shape} does not match layout dimension {d}")
         if validate:
             if self.hermitian:
-                scale = np.abs(m).max()
-                asym = np.abs(m - m.conj().T).max()
-                if scale > 0 and asym > 1e-12 * scale:
-                    raise ValueError(
-                        "operator flagged hermitian is not hermitian to 1e-12 (max norm): "
-                        f"max asymmetry {asym:.3e}"
-                    )
+                _hermitian(m, "operator flagged hermitian")
             m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -223,10 +217,8 @@ class DenseOperator:
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, vectors) of np.linalg.eigh, computed once from the read-only entries; without
-        the hermitian flag, ValueError, since eigh reads only the lower triangle."""
-        if not self.hermitian:
-            raise ValueError("spectrum requires the hermitian flag")
-        values, vectors = np.linalg.eigh(self.entries)
+        the hermitian flag, ValueError (_hermitian), since eigh reads only the lower triangle."""
+        values, vectors = np.linalg.eigh(_hermitian(self, "operator"))
         values.flags.writeable = False
         vectors.flags.writeable = False
         return values, vectors
@@ -236,11 +228,31 @@ class DenseOperator:
         return cls(layout, np.eye(layout.total_dim, dtype=complex), hermitian=True)
 
 
-def _full_eigh(h: DenseOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of an array, or a DenseOperator's cached spectrum; sparse raises ValueError."""
+def _hermitian(h: DenseOperator | np.ndarray, name: str) -> np.ndarray:
+    """The matrix of h, admitted as Hermitian, or ValueError naming the argument `name`.
+
+    The one admission rule of the package: a DenseOperator is admitted by its
+    hermitian flag, and its entries are not scanned again; a plain array when
+    max |m - m^dag| <= 1e-12 max |m|, the check the flag was given by.
+    """
+    if isinstance(h, DenseOperator):
+        if not h.hermitian:
+            raise ValueError(f"{name} does not carry the hermitian flag")
+        return h.entries
+    m = np.asarray(h, dtype=complex)
+    asym = np.abs(m - m.conj().T).max(initial=0.0)
+    if asym > 1e-12 * np.abs(m).max(initial=0.0):
+        raise ValueError(f"{name} is not hermitian to 1e-12 (max norm): max asymmetry {asym:.3e}")
+    return m
+
+
+def _full_eigh(h: DenseOperator | np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of an array, or a DenseOperator's cached spectrum, once _hermitian admits
+    h as `name`; sparse raises ValueError."""
     if scipy.sparse.issparse(h):
         raise ValueError("no full spectrum of a sparse operator is formed")
-    return h.spectrum if isinstance(h, DenseOperator) else np.linalg.eigh(np.asarray(h, dtype=complex))
+    m = _hermitian(h, name)
+    return h.spectrum if isinstance(h, DenseOperator) else np.linalg.eigh(m)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -430,9 +442,7 @@ def guard_cut(
 
 def eigh(op: DenseOperator, config: Config | None = None) -> EigenSystem:
     """Full Hermitian eigendecomposition with the deterministic ordering/phase convention."""
-    if not op.hermitian:
-        raise ValueError("eigh requires the hermitian flag")
-    values, vectors = np.linalg.eigh(op.entries)
+    values, vectors = np.linalg.eigh(_hermitian(op, "op"))
     vectors = _fix_phases(vectors)
     for start, stop in cluster_bounds(values, _cluster_tol(values, config)):
         if stop - start > 1:

@@ -26,6 +26,7 @@ from .config import DEFAULT, Config
 from .operators import (
     DenseOperator,
     Subspace,
+    _hermitian,
     direct_rotation_factored,
     guard_cut,
     hermitize,
@@ -64,7 +65,8 @@ class SWProblem:
 
     h0 must be block-diagonal against the H_-/H_+ split, with spectrum on
     H_- inside [0, lambda0], lambda0 < 1, and spectrum on H_+ at or above 1
-    (the normalized-gap convention; callers rescale). |h1| < delta/2.
+    (the normalized-gap convention; callers rescale). |h1| < delta/2. Both
+    must carry the hermitian flag (operators._hermitian).
     """
 
     h0: DenseOperator
@@ -77,8 +79,8 @@ class SWProblem:
     _bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.h0.hermitian and self.h1.hermitian):
-            raise ValueError("h0 and h1 must carry the hermitian flag")
+        _hermitian(self.h0, "h0")
+        _hermitian(self.h1, "h1")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         b = self.minus.basis

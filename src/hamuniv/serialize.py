@@ -33,9 +33,19 @@ def canonical_json(obj: Any) -> str:
 
 
 def _require(obj: dict, key: str, path: str) -> Any:
+    """obj[key]; InputFormatError at `path` when obj is no object or lacks the key."""
+    if not isinstance(obj, dict):
+        raise InputFormatError(path, "expected an object")
     if key not in obj:
         raise InputFormatError(path, f"missing field {key!r}")
     return obj[key]
+
+
+def _list(value, path: str) -> list:
+    """A JSON list; InputFormatError otherwise."""
+    if not isinstance(value, list):
+        raise InputFormatError(path, "expected a list")
+    return value
 
 
 def _integer(value, path: str) -> int:
@@ -78,16 +88,17 @@ def layout_to_dict(layout: SystemLayout) -> dict:
 
 
 def layout_from_dict(obj: dict, path: str = "layout", dim_cap: int | None = None) -> SystemLayout:
-    if not isinstance(obj, dict):
-        raise InputFormatError(path, "expected an object")
-    dims = tuple(_integer(d, f"{path}.site_dims") for d in _require(obj, "site_dims", path))
+    dim_list = _list(_require(obj, "site_dims", path), f"{path}.site_dims")
+    dims = tuple(_integer(d, f"{path}.site_dims") for d in dim_list)
     regs = []
-    for i, r in enumerate(obj.get("registers", [])):
+    for i, r in enumerate(_list(obj.get("registers", []), f"{path}.registers")):
         rpath = f"{path}.registers[{i}]"
+        name = str(_require(r, "name", rpath))
+        sites = _list(_require(r, "sites", rpath), f"{rpath}.sites")
         regs.append(
             Register(
-                name=str(_require(r, "name", rpath)),
-                sites=tuple(_integer(s, f"{rpath}.sites") for s in _require(r, "sites", rpath)),
+                name=name,
+                sites=tuple(_integer(s, f"{rpath}.sites") for s in sites),
                 role=str(r.get("role", "")),
             )
         )
@@ -110,8 +121,6 @@ def operator_to_dict(op: DenseOperator) -> dict:
 def operator_from_dict(
     obj: dict, path: str = "operator", dim_cap: int | None = None
 ) -> DenseOperator:
-    if not isinstance(obj, dict):
-        raise InputFormatError(path, "expected an object")
     layout = layout_from_dict(_require(obj, "layout", path), f"{path}.layout", dim_cap)
     dim = _integer(_require(obj, "dim", path), f"{path}.dim")
     if dim != layout.total_dim:
@@ -171,13 +180,12 @@ def circuit_to_dict(circuit: VerifierCircuit) -> dict:
 def circuit_from_dict(
     obj: dict, path: str = "circuit", dim_cap: int | None = None
 ) -> VerifierCircuit:
-    if not isinstance(obj, dict):
-        raise InputFormatError(path, "expected an object")
     layout = layout_from_dict(_require(obj, "layout", path), f"{path}.layout", dim_cap)
     gates = []
-    for i, g in enumerate(_require(obj, "gates", path)):
+    for i, g in enumerate(_list(_require(obj, "gates", path), f"{path}.gates")):
         gpath = f"{path}.gates[{i}]"
-        targets = tuple(_integer(t, f"{gpath}.targets") for t in _require(g, "targets", gpath))
+        target_list = _list(_require(g, "targets", gpath), f"{gpath}.targets")
+        targets = tuple(_integer(t, f"{gpath}.targets") for t in target_list)
         for t in targets:
             if not 0 <= t < layout.n_sites:
                 raise InputFormatError(f"{gpath}.targets", f"site {t} outside layout")
@@ -193,7 +201,7 @@ def circuit_from_dict(
     if isinstance(witness, str):
         witness = (witness,)
     else:
-        witness = tuple(str(w) for w in witness)
+        witness = tuple(str(w) for w in _list(witness, f"{path}.witness_register"))
     output_site = _integer(_require(obj, "output_site", path), f"{path}.output_site")
     completeness = _real(_require(obj, "c", path), f"{path}.c")
     soundness = _real(_require(obj, "s", path), f"{path}.s")

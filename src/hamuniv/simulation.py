@@ -25,6 +25,7 @@ from .operators import (
     DenseOperator,
     SystemLayout,
     _full_eigh,
+    _hermitian,
     _norm_tall,
     _principal_residual,
     guard_cut,
@@ -243,23 +244,22 @@ def verify_simulation(
     Preconditions: the number of h_prime eigenvalues at or below delta equals
     (p+q) * dim(h), and delta falls in a spectral gap (cluster-guarded).
     The n + 1 lowest pairs of h_prime, n = (p+q) dim(h), come from _low_spectrum,
-    or from `_low` when the caller already solved for them. A DenseOperator h or
-    h_prime without the hermitian flag raises ValueError. A DenseOperator h_prime, of
-    any size, reads its cached full spectrum, which the two checks below reuse.
-    A sparse h_prime above _SHIFT_INVERT_DIM needs `_low`: its solve needs a
-    lower bound on the spectrum that h_prime alone does not give.
+    or from `_low` when the caller already solved for them. h, and a dense
+    h_prime, must pass operators._hermitian: a DenseOperator needs the hermitian
+    flag, and a plain array must be Hermitian to 1e-12 (max norm); anything
+    else raises ValueError naming the argument. A sparse h_prime is taken as
+    built. A DenseOperator h_prime, of any size, reads its cached full
+    spectrum, which the two checks below reuse. A sparse h_prime above
+    _SHIFT_INVERT_DIM needs `_low`: its solve needs a lower bound on the
+    spectrum that h_prime alone does not give.
 
     With L the w low vectors, V~ = L M where M = polar(L^dag V) is w x w:
     eta = 2 sin(theta_max / 2) with sin theta_max = |V - L L^dag V|, and
     epsilon = |diag(lambda_low) - M core M^dag|. Neither W nor V~ is formed.
     """
     cfg = config or DEFAULT
-    if isinstance(h, DenseOperator) and not h.hermitian:
-        raise ValueError("verify_simulation requires h to carry the hermitian flag")
-    h_mat = h.entries if isinstance(h, DenseOperator) else np.asarray(h, dtype=complex)
-    if not (isinstance(h_prime, DenseOperator) or scipy.sparse.issparse(h_prime)):
-        h_prime = np.asarray(h_prime, dtype=complex)
-    hp_mat = h_prime.entries if isinstance(h_prime, DenseOperator) else h_prime
+    h_mat = _hermitian(h, "h")
+    hp_mat = h_prime if scipy.sparse.issparse(h_prime) else _hermitian(h_prime, "h_prime")
     d_t = h_mat.shape[0]
     expected = d_t * enc.anc_dim
     if enc.target_dim != d_t:
@@ -325,11 +325,16 @@ def check_partition_function(
     report: SimulationReport | None = None,
     config: Config | None = None,
 ) -> tuple[float, float, bool]:
-    """Relative partition-function error against its certified bound at inverse temperature beta."""
+    """Relative partition-function error against its certified bound at inverse temperature beta.
+
+    h and h_prime are admitted as in verify_simulation (operators._hermitian),
+    which runs unless `report` is given; h_prime's full spectrum is read
+    through _full_eigh, so a sparse h_prime raises ValueError.
+    """
     rep = report if report is not None else verify_simulation(h, h_prime, enc, delta, config=config)
     h_mat, hp_mat, vals_t = rep.h, rep.h_prime, rep.h_values
     pq = enc.anc_dim
-    vals_s = _full_eigh(h_prime)[0]
+    vals_s = _full_eigh(h_prime, "h_prime")[0]
     z_t = float(np.exp(-beta * vals_t).sum())
     z_s = float(np.exp(-beta * vals_s).sum())
     rel_err = abs(z_s - pq * z_t) / (pq * z_t)
@@ -357,15 +362,17 @@ def check_dynamics(
     V core V^dag, so e^(-i E(h) t) rho_prime e^(i E(h) t) is
     V e^(-i core t) r e^(i core t) V^dag. Both evolved states have rank at
     most dim r, and the trace norm of their difference is taken in the joint
-    span of their column spaces.
+    span of their column spaces. h and h_prime must pass operators._hermitian,
+    as in verify_simulation, else ValueError; a sparse h_prime has no full
+    spectrum here and raises too.
     """
     rho = np.asarray(rho_prime, dtype=complex)
     v = enc.v
     r = v.conj().T @ rho @ v
     if np.abs(v @ r @ v.conj().T - rho).max() > 1e-9:
         raise ValueError("rho_prime is not supported in the encoded subspace")
-    h_mat = h.entries if isinstance(h, DenseOperator) else np.asarray(h, dtype=complex)
-    vals, vecs = _full_eigh(h_prime)
+    h_mat = _hermitian(h, "h")
+    vals, vecs = _full_eigh(h_prime, "h_prime")
     core_vals, core_vecs = np.linalg.eigh(hermitize(enc.core(h_mat)))
     x = vecs @ (np.exp(-1j * vals * t)[:, None] * (vecs.conj().T @ v))  # e^(-i h' t) V
     y = v @ (core_vecs * np.exp(-1j * core_vals * t)) @ core_vecs.conj().T  # V e^(-i core t)

@@ -23,6 +23,20 @@ def diag_operator_doc(diag):
     return operator_to_dict(op)
 
 
+OPERATOR_FIELDS = ("operator", "h0", "h1", "h", "h_prime", "h_target")
+
+
+def operator_input(name):
+    """(command, valid input document) of the command that reads the operator field `name`."""
+    if name == "operator":
+        return "spectrum", {"operator": diag_operator_doc([0.0, 1.0])}
+    if name in ("h0", "h1"):
+        return "sw", TestSw.two_level_doc()
+    if name in ("h", "h_prime"):
+        return "verify-sim", TestVerifySim.doc()
+    return "universal-demo", TestUniversalDemo.doc()
+
+
 class TestSpectrum:
     def test_diagonal_csv(self, tmp_path):
         inp = write_json(tmp_path / "in.json", {"operator": diag_operator_doc([0.0, 1.0])})
@@ -31,12 +45,15 @@ class TestSpectrum:
         values = [float(line) for line in out.read_text().strip().splitlines()]
         assert values == [0.0, 1.0]
 
-    def test_non_hermitian_rejected(self, tmp_path):
-        doc = diag_operator_doc([0.0, 1.0])
-        doc["hermitian"] = False
-        inp = write_json(tmp_path / "in.json", {"operator": doc})
-        out = tmp_path / "spec.csv"
-        assert main(["spectrum", "--input", inp, "--output", str(out)]) == 2
+    @pytest.mark.parametrize("name", OPERATOR_FIELDS)
+    def test_non_hermitian_rejected(self, tmp_path, capsys, name):
+        command, doc = operator_input(name)
+        doc[name]["hermitian"] = False
+        inp = write_json(tmp_path / "in.json", doc)
+        out = tmp_path / "out.json"
+        assert main([command, "--input", inp, "--output", str(out)]) == 2
+        assert f"input error: input.{name}.hermitian: " in capsys.readouterr().err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize(
@@ -82,12 +99,20 @@ class TestHmkCheck:
         assert report["pass"] is True
         assert len(report["rows"]) == 2
 
-    def test_hypothesis_violation_is_input_error(self, tmp_path):
+    def test_hypothesis_violation_is_input_error(self, tmp_path, capsys):
         inp = write_json(
             tmp_path / "c.json", {"circuit": circuit_to_dict(cnot_verifier()), "kappa": 0.3}
         )
         out = tmp_path / "hmk.json"
         assert main(["hmk-check", "--input", inp, "--output", str(out)]) == 2
+        # so is an unknown clock representation, in both commands that read one
+        doc = {"circuit": circuit_to_dict(cnot_verifier()), "kappa": 0.02, "rep": "unary"}
+        inp = write_json(tmp_path / "rep.json", doc)
+        for command in ("hmk-check", "history"):
+            assert main([command, "--input", inp, "--output", str(out)]) == 2
+            assert ("input error: input.rep: expected one of ['clock-subspace', "
+                    "'unary-full-space'], got 'unary'") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_idling_section(self, tmp_path):
         from hamuniv.circuits import idle_prefix
@@ -295,21 +320,29 @@ class TestVerifySim:
         assert not out.exists()
 
     # an unflagged operator whose upper triangle disagrees with its lower one:
-    # h_prime's (0, 3) entry, or h's (0, 1) entry, set apart from its mirror
-    @pytest.mark.parametrize("name, index, value", [("h_prime", 3, 5.0), ("h", 1, 7.0)])
+    # h_prime's (0, 3) entry, or the (0, 1) entry of a 2 x 2 one, set apart from
+    # its mirror, in each operator field of every command
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [("h_prime", 3, 5.0), ("h", 1, 7.0)]
+        + [(name, 1, 7.0) for name in ("operator", "h0", "h1", "h_target")],
+    )
     def test_unflagged_operator_exits_two(self, tmp_path, capsys, name, index, value):
-        doc = self.doc()
+        command, doc = operator_input(name)
         doc[name]["hermitian"] = False
         doc[name]["entries"][index] = [value, 0.0]
         inp = write_json(tmp_path / "vs.json", doc)
         out = tmp_path / "report.json"
-        assert main(["verify-sim", "--input", inp, "--output", str(out)]) == 2
-        assert "hermitian flag" in capsys.readouterr().err
+        assert main([command, "--input", inp, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "hermitian flag" in err
+        assert f"input error: input.{name}.hermitian: " in err
         assert not out.exists()
 
 
 class TestUniversalDemo:
-    def _fixture(self, tmp_path, **fields):
+    @staticmethod
+    def doc(**fields) -> dict:
         obj = {
             "h_target": diag_operator_doc([0.0, 0.0]),
             "a": 2.0,
@@ -317,7 +350,10 @@ class TestUniversalDemo:
             "L": 1,
             "delta": 1e6,
         }
-        return write_json(tmp_path / "demo.json", obj | fields)
+        return obj | fields
+
+    def _fixture(self, tmp_path, **fields):
+        return write_json(tmp_path / "demo.json", self.doc(**fields))
 
     def test_trivial_target_demo(self, tmp_path):
         inp = self._fixture(tmp_path)
@@ -447,6 +483,44 @@ class TestValidateInputAndErrors:
         out = tmp_path / "out.csv"
         assert main(["spectrum", "--input", str(path), "--output", str(out)]) == 2
         assert "4300" in capsys.readouterr().err
+        assert not out.exists()
+
+    # a nested container of the wrong kind: (command, field set, its value, path of the error)
+    @pytest.mark.parametrize(
+        "command, field, value, path",
+        [
+            ("spectrum", "input.operator.layout.registers", 5, "input.operator.layout.registers"),
+            ("spectrum", "input.operator.layout.registers", [5],
+             "input.operator.layout.registers[0]"),
+            ("spectrum", "input.operator.layout.registers", [{"name": "r", "sites": 0}],
+             "input.operator.layout.registers[0].sites"),
+            ("spectrum", "input.operator.layout.site_dims", 2, "input.operator.layout.site_dims"),
+            ("compile", "circuit.gates", 5, "circuit.gates"),
+            ("compile", "circuit.gates", [5], "circuit.gates[0]"),
+            ("compile", "circuit.gates.0.targets", 0, "circuit.gates[0].targets"),
+            ("compile", "circuit.witness_register", 5, "circuit.witness_register"),
+            ("verify-sim", "input.v", 5, "input.v"),
+        ],
+        ids=["registers-5", "registers-[5]", "sites-0", "site_dims-2", "gates-5", "gates-[5]",
+             "targets-0", "witness_register-5", "v-5"],
+    )
+    def test_malformed_container_exits_two(self, tmp_path, capsys, command, field, value, path):
+        doc = {
+            "spectrum": {"operator": diag_operator_doc([0.0, 1.0])},
+            "compile": {"circuit": circuit_to_dict(cnot_verifier())},
+            "verify-sim": TestVerifySim.doc(),
+        }[command]
+        *keys, last = [int(k) if k.isdigit() else k for k in field.removeprefix("input.").split(".")]
+        parent = doc
+        for key in keys:
+            parent = parent[key]
+        parent[last] = value
+        inp = write_json(tmp_path / "in.json", doc)
+        out = tmp_path / "out.json"
+        assert main([command, "--input", inp, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: expected ")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_cap_exceeded_exit_code(self, tmp_path):

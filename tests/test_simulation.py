@@ -279,7 +279,8 @@ class TestDynamics:
 
 
 class TestOperatorInputs:
-    """A full spectrum of h_prime is read only from a flagged DenseOperator or an array."""
+    """h and h_prime are read only as a flagged DenseOperator, a Hermitian array, or a
+    sparse h_prime; a full spectrum of h_prime never from a sparse one."""
 
     @staticmethod
     def _block(rng):
@@ -301,6 +302,22 @@ class TestOperatorInputs:
             check_dynamics(h, unflagged, enc, rho, 0.5, 0.0, 0.0)
         with pytest.raises(ValueError, match="hermitian flag"):
             verify_simulation(DenseOperator(SystemLayout((2,)), h), hp, enc, delta)
+        # an unflagged h whose (0, 1) entry is set apart from its mirror
+        skewed = DenseOperator(SystemLayout((2,)), np.array([[0, 7], [0, 1]], dtype=complex))
+        with pytest.raises(ValueError, match="h does not carry the hermitian flag"):
+            check_dynamics(skewed, hp, enc, rho, 0.5, 0.0, 0.0)
+        # plain arrays carry no flag: the padded h_prime with its (0, 3) entry set
+        # apart from its mirror, and that h as an array, fail the Hermitian check
+        forged = hp.copy()
+        forged[0, 3] = 5.0
+        with pytest.raises(ValueError, match="h_prime is not hermitian"):
+            verify_simulation(h, forged, enc, delta)
+        with pytest.raises(ValueError, match="h_prime is not hermitian"):
+            check_partition_function(h, forged, enc, delta, 1.0, report=report)
+        with pytest.raises(ValueError, match="h_prime is not hermitian"):
+            check_dynamics(h, forged, enc, rho, 0.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match="h is not hermitian"):
+            check_dynamics(np.array([[0, 7], [0, 1]]), hp, enc, rho, 0.5, 0.0, 0.0)
 
     def test_sparse_h_prime_has_no_full_spectrum(self, rng):
         h, hp, enc, delta, _ = self._block(rng)
