@@ -51,14 +51,12 @@ from .simulation import (
     verify_simulation,
 )
 from .universality import (
-    FlagHamiltonian,
     TargetHamiltonian,
     WitnessFamily,
     build_hprime,
     build_hsim,
     end_to_end,
     first_order_sim_check,
-    flag_hamiltonian,
     qpe_verifier,
     witness_family,
     wtilde_encodings,

@@ -304,7 +304,8 @@ def _history_columns(
         blocks[t if rep is ClockRep.CLOCK_SUBSPACE else (1 << t) - 1] = state
         if idle_steps is None and t < t_steps:
             state = apply_gate_to_vector(state, circuit.gates[t], circuit.layout)
-    return blocks.reshape((clock_dim * state.shape[0],) + state.shape[1:]) / np.sqrt(last + 1)
+    blocks /= np.sqrt(last + 1)
+    return blocks.reshape((clock_dim * state.shape[0],) + state.shape[1:])
 
 
 def history_state(

@@ -330,20 +330,34 @@ def check_partition_function(
     h and h_prime are admitted as in verify_simulation (operators._hermitian),
     which runs unless `report` is given; h_prime's full spectrum is read
     through _full_eigh, so a sparse h_prime raises ValueError.
+
+    Both partition sums are taken relative to exp(-beta lambda), lambda the
+    lowest target eigenvalue (the highest when beta < 0), so the target's
+    sum is at least 1 and neither underflows; the relative error is
+    unchanged by the common factor. The bound is
+    d' / (pq d) exp(-beta (delta - |h|)) + expm1(epsilon beta). A beta at
+    which the error or the bound is still not finite raises ValueError.
     """
     rep = report if report is not None else verify_simulation(h, h_prime, enc, delta, config=config)
     h_mat, hp_mat, vals_t = rep.h, rep.h_prime, rep.h_values
     pq = enc.anc_dim
     vals_s = _full_eigh(h_prime, "h_prime")[0]
-    z_t = float(np.exp(-beta * vals_t).sum())
-    z_s = float(np.exp(-beta * vals_s).sum())
-    rel_err = abs(z_s - pq * z_t) / (pq * z_t)
+    lam = vals_t[0] if beta >= 0 else vals_t[-1]
     d_sim = hp_mat.shape[0]
     d_t = h_mat.shape[0]
     h_norm = float(np.abs(vals_t).max(initial=0.0))
-    bound = (d_sim * np.exp(-beta * delta)) / (pq * d_t * np.exp(-beta * h_norm)) + (
-        np.exp(rep.epsilon_measured * beta) - 1.0
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a result past float range is refused below
+        z_t = float(np.exp(-beta * (vals_t - lam)).sum())
+        z_s = float(np.exp(-beta * (vals_s - lam)).sum())
+        rel_err = abs(z_s - pq * z_t) / (pq * z_t)
+        bound = d_sim * np.exp(-beta * (delta - h_norm)) / (pq * d_t) + np.expm1(
+            rep.epsilon_measured * beta
+        )
+    if not (np.isfinite(rel_err) and np.isfinite(bound)):
+        raise ValueError(
+            f"partition-function check at beta = {beta} is not finite: "
+            f"relative error {rel_err}, bound {bound}"
+        )
     return float(rel_err), float(bound), bool(rel_err <= bound + 1e-9)
 
 

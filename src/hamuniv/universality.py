@@ -123,7 +123,11 @@ def witness_family(
     tau: float | None = None,
     config: Config | None = None,
 ) -> WitnessFamily:
-    """Construct the witness family; errors on readout collisions between distinct energies."""
+    """Construct the witness family; errors on readout collisions between distinct energies.
+
+    tau defaults to pi / (2 (|H_target| + 1)); a given tau must be positive,
+    else ValueError, since one readout unit is 2 pi / (2^m tau) of energy.
+    """
     if a <= 0:
         raise ValueError("flag weight a must be positive")
     if m < 1:
@@ -132,6 +136,8 @@ def witness_family(
     shift = target.norm
     if tau is None:
         tau = np.pi / (2.0 * (target.norm + 1.0))
+    elif not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     if (target.norm + shift) * tau >= 2.0 * np.pi - 1e-12:
         raise ValueError("tau too large: shifted phases would wrap past 2 pi")
     energies = target.eigenvalues
@@ -375,7 +381,7 @@ def wtilde_encodings(
     h_sh = target.op.entries - lam_sh * np.eye(d_state)
     hp_sh = _rank_one_sum(target, fam, fam.energies - lam_sh)
     enc = plain_encoding(w_local, d_state, target_layout=target.op.layout, sim_layout=hp_sh.layout)
-    report = verify_simulation(h_sh, hp_sh.entries, enc, delta=-0.5, config=cfg)
+    report = verify_simulation(h_sh, hp_sh, enc, delta=-0.5, config=cfg)
     return WtildeReport(
         w_local=w_local,
         w_tilde=w_tilde,
@@ -388,52 +394,31 @@ def wtilde_encodings(
     )
 
 
-@dataclass(frozen=True)
-class FlagHamiltonian:
-    """Rank-one penalty |f><f| with eigenvalue 1 on the flag state and 0 elsewhere."""
-
-    f: np.ndarray
-    h_f: DenseOperator
-
-
-def flag_hamiltonian(f: np.ndarray) -> FlagHamiltonian:
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(f) - 1.0) > 1e-12:
-        raise ValueError("flag state must be normalized")
-    layout = SystemLayout((len(f),))
-    return FlagHamiltonian(f=f, h_f=DenseOperator(layout, np.outer(f, f.conj()), hermitian=True))
-
-
 def build_hsim(
-    h_ls: DenseOperator | scipy.sparse.spmatrix,
+    h_ls: scipy.sparse.spmatrix,
     lam_min: float,
-    flag_terms: tuple[tuple[int, FlagHamiltonian], ...] | list,
+    flag_terms: tuple[tuple[int, int], ...],
     delta: float,
     a: float,
     layout: SystemLayout,
-) -> DenseOperator | scipy.sparse.csr_matrix:
-    """Delta (H_LS - lam_min 1) + a sum_k 2^k (flag penalty on the k-th listed site).
+) -> scipy.sparse.csr_matrix:
+    """Delta (H_LS - lam_min 1) + sum_k a 2^k P_k, as a CSR matrix.
 
-    `layout` is H_LS's, which the flag digits are read from. Every flag
-    penalty is diagonal, so it adds to the diagonal; a sparse H_LS gives a
-    sparse H_sim.
+    The k-th flag term (site, level) gives P_k, the projector onto the basis
+    states whose `site` digit is `level`, so the flags add only to the
+    diagonal. `layout` is H_LS's, which the digits are read from. A level
+    outside 0 <= level < site_dims[site] raises ValueError.
     """
-    sparse = scipy.sparse.issparse(h_ls)
-    h = delta * h_ls if sparse else delta * h_ls.entries
     diag = np.zeros(layout.total_dim)
     diag -= delta * lam_min
     digit_table = layout.digit_table()
-    for k, (site, flag) in enumerate(flag_terms):
-        if layout.site_dims[site] != flag.h_f.dim:
-            raise ValueError(f"flag dimension {flag.h_f.dim} does not match site {site}")
-        local = flag.h_f.entries
-        if not np.abs(local - np.diag(np.diagonal(local))).max() < 1e-15:
-            raise ValueError(f"flag penalty on site {site} is not diagonal")
-        diag += a * 2.0**k * np.real(np.diagonal(local))[digit_table[site]]
-    if sparse:
-        return h + scipy.sparse.diags(diag)
-    h[np.arange(layout.total_dim), np.arange(layout.total_dim)] += diag
-    return DenseOperator(layout, h, hermitian=True, validate=False)
+    for k, (site, level) in enumerate(flag_terms):
+        if not 0 <= level < layout.site_dims[site]:
+            raise ValueError(
+                f"flag level {level} outside site {site}'s levels 0..{layout.site_dims[site] - 1}"
+            )
+        diag += a * 2.0**k * (digit_table[site] == level)
+    return (delta * h_ls + scipy.sparse.diags(diag)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -586,9 +571,7 @@ def end_to_end(
     gap_mk = hmk_report.gap_above_low_space
 
     readout_sites = idled.layout.register("readout").sites
-    qutrit_one = np.zeros(3, dtype=complex)
-    qutrit_one[1] = 1.0
-    flags = tuple((site, flag_hamiltonian(qutrit_one)) for site in readout_sites)
+    flags = tuple((site, 1) for site in readout_sites)
 
     e_quantum = fam.energy_quantum
     flag_prefactor = e_quantum * (fam.a**2 + 1.0)

@@ -339,6 +339,20 @@ class TestVerifySim:
         assert f"input error: input.{name}.hermitian: " in err
         assert not out.exists()
 
+    def test_large_beta_report_is_finite(self, tmp_path):
+        # both partition sums underflow at beta = 1000 unless taken relative to the ground state
+        doc = self.doc()
+        doc["beta"] = [1000.0]
+        inp = write_json(tmp_path / "vs.json", doc)
+        out = tmp_path / "report.json"
+        assert main(["verify-sim", "--input", inp, "--output", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"report holds {constant}")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        assert report["partition_function"][0]["pass"] is True
+
 
 class TestUniversalDemo:
     @staticmethod
@@ -385,6 +399,15 @@ class TestUniversalDemo:
         assert main(["universal-demo", "--input", inp, "--output", str(out)]) == 2
         assert f"input error: delta must be positive, got {delta}" in capsys.readouterr().err
         assert solves == [] and not out.exists()
+
+    @pytest.mark.parametrize("tau", [0, -1])
+    def test_non_positive_tau_exits_two(self, tmp_path, capsys, tau):
+        out = tmp_path / "demo_report.json"
+        inp = self._fixture(tmp_path, tau=tau)
+        assert main(["universal-demo", "--input", inp, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: tau must be positive, got {tau}")
+        assert "Traceback" not in err and not out.exists()
 
 
 REAL_FIELD_DOCS = {

@@ -278,6 +278,23 @@ class TestHistoryState:
         assert weight == pytest.approx(np.sqrt((t_steps - idle) / (t_steps + 1)), abs=1e-12)
         assert abs(np.vdot(idling, comp)) <= 1e-12
 
+    def test_history_block_peak_below_two_results(self):
+        # the ROADMAP verifier's 18 history columns: the clock blocks are scaled in
+        # place, so no second D x w block is held beside the result
+        from hamuniv.universality import TargetHamiltonian, qpe_verifier
+
+        target = TargetHamiltonian.from_matrix(np.diag([0.0, 0.5]).astype(complex), (2,))
+        circuit = idle_prefix(qpe_verifier(target, 8.0, 2, tau=np.pi), 1)
+        witnesses = np.eye(circuit.witness_dim, dtype=complex)
+        tracemalloc.start()
+        try:
+            block = kitaev._history_columns(circuit, witnesses, ClockRep.CLOCK_SUBSPACE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (3240, 18)
+        assert peak < 2 * block.nbytes
+
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 import scipy.sparse
 
 from hamuniv.circuits import idle_prefix
@@ -200,6 +201,38 @@ class TestPartitionFunction:
                 h, hp_rot, enc, delta, beta, report=report
             )
             assert ok, f"beta={beta}: {err} > {bound}"
+
+    def test_matches_log_space_reference(self, rng):
+        # on these spectra exp(-beta lambda) overflows or underflows from |beta| ~ 400
+        for _ in range(5):
+            h = random_hermitian(rng, 3)
+            delta = np.linalg.norm(h, 2) + 2.0
+            hp, v = block_pad_simulator(h, pad=5, delta=delta)
+            u = scipy.linalg.expm(1j * random_hermitian(rng, 8, scale=0.01))
+            hp_rot = u @ hp @ u.conj().T
+            enc = plain_encoding(v, 3)
+            report = verify_simulation(h, hp_rot, enc, delta)
+            h_norm = np.abs(report.h_values).max()
+            for beta in (-1.0, 0.5, 10.0, 1000.0, 1e4):
+                err, bound, _ = check_partition_function(h, hp_rot, enc, delta, beta, report=report)
+                log_z_t = scipy.special.logsumexp(-beta * report.h_values)
+                log_z_s = scipy.special.logsumexp(-beta * np.linalg.eigh(hp_rot)[0])
+                # each -beta lambda of the reference is rounded to u |beta lambda|
+                tol = 1e-12 + 1e-14 * abs(beta) * h_norm
+                assert err == pytest.approx(abs(np.expm1(log_z_s - log_z_t)), rel=1e-9, abs=tol)
+                log_first = np.log(hp.shape[0] / 3) - beta * (delta - h_norm)
+                expected = np.exp(log_first) + np.expm1(report.epsilon_measured * beta)
+                assert bound == pytest.approx(expected, rel=1e-12)
+
+    def test_beta_past_any_finite_check_refused(self, rng):
+        # at beta = -1000 the high band's weight exp(1000 (2 delta + 1)) is past any float
+        h = random_hermitian(rng, 3)
+        delta = np.linalg.norm(h, 2) + 2.0
+        hp, v = block_pad_simulator(h, pad=5, delta=delta)
+        enc = plain_encoding(v, 3)
+        report = verify_simulation(h, hp, enc, delta)
+        with pytest.raises(ValueError, match="beta = -1000.0 is not finite"):
+            check_partition_function(h, hp, enc, delta, -1000.0, report=report)
 
 
 class TestDynamics:
