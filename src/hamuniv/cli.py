@@ -268,10 +268,13 @@ def _cmd_verify_sim(run: RunConfig, obj: dict) -> tuple[dict, bool]:
     out = _rotation_summary(report)
     checks_ok = report.ok
     partition = []
-    for beta in betas:
-        err, bound, ok = check_partition_function(
-            h, h_prime, enc, delta, beta, report=report, config=run.config
-        )
+    for i, beta in enumerate(betas):
+        try:
+            err, bound, ok = check_partition_function(
+                h, h_prime, enc, delta, beta, report=report, config=run.config
+            )
+        except ValueError as exc:  # a negative beta, or one past any finite check
+            raise InputFormatError(f"input.beta[{i}]", str(exc)) from exc
         partition.append({"beta": beta, "relative_error": err, "bound": bound, "pass": ok})
         checks_ok = checks_ok and ok
     dynamics = []

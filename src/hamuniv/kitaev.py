@@ -61,8 +61,9 @@ from .operators import (
 # above this dimension sparse matrices (every H_MK, H_sim) go to shift-invert
 # iteration; dense inputs of any size, and sparse ones up to it, to the full eigh
 _SHIFT_INVERT_DIM = 1200
-# shift-invert subspace iteration: extra block vectors, iteration cap, and the
-# distance of the shift below the spectrum's floor, relative to max(1, |floor|)
+# shift-invert subspace iteration: extra block vectors (none where the caller bounds
+# the next eigenvalue), iteration cap, and the distance of the shift below the
+# spectrum's floor, relative to max(1, |floor|)
 _SI_OVERSAMPLE = 8
 _SI_MAX_ITER = 100
 _SI_MARGIN = 1e-5
@@ -349,15 +350,22 @@ def idling_state(
 class LowSpectrum:
     """The n + 1 lowest eigenpairs in ascending order, with residuals |H v - lambda v|.
 
-    `certificate` is (mu, n) when an inertia count made apart from the
-    eigensolver showed that exactly the n lowest values lie below mu, a
-    point in the gap above them; None for the dense solvers.
+    `certificate` is (mu, n) when a check made apart from the eigensolver
+    showed that exactly the n lowest eigenvalues lie below mu, a point in
+    the gap above them; None for the dense solvers. Either an inertia count
+    at the midpoint of the n-th and (n+1)-th values made it, exact up to a
+    backward error below the cluster tolerance of `values`, or the Kahan
+    bound on the n lowest pairs placed them below a given lower bound `mu`
+    on the (n+1)-th eigenvalue. `sectors` labels each index with the
+    sector the sparse solve took it in (all zeros: the whole matrix was
+    one); None for the dense solvers.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
     certificate: tuple[float, int] | None = None
+    sectors: np.ndarray | None = None
 
 
 def _low_spectrum(
@@ -366,6 +374,8 @@ def _low_spectrum(
     config: Config | None = None,
     start: np.ndarray | None = None,
     floor: float | None = None,
+    above: float | None = None,
+    sectors: np.ndarray | None = None,
 ) -> LowSpectrum:
     """The n + 1 lowest eigenpairs (ascending); switches solver by dimension and storage.
 
@@ -378,20 +388,27 @@ def _low_spectrum(
     `floor`, a lower bound on the spectrum, is required there (0 for the
     positive semidefinite clock Hamiltonians): the iteration shifts just
     below it, and a wrong floor can only make the certificate refuse.
+    `above`, a lower bound on the (n+1)-th eigenvalue that the caller has
+    certified (H_sim's, by Weyl's inequality from H_MK's count), lets the
+    iteration drop its extra block columns and the Kahan bound replace the
+    inertia count; where that is refused, the solve runs as without it.
     `start`, orthonormal columns near the low space (history states, or a
     nearby operator's eigenvectors), seeds that iteration and decides its
     sectors: the whole matrix is the one sector unless each start column
     lies inside one of several connected components of h's nonzero pattern.
+    `sectors`, the labels of an earlier solve of a matrix with the same
+    off-diagonal pattern, whose vectors are `start`, replaces that labelling.
     Everything else, dense matrices of any size and sparse ones made dense,
-    goes to the full dense eigh, which ignores `start`. A dense h must pass
-    operators._hermitian: a DenseOperator needs the hermitian flag and reads
-    its cached spectrum, and a plain array is checked once. A sparse h made
-    dense is taken as built, as the sparse solve takes it.
+    goes to the full dense eigh, which ignores `start`, `above` and
+    `sectors`. A dense h must pass operators._hermitian: a DenseOperator
+    needs the hermitian flag and reads its cached spectrum, and a plain
+    array is checked once. A sparse h made dense is taken as built, as the
+    sparse solve takes it.
     """
     if scipy.sparse.issparse(h) and h.shape[0] > _SHIFT_INVERT_DIM:
         if floor is None:
             raise ValueError("a sparse solve needs floor, a lower bound on the spectrum")
-        return _shift_invert_spectrum(h, n, config or DEFAULT, start, floor)
+        return _shift_invert_spectrum(h, n, config or DEFAULT, start, floor, above, sectors)
     m = _dense_entries(h) if scipy.sparse.issparse(h) else _hermitian(h, "h")
     vals, vecs = h.spectrum if isinstance(h, DenseOperator) else np.linalg.eigh(m)
     vals, vecs = vals[: n + 1], vecs[:, : n + 1]
@@ -404,44 +421,63 @@ def _shift_invert_spectrum(
     cfg: Config,
     start: np.ndarray | None,
     floor: float,
+    above: float | None,
+    sectors: np.ndarray | None,
 ) -> LowSpectrum:
     """Block shift-invert subspace iteration of the sectors that hold the low space.
 
     Converts h to CSC once: every factor, sector and the count certificate
-    read that one matrix. The sectors (_sector_labels) are the connected
-    components of its nonzero pattern, invariant subspaces of h. Only those
-    holding some of the first n start columns are solved (_solve_sectors),
-    and the count on the whole matrix certifies that no other holds a value
-    below mu. When a sector's solve, the merge or the count refuses the
-    split, the whole matrix is solved as the one sector; a refusal there raises.
+    read that one matrix. The sectors (_sector_labels, unless `sectors`
+    gives them) are the connected components of its nonzero pattern,
+    invariant subspaces of h. Only those holding some of the first n start
+    columns are solved (_solve_sectors), and a certificate on the whole
+    matrix shows that no other holds a value below mu. Up to three solves
+    are tried in turn, and the first one certified is returned:
+      * with `above`, each held sector's block is the n_c + 1 columns it
+        returns, and _kahan_certificate places the n lowest pairs below
+        `above`;
+      * the block takes _SI_OVERSAMPLE more columns, and the inertia count
+        (_count_certificate) certifies;
+      * the same on the whole matrix as the one sector.
+    A refusal by a sector's solve, the merge or the certificate moves on to
+    the next; a refusal of the last raises.
 
     Each solve (_subspace_iteration) runs with scipy's BLAS and LAPACK held
     to one thread (operators._serial_scipy_blas) and stops when the
     residuals of its n_c lowest Ritz pairs fall below 64 u |H|_inf, |H| the
     whole matrix, and stop shrinking (the round-off floor). The (n + 1)-th
     Ritz value is an upper bound of its eigenvalue with its residual; the n
-    lowest pairs carry the count certificate, made after every block and
-    factor is freed.
+    lowest pairs carry the certificate, made after every block and factor
+    is freed.
     """
     with _serial_scipy_blas() as threads:
         a = h.tocsc()
         sigma = floor - _SI_MARGIN * max(1.0, abs(floor))
-        tol = 64 * np.finfo(float).eps * float(abs(a).sum(axis=1).max())
-        labels = _sector_labels(a, start)
-        while True:
+        norm = float(abs(a).sum(axis=1).max())
+        tol = 64 * np.finfo(float).eps * norm
+        labels = _sector_labels(a, start) if sectors is None else sectors
+        plans = [(labels, above)] if above is not None else []
+        plans += [(labels, None)] + ([(np.zeros_like(labels), None)] if labels.any() else [])
+        for i, (labels, bound) in enumerate(plans):
             try:
-                low, stats = _solve_sectors(a, n, start, labels, sigma, tol)
-                low = replace(low, certificate=_count_certificate(a, low, n, cfg))
+                low, stats = _solve_sectors(
+                    a, n, start, labels, sigma, tol, 0 if bound is not None else _SI_OVERSAMPLE
+                )
+                if bound is None:
+                    certificate = _count_certificate(a, low, n, cfg)
+                else:
+                    certificate = _kahan_certificate(a, low, n, bound, norm)
+                low = replace(low, certificate=certificate, sectors=labels)
                 break
             except SpectrumCertificateError:  # e.g. an unsolved sector holds a value below mu
-                if not labels.any():
+                if i == len(plans) - 1:
                     raise
-                labels = np.zeros_like(labels)
     _log.debug(
         "shift-invert D=%d sectors=%d largest=%d block=%d warm=%d steps=%d sigma=%.6g max "
-        "residual of %d pairs %.3e, %d eigenvalues below %.6g certified, scipy BLAS threads "
-        "%s on entry, %s inside",
-        a.shape[0], *stats[:5], sigma, n, stats[5], *low.certificate[::-1], *threads,
+        "residual of %d pairs %.3e, %d eigenvalues below %.6g certified by the %s, scipy "
+        "BLAS threads %s on entry, %s inside",
+        a.shape[0], *stats[:5], sigma, n, stats[5], *low.certificate[::-1],
+        "inertia count" if bound is None else "Kahan bound", *threads,
     )
     return low
 
@@ -470,13 +506,15 @@ def _solve_sectors(
     labels: np.ndarray,
     sigma: float,
     tol: float,
+    oversample: int,
 ) -> tuple[LowSpectrum, tuple]:
     """The n + 1 lowest pairs of the sectors holding the first n start columns, merged by
     value (stable order) and uncertified, with (sectors solved, largest, widest block, start
     columns used, most steps, worst residual).
 
-    A sector holding n_c of those columns is sliced out and solved for n_c + 1 pairs from
-    every start column inside it, its vectors exactly zero outside it; all-zero labels make
+    A sector holding n_c of those columns is sliced out and solved for n_c + 1 pairs, with a
+    block of n_c + 1 + `oversample` columns, from every start column inside it, its vectors
+    exactly zero outside it; all-zero labels make
     `a` and `start`, uncopied, the one sector. Raises SpectrumCertificateError unless the n
     lowest merged pairs are each sector's n_c converged ones.
     """
@@ -494,7 +532,7 @@ def _solve_sectors(
         else:
             rows = np.flatnonzero(labels == c)
             sector, columns = a[:, rows][rows, :], start[np.ix_(rows, np.flatnonzero(homes == c))]
-        solves.append(_subspace_iteration(sector, int(held[c]), sigma, columns, tol))
+        solves.append(_subspace_iteration(sector, int(held[c]), sigma, columns, tol, oversample))
     lows, stats = zip(*solves)
     values = np.concatenate([low.values for low in lows])
     owner = np.repeat(np.arange(len(lows)), [len(low.values) for low in lows])
@@ -523,12 +561,13 @@ def _subspace_iteration(
     sigma: float,
     start: np.ndarray | None,
     tol: float,
+    oversample: int,
 ) -> tuple[LowSpectrum, tuple[int, int, int, int, float]]:
     """The n + 1 lowest Ritz pairs of `a` (uncertified), with (dimension, block, start columns
     used, steps, worst residual of the n lowest).
 
     Factors a - sigma once (_hermitian_splu; positive definite, so diagonal
-    pivots are stable) and iterates a block of n + 1 + _SI_OVERSAMPLE vectors:
+    pivots are stable) and iterates a block of n + 1 + `oversample` vectors:
     the columns of `start`, then fixed-seed random ones drawn only for the
     columns it leaves free. Each step solves Z = (a - sigma)^-1 Q and takes
     the Ritz pairs of a in span(Z) through the Cholesky factor of Z's Gram
@@ -540,7 +579,7 @@ def _subspace_iteration(
     is not orthonormal to 1e-12, raises SpectrumCertificateError.
     """
     d, k = a.shape[0], n + 1
-    m = min(k + _SI_OVERSAMPLE, d)
+    m = min(k + oversample, d)
     lu = _hermitian_splu(a - sigma * scipy.sparse.identity(d, format="csc"))
     warm = 0 if start is None else min(start.shape[1], m)
     free = (d, m - warm)
@@ -635,6 +674,37 @@ def _count_certificate(
             f"{error:.3e} (cluster tolerance {tol:.3e}), the eigensolver returned {n}"
         )
     return mu, count
+
+
+def _kahan_certificate(
+    a: scipy.sparse.csc_matrix, low: LowSpectrum, n: int, above: float, norm: float
+) -> tuple[float, int]:
+    """(above, n): the n lowest returned pairs hold n eigenvalues below `above`, a certified
+    lower bound on the (n+1)-th eigenvalue, so they are all the eigenvalues below it.
+
+    For orthonormal V, the n lowest vectors, with values Theta and R = a V -
+    V Theta, n eigenvalues lie within |R|_2 of Theta (Kahan; Parlett, *The
+    Symmetric Eigenvalue Problem*, ch. 11). R is formed here, and rho bounds
+    |R|_F: the computed norm plus the product's rounding, gamma (|a| + max
+    |Theta|) sqrt(2 n), with gamma = (terms per row + 4) eps and |a| =
+    `norm`, a's largest absolute row sum. The drift d = n max |V^dag V - I|
+    bounds |V^dag V - I|_2; for d <= 1e-6, through the orthonormal V (V^dag
+    V)^-1/2 and Ostrowski's theorem, those n eigenvalues lie at or below
+    theta_n + 2 rho + 4 d (rho + max |Theta|). Raises SpectrumCertificateError
+    unless that clears `above`.
+    """
+    vals, v = low.values[:n], low.vectors[:, :n]
+    drift = n * float(np.abs(v.conj().T @ v - np.eye(n)).max())
+    theta = float(np.abs(vals).max())
+    gamma = (np.diff(a.indptr).max() + 4) * np.finfo(float).eps
+    rho = float(np.linalg.norm(a @ v - v * vals)) + gamma * (norm + theta) * np.sqrt(2 * n)
+    top = float(vals[-1]) + 2 * rho + 4 * drift * (rho + theta)
+    if not (drift <= 1e-6 and top < above):
+        raise SpectrumCertificateError(
+            f"the {n} lowest pairs reach {top:.6g} (drift {drift:.3e}), "
+            f"not below the bound {above:.6g} on the next eigenvalue"
+        )
+    return float(above), n
 
 
 def ground_space(

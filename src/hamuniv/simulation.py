@@ -332,17 +332,19 @@ def check_partition_function(
     through _full_eigh, so a sparse h_prime raises ValueError.
 
     Both partition sums are taken relative to exp(-beta lambda), lambda the
-    lowest target eigenvalue (the highest when beta < 0), so the target's
-    sum is at least 1 and neither underflows; the relative error is
-    unchanged by the common factor. The bound is
-    d' / (pq d) exp(-beta (delta - |h|)) + expm1(epsilon beta). A beta at
-    which the error or the bound is still not finite raises ValueError.
+    lowest target eigenvalue, so the target's sum is at least 1 and neither
+    underflows; the relative error is unchanged by the common factor. The
+    bound is d' / (pq d) exp(-beta (delta - |h|)) + expm1(epsilon beta),
+    which holds for beta >= 0 only: a negative beta raises ValueError, and
+    so does a beta at which the error or the bound is still not finite.
     """
+    if not beta >= 0:
+        raise ValueError(f"beta = {beta} is negative: the partition-function bound needs beta >= 0")
     rep = report if report is not None else verify_simulation(h, h_prime, enc, delta, config=config)
     h_mat, hp_mat, vals_t = rep.h, rep.h_prime, rep.h_values
     pq = enc.anc_dim
     vals_s = _full_eigh(h_prime, "h_prime")[0]
-    lam = vals_t[0] if beta >= 0 else vals_t[-1]
+    lam = vals_t[0]
     d_sim = hp_mat.shape[0]
     d_t = h_mat.shape[0]
     h_norm = float(np.abs(vals_t).max(initial=0.0))

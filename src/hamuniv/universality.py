@@ -45,6 +45,7 @@ from .operators import (
     DenseOperator,
     Register,
     SystemLayout,
+    _cluster_tol,
     eigh,
     hermitize,
     op_norm,
@@ -585,11 +586,24 @@ def end_to_end(
     alignment = fam.shift + lam_sh
     h_sim = build_hsim(h_mk, lam_min, flags, delta, flag_prefactor, kh.layout)
     h_sim = h_sim - alignment * scipy.sparse.identity(kh.layout.total_dim)
-    # H_sim's low space lies near H_MK's: its eigenvectors start the solve. H_MK
-    # and the flag terms are positive semidefinite, and delta > 0, so H_sim's
-    # spectrum lies at or above -delta lam_min - alignment
+    # H_sim's low space lies near H_MK's: its eigenvectors start the solve, in
+    # H_MK's sectors, since the flags add only to the diagonal. H_MK and the
+    # flag terms are positive semidefinite, and delta > 0, so H_sim's spectrum
+    # lies at or above -delta lam_min - alignment, and by Weyl's inequality its
+    # (w+1)-th value at or above delta (lambda_{w+1}(H_MK) - lam_min) -
+    # alignment. H_MK's count places lambda_{w+1}(H_MK) above mu less the
+    # cluster tolerance. e_asm bounds the rounding of H_sim's assembly and of
+    # this bound: at most len(flags) + 8 roundings of the terms each entry sums
     floor = -delta * lam_min - alignment
-    sim = _low_spectrum(h_sim, w_dim, cfg, start=mk.vectors, floor=floor)
+    above = None
+    if mk.certificate is not None:
+        mu = mk.certificate[0]
+        scale = delta * (float(abs(h_mk).sum(axis=1).max()) + abs(mu) + abs(lam_min))
+        e_asm = (len(flags) + 8) * np.finfo(float).eps * (scale + flag_sum_norm + alignment)
+        above = delta * (mu - _cluster_tol(mk.values, cfg) - lam_min) - alignment - e_asm
+    sim = _low_spectrum(
+        h_sim, w_dim, cfg, start=mk.vectors, floor=floor, above=above, sectors=mk.sectors
+    )
 
     wtilde = wtilde_encodings(target, fam, cfg)
 

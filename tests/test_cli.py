@@ -339,6 +339,17 @@ class TestVerifySim:
         assert f"input error: input.{name}.hermitian: " in err
         assert not out.exists()
 
+    def test_negative_beta_exits_two(self, tmp_path, capsys):
+        # the partition-function bound holds for beta >= 0 only; at beta = -1 this input
+        # gave relative error 1033.5 against bound 5.44 and exited 1 as a failed check
+        doc = self.doc()
+        doc["beta"] = [0.0, -1.0]
+        inp = write_json(tmp_path / "vs.json", doc)
+        out = tmp_path / "report.json"
+        assert main(["verify-sim", "--input", inp, "--output", str(out)]) == 2
+        assert "input error: input.beta[1]: beta = -1.0 is negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_large_beta_report_is_finite(self, tmp_path):
         # both partition sums underflow at beta = 1000 unless taken relative to the ground state
         doc = self.doc()

@@ -247,8 +247,8 @@ def recorded_solves(monkeypatch) -> list:
     result)."""
     calls = []
 
-    def record(h, n, config=None, start=None, floor=None):
-        low = _low_spectrum(h, n, config, start, floor)
+    def record(h, n, config=None, start=None, floor=None, above=None, sectors=None):
+        low = _low_spectrum(h, n, config, start, floor, above, sectors)
         calls.append((len(low.values), n, start, low))
         return low
 
@@ -321,6 +321,89 @@ class TestSolvesSizedToTheCertificate:
         _low_spectrum(h, w, floor=0.0)
         solve, _ = factors  # H - sigma for the solve, then H - mu for its count
         assert solve.L.nnz + solve.U.nnz < 30_000
+
+
+# the CI rotated target V diag(0, 1/2) V^dag, V the real rotation with cosine 0.6 and sine 0.8
+ROTATED_TARGET = TargetHamiltonian.from_matrix(
+    np.array([[0.32, -0.24], [-0.24, 0.18]], dtype=complex), (2,)
+)
+
+
+def hsim_solve(monkeypatch, target: TargetHamiltonian, a: float = 2.0, **kwargs) -> tuple:
+    """Run end_to_end and return (report, the keywords of its H_sim solve, that solve's result)."""
+    calls = []
+
+    def record(h, n, config=None, start=None, floor=None, above=None, sectors=None):
+        low = _low_spectrum(h, n, config, start, floor, above, sectors)
+        calls.append((dict(h=h, n=n, start=start, floor=floor, above=above, sectors=sectors), low))
+        return low
+
+    monkeypatch.setattr(universality, "_low_spectrum", record)
+    report = end_to_end(target, a, 2, idle_steps=1, tau=np.pi, **kwargs)
+    (mk_call, _), (sim_call, sim) = calls
+    assert mk_call["above"] is None and mk_call["sectors"] is None
+    return report, sim_call, sim
+
+
+class TestHsimOnTheHmkCertificate:
+    """end_to_end solves H_sim with a Weyl lower bound on its (w+1)-th value, in H_MK's
+    sectors, and certifies its count with the Kahan bound instead of an inertia count."""
+
+    @pytest.mark.parametrize("a", [2.0, 8.0, 32.0])
+    def test_one_count_and_one_labelling_per_end_to_end(self, a, monkeypatch, caplog):
+        counted = {"_inertia": 0, "_sector_labels": 0}
+        for name in counted:
+
+            def counting(*args, _fn=getattr(kitaev, name), _name=name):
+                counted[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(kitaev, name, counting)
+        with caplog.at_level(logging.DEBUG, logger="hamuniv"):
+            report = end_to_end(ROADMAP_TARGET, a, 2, idle_steps=1, tau=np.pi)
+        assert report.ok and counted == {"_inertia": 1, "_sector_labels": 1}
+        solves = [
+            r.getMessage() for r in caplog.records if r.getMessage().startswith("shift-invert")
+        ]
+        assert "by the inertia count" in solves[0] and "by the Kahan bound" in solves[1]
+        # the same sectors hold the same start columns, and H_sim's blocks take no extra ones
+        blocks = [int(re.search(r"block=(\d+)", msg).group(1)) for msg in solves]
+        assert blocks[1] == blocks[0] - _SI_OVERSAMPLE
+
+    @pytest.mark.parametrize("target", [ROADMAP_TARGET, ROTATED_TARGET], ids=["roadmap", "rotated"])
+    def test_weyl_bound_agrees_with_an_inertia_count(self, target, monkeypatch):
+        report, call, sim = hsim_solve(monkeypatch, target)
+        w = len(report.hmk.rows)
+        assert sim.certificate == (call["above"], w)
+        assert sim.values[w - 1] < call["above"]
+        assert negative_count(call["h"].tocsc(), call["above"]) == w
+
+    def test_bound_under_the_last_value_falls_back_to_the_count(self, monkeypatch, caplog):
+        report, call, sim = hsim_solve(monkeypatch, ROADMAP_TARGET)
+        w = len(report.hmk.rows)
+        call["above"] = float(sim.values[w - 1]) * (1 - 1e-9)
+        with caplog.at_level(logging.DEBUG, logger="hamuniv"):
+            low = _low_spectrum(config=None, **call)
+        [msg] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("shift-invert")]
+        assert "by the inertia count" in msg
+        assert low.certificate == (0.5 * float(low.values[w - 1] + low.values[w]), w)
+        today = _low_spectrum(**(call | {"above": None}))
+        for name in ("values", "vectors", "residuals", "certificate"):
+            assert np.array_equal(getattr(low, name), getattr(today, name))
+
+    @pytest.mark.parametrize("delta", [None, 1e7, 1e6])
+    def test_user_delta_certifies(self, delta, caplog):
+        with caplog.at_level(logging.DEBUG, logger="hamuniv"):
+            report = end_to_end(ROTATED_TARGET, 2.0, 2, idle_steps=1, tau=np.pi, delta=delta)
+        solves = [
+            r.getMessage() for r in caplog.records if r.getMessage().startswith("shift-invert")
+        ]
+        assert report.ok and "by the Kahan bound" in solves[1]
+
+    def test_user_delta_too_small_for_the_cutoff_is_refused(self):
+        # the composite cutoff delta gap_mk / 2 = 1.95 holds 5 values of H_sim, not the target's 2
+        with pytest.raises(ValueError, match="low-energy dimension"):
+            end_to_end(ROTATED_TARGET, 2.0, 2, idle_steps=1, tau=np.pi, delta=1e5)
 
 
 def sector_problem(spectra: list, seed: int = 11) -> tuple:

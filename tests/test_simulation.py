@@ -213,7 +213,7 @@ class TestPartitionFunction:
             enc = plain_encoding(v, 3)
             report = verify_simulation(h, hp_rot, enc, delta)
             h_norm = np.abs(report.h_values).max()
-            for beta in (-1.0, 0.5, 10.0, 1000.0, 1e4):
+            for beta in (0.0, 0.5, 10.0, 1000.0, 1e4):
                 err, bound, _ = check_partition_function(h, hp_rot, enc, delta, beta, report=report)
                 log_z_t = scipy.special.logsumexp(-beta * report.h_values)
                 log_z_s = scipy.special.logsumexp(-beta * np.linalg.eigh(hp_rot)[0])
@@ -225,14 +225,24 @@ class TestPartitionFunction:
                 assert bound == pytest.approx(expected, rel=1e-12)
 
     def test_beta_past_any_finite_check_refused(self, rng):
-        # at beta = -1000 the high band's weight exp(1000 (2 delta + 1)) is past any float
+        # at beta = 1e308 the bound's expm1(epsilon beta) is past any float
         h = random_hermitian(rng, 3)
         delta = np.linalg.norm(h, 2) + 2.0
         hp, v = block_pad_simulator(h, pad=5, delta=delta)
         enc = plain_encoding(v, 3)
         report = verify_simulation(h, hp, enc, delta)
-        with pytest.raises(ValueError, match="beta = -1000.0 is not finite"):
-            check_partition_function(h, hp, enc, delta, -1000.0, report=report)
+        with pytest.raises(ValueError, match=r"beta = 1e\+308 is not finite"):
+            check_partition_function(h, hp, enc, delta, 1e308, report=report)
+
+    def test_negative_beta_refused(self, rng):
+        # the bound d'/(pq d) exp(-beta (delta - |h|)) + expm1(epsilon beta) needs beta >= 0
+        h = random_hermitian(rng, 3)
+        delta = np.linalg.norm(h, 2) + 2.0
+        hp, v = block_pad_simulator(h, pad=5, delta=delta)
+        enc = plain_encoding(v, 3)
+        report = verify_simulation(h, hp, enc, delta)
+        with pytest.raises(ValueError, match="is negative"):
+            check_partition_function(h, hp, enc, delta, -1.0, report=report)
 
 
 class TestDynamics:
