@@ -417,15 +417,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"input error: --const expects NAME=VALUE, got {item!r}", file=sys.stderr)
             return 2
         name, _, value = item.partition("=")
-        try:
-            constants[name] = float(value)
-        except ValueError:
-            print(f"input error: --const {name} value {value!r} is not numeric", file=sys.stderr)
-            return 2
+        constants[name] = value
     # precedence: defaults, then HAMUNIV_*, then --const, then --cap and --seed
-    flags = {name: v for name, v in (("dim_cap", args.cap), ("seed", args.seed)) if v is not None}
     try:
-        config = with_constants(with_constants(from_env(), constants), flags)
+        config = with_constants(from_env(), constants)
+        for flag, name, value in (("--cap", "dim_cap", args.cap), ("--seed", "seed", args.seed)):
+            if value is not None:
+                config = with_constants(config, {name: value}, flag)
         run_config = RunConfig(args.command, args.input, args.output, config)
     except (ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

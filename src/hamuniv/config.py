@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -31,28 +32,37 @@ _ENV_PREFIX = "HAMUNIV_"
 
 
 def from_env() -> Config:
-    """Overlay HAMUNIV_<FIELD> environment variables onto the defaults."""
-    overrides = {}
+    """Overlay HAMUNIV_<FIELD> environment variables onto the defaults, read as with_constants
+    reads --const values."""
+    found = {}
     for f in fields(Config):
         raw = os.environ.get(_ENV_PREFIX + f.name.upper())
-        if raw is None:
-            continue
-        overrides[f.name] = int(raw) if f.type == "int" else float(raw)
-    return replace(DEFAULT, **overrides)
+        if raw is not None:
+            found[f.name.upper()] = raw
+    return with_constants(DEFAULT, found, _ENV_PREFIX + "{}")
 
 
-def with_constants(cfg: Config, constants: dict[str, float]) -> Config:
-    """Apply CLI-style NAME=VALUE constant overrides (names as in Config)."""
+def with_constants(cfg: Config, constants: dict, label: str = "--const {}") -> Config:
+    """Apply NAME=VALUE overrides (names as in Config, any case), each value a number or its text.
+
+    Every value must be finite and non-negative, and dim_cap and seed
+    integral. A value that is not raises ValueError, and an unknown name
+    KeyError, naming the override as label.format(NAME).
+    """
     known = {f.name for f in fields(Config)}
     overrides = {}
-    for name, value in constants.items():
-        key = name.lower()
+    for name, raw in constants.items():
+        key, source = name.lower(), label.format(name)
         if key not in known:
             raise KeyError(f"unknown constant {name!r}; known: {sorted(known)}")
-        if key not in ("dim_cap", "seed"):
-            overrides[key] = float(value)
-        elif float(value).is_integer():
-            overrides[key] = int(value)
-        else:
-            raise ValueError(f"constant {name!r} must be an integer, got {value!r}")
+        integral = key in ("dim_cap", "seed")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"{source} value {raw!r} is not numeric") from None
+        if integral and not value.is_integer():
+            raise ValueError(f"{source} must be an integer, got {raw!r}")
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{source} must be finite and non-negative, got {raw!r}")
+        overrides[key] = int(value) if integral else value
     return replace(cfg, **overrides)

@@ -26,6 +26,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .circuits import (
+    UNITARITY_TOL,
     AcceptanceOperator,
     VerifierCircuit,
     acceptance_gap,
@@ -44,8 +45,6 @@ from .operators import (
     _cluster_tol,
     _embedding_rows,
     _hermitian,
-    _hermitian_splu,
-    _inertia,
     _principal_residual,
     _row_lengths,
     _serial_scipy_blas,
@@ -61,9 +60,9 @@ from .operators import (
 # above this dimension sparse matrices (every H_MK, H_sim) go to shift-invert
 # iteration; dense inputs of any size, and sparse ones up to it, to the full eigh
 _SHIFT_INVERT_DIM = 1200
-# shift-invert subspace iteration: extra block vectors (none where the caller bounds
-# the next eigenvalue), iteration cap, and the distance of the shift below the
-# spectrum's floor, relative to max(1, |floor|)
+# shift-invert subspace iteration: extra block vectors (none in an earlier solve's
+# sectors, started from its converged vectors), iteration cap, and the distance of
+# the shift below the spectrum's floor, relative to max(1, |floor|)
 _SI_OVERSAMPLE = 8
 _SI_MAX_ITER = 100
 _SI_MARGIN = 1e-5
@@ -84,6 +83,29 @@ def kappa_limit(t_steps: int) -> float:
 def default_kappa(gap: float, t_steps: int) -> float:
     """kappa = g / (4 T^3 (T+1)): factor-2 margin inside the lemma hypothesis."""
     return gap / (4.0 * t_steps**3 * (t_steps + 1))
+
+
+def hmk_excited_floor(t_steps: int) -> float:
+    """A lower bound on lambda_{w+1} of the clock-subspace H_MK of any T-step circuit, at any
+    kappa build_kitaev admits, w the witness dimension.
+
+    H_prop is 1/2 the path Laplacian of the T + 1 clock states, conjugated by
+    the gates: its kernel is the history states, its gap 1 - cos(pi/(T+1)).
+    H_in >= 1 off the valid inputs, and the two kernels meet in the w
+    valid-input history states. Outside them, a history state of an invalid
+    input keeps T/(T+1) of its weight in H_in's kernel, so the kernels meet
+    at an angle phi with cos^2 phi <= T/(T+1). Kitaev's geometric lemma
+    (Kitaev, Shen & Vyalyi 2002, ch. 14) puts the rest of H_in + H_prop's
+    spectrum at or above the smaller gap times 1 - cos phi, and Weyl's
+    inequality keeps lambda_{w+1} there when kappa H_out >= 0 is added.
+    Every kappa admitted puts lambda_w <= kappa/(T+1) < 1/(2 T^3 (T+1)) below
+    this floor. The slack covers the gates' |U^dag U - 1|_2 <= UNITARITY_TOL,
+    which moves H_prop by at most that from its polar factors' H_prop, and
+    the one rounded assembly sum, 1/2 + kappa on the t = T diagonal.
+    """
+    t1 = t_steps + 1
+    lemma = 2.0 * np.sin(np.pi / (2 * t1)) ** 2 * (1.0 - np.sqrt(t_steps / t1))
+    return float(lemma) - UNITARITY_TOL - 4 * np.finfo(float).eps
 
 
 def _kitaev_layout(circuit: VerifierCircuit, rep: ClockRep) -> SystemLayout:
@@ -350,15 +372,13 @@ def idling_state(
 class LowSpectrum:
     """The n + 1 lowest eigenpairs in ascending order, with residuals |H v - lambda v|.
 
-    `certificate` is (mu, n) when a check made apart from the eigensolver
-    showed that exactly the n lowest eigenvalues lie below mu, a point in
-    the gap above them; None for the dense solvers. Either an inertia count
-    at the midpoint of the n-th and (n+1)-th values made it, exact up to a
-    backward error below the cluster tolerance of `values`, or the Kahan
-    bound on the n lowest pairs placed them below a given lower bound `mu`
-    on the (n+1)-th eigenvalue. `sectors` labels each index with the
-    sector the sparse solve took it in (all zeros: the whole matrix was
-    one); None for the dense solvers.
+    `certificate` is (above, n) when Kahan's residual bound, made apart from
+    the eigensolver, placed n eigenvalues below `above`, a lower bound on the
+    (n+1)-th eigenvalue that the caller certified: they are then all the
+    eigenvalues below it, and the n lowest pairs approximate them. None for
+    the dense solvers. `sectors` labels each index with the sector the sparse
+    solve took it in (all zeros: the whole matrix was one); None for the
+    dense solvers.
     """
 
     values: np.ndarray
@@ -371,7 +391,6 @@ class LowSpectrum:
 def _low_spectrum(
     h: scipy.sparse.spmatrix | DenseOperator | np.ndarray,
     n: int,
-    config: Config | None = None,
     start: np.ndarray | None = None,
     floor: float | None = None,
     above: float | None = None,
@@ -379,25 +398,23 @@ def _low_spectrum(
 ) -> LowSpectrum:
     """The n + 1 lowest eigenpairs (ascending); switches solver by dimension and storage.
 
-    The caller reads the n lowest as a complete low space; the count
-    certificate reads the one value above them, and nothing reads further.
-    Sparse matrices above _SHIFT_INVERT_DIM go to shift-invert subspace
-    iteration (_shift_invert_spectrum), which converges the n lowest pairs
-    and certifies their count with an inertia count
-    (operators.negative_count); a mismatch raises SpectrumCertificateError.
-    `floor`, a lower bound on the spectrum, is required there (0 for the
-    positive semidefinite clock Hamiltonians): the iteration shifts just
-    below it, and a wrong floor can only make the certificate refuse.
-    `above`, a lower bound on the (n+1)-th eigenvalue that the caller has
-    certified (H_sim's, by Weyl's inequality from H_MK's count), lets the
-    iteration drop its extra block columns and the Kahan bound replace the
-    inertia count; where that is refused, the solve runs as without it.
-    `start`, orthonormal columns near the low space (history states, or a
-    nearby operator's eigenvectors), seeds that iteration and decides its
-    sectors: the whole matrix is the one sector unless each start column
-    lies inside one of several connected components of h's nonzero pattern.
-    `sectors`, the labels of an earlier solve of a matrix with the same
-    off-diagonal pattern, whose vectors are `start`, replaces that labelling.
+    The caller reads the n lowest as a complete low space, and nothing reads
+    further. Sparse matrices above _SHIFT_INVERT_DIM go to shift-invert
+    subspace iteration (_shift_invert_spectrum), which converges the n lowest
+    pairs and certifies them with Kahan's bound under `above`; a refusal
+    raises SpectrumCertificateError. Such a solve needs two bounds, and
+    raises ValueError without either: `floor`, a lower bound on the spectrum
+    (0 for the positive semidefinite clock Hamiltonians), just below which
+    the iteration shifts, so that a wrong floor can only make the solve
+    refuse; and `above`, a lower bound on the (n+1)-th eigenvalue that the
+    caller has certified (H_MK's from hmk_excited_floor, H_sim's by Weyl's
+    inequality from it), on which the certificate rests. `start`,
+    orthonormal columns near the low space (history states, or a nearby
+    operator's eigenvectors), seeds that iteration and decides its sectors:
+    the whole matrix is the one sector unless each start column lies inside
+    one of several connected components of h's nonzero pattern. `sectors`,
+    the labels of an earlier solve of a matrix with the same off-diagonal
+    pattern, whose vectors are `start`, replaces that labelling.
     Everything else, dense matrices of any size and sparse ones made dense,
     goes to the full dense eigh, which ignores `start`, `above` and
     `sectors`. A dense h must pass operators._hermitian: a DenseOperator
@@ -408,7 +425,9 @@ def _low_spectrum(
     if scipy.sparse.issparse(h) and h.shape[0] > _SHIFT_INVERT_DIM:
         if floor is None:
             raise ValueError("a sparse solve needs floor, a lower bound on the spectrum")
-        return _shift_invert_spectrum(h, n, config or DEFAULT, start, floor, above, sectors)
+        if above is None:
+            raise ValueError("a sparse solve needs above, a lower bound on the (n+1)-th eigenvalue")
+        return _shift_invert_spectrum(h, n, start, floor, above, sectors)
     m = _dense_entries(h) if scipy.sparse.issparse(h) else _hermitian(h, "h")
     vals, vecs = h.spectrum if isinstance(h, DenseOperator) else np.linalg.eigh(m)
     vals, vecs = vals[: n + 1], vecs[:, : n + 1]
@@ -418,29 +437,25 @@ def _low_spectrum(
 def _shift_invert_spectrum(
     h: scipy.sparse.spmatrix,
     n: int,
-    cfg: Config,
     start: np.ndarray | None,
     floor: float,
-    above: float | None,
+    above: float,
     sectors: np.ndarray | None,
 ) -> LowSpectrum:
     """Block shift-invert subspace iteration of the sectors that hold the low space.
 
-    Converts h to CSC once: every factor, sector and the count certificate
-    read that one matrix. The sectors (_sector_labels, unless `sectors`
-    gives them) are the connected components of its nonzero pattern,
-    invariant subspaces of h. Only those holding some of the first n start
-    columns are solved (_solve_sectors), and a certificate on the whole
-    matrix shows that no other holds a value below mu. Up to three solves
-    are tried in turn, and the first one certified is returned:
-      * with `above`, each held sector's block is the n_c + 1 columns it
-        returns, and _kahan_certificate places the n lowest pairs below
-        `above`;
-      * the block takes _SI_OVERSAMPLE more columns, and the inertia count
-        (_count_certificate) certifies;
-      * the same on the whole matrix as the one sector.
-    A refusal by a sector's solve, the merge or the certificate moves on to
-    the next; a refusal of the last raises.
+    Converts h to CSC once: every factor, sector and the certificate read
+    that one matrix. The sectors (_sector_labels, unless `sectors` gives
+    them) are the connected components of its nonzero pattern, invariant
+    subspaces of h. Only those holding some of the first n start columns are
+    solved (_solve_sectors), and _kahan_certificate places the n lowest
+    merged pairs below `above`. Since `above` bounds the (n+1)-th eigenvalue
+    of the whole matrix, no unsolved sector can hold a value below it. A
+    refusal by a sector's solve, the merge or the certificate retries the
+    whole matrix as the one sector; a refusal there raises. Each held
+    sector's block is its n_c + 1 returned columns and _SI_OVERSAMPLE more,
+    or none more when `sectors` is given: the start is then an earlier
+    solve's converged vectors.
 
     Each solve (_subspace_iteration) runs with scipy's BLAS and LAPACK held
     to one thread (operators._serial_scipy_blas) and stops when the
@@ -456,28 +471,22 @@ def _shift_invert_spectrum(
         norm = float(abs(a).sum(axis=1).max())
         tol = 64 * np.finfo(float).eps * norm
         labels = _sector_labels(a, start) if sectors is None else sectors
-        plans = [(labels, above)] if above is not None else []
-        plans += [(labels, None)] + ([(np.zeros_like(labels), None)] if labels.any() else [])
-        for i, (labels, bound) in enumerate(plans):
+        oversample = _SI_OVERSAMPLE if sectors is None else 0
+        plans = [labels, np.zeros_like(labels)] if labels.any() else [labels]
+        for i, plan in enumerate(plans):
             try:
-                low, stats = _solve_sectors(
-                    a, n, start, labels, sigma, tol, 0 if bound is not None else _SI_OVERSAMPLE
-                )
-                if bound is None:
-                    certificate = _count_certificate(a, low, n, cfg)
-                else:
-                    certificate = _kahan_certificate(a, low, n, bound, norm)
-                low = replace(low, certificate=certificate, sectors=labels)
+                low, stats = _solve_sectors(a, n, start, plan, sigma, tol, oversample)
+                certificate = _kahan_certificate(a, low, n, above, norm)
+                low = replace(low, certificate=certificate, sectors=plan)
                 break
-            except SpectrumCertificateError:  # e.g. an unsolved sector holds a value below mu
+            except SpectrumCertificateError:  # e.g. the start misplaced the low space
                 if i == len(plans) - 1:
                     raise
     _log.debug(
         "shift-invert D=%d sectors=%d largest=%d block=%d warm=%d steps=%d sigma=%.6g max "
-        "residual of %d pairs %.3e, %d eigenvalues below %.6g certified by the %s, scipy "
-        "BLAS threads %s on entry, %s inside",
-        a.shape[0], *stats[:5], sigma, n, stats[5], *low.certificate[::-1],
-        "inertia count" if bound is None else "Kahan bound", *threads,
+        "residual of %d pairs %.3e, %d eigenvalues below %.6g certified by the Kahan bound, "
+        "scipy BLAS threads %s on entry, %s inside",
+        a.shape[0], *stats[:5], sigma, n, stats[5], *low.certificate[::-1], *threads,
     )
     return low
 
@@ -628,6 +637,17 @@ def _subspace_iteration(
     return LowSpectrum(vals[:k], q[:, :k].copy(), residuals[:k]), (d, m, warm, steps, worst)
 
 
+def _hermitian_splu(a: scipy.sparse.csc_matrix):
+    """SuperLU factor of a Hermitian positive definite matrix: the minimum-degree ordering of its
+    symmetric pattern, and diagonal pivots, which are stable on such a matrix and give a smaller
+    factor than partial pivoting."""
+    import scipy.sparse.linalg  # here: a module-level import would slow every start-up
+
+    return scipy.sparse.linalg.splu(
+        a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
+
+
 def _cholesky_ritz(gram: np.ndarray, proj: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
     """Ritz values and coefficients c, with Q = Z c orthonormal, from Z^H Z and Z^H H Z.
 
@@ -649,33 +669,6 @@ def _cholesky_ritz(gram: np.ndarray, proj: np.ndarray, step: int) -> tuple[np.nd
     return vals, s[:, None] * (inv.conj().T @ rot)
 
 
-def _count_certificate(
-    a: scipy.sparse.csc_matrix, low: LowSpectrum, n: int, cfg: Config
-) -> tuple[float, int]:
-    """(mu, n): mu halfway between the n-th and (n+1)-th returned values holds n eigenvalues below it.
-
-    Raises ClusterSplitError when those two values are not separated by more
-    than the cluster tolerance plus the n-th residual, and
-    SpectrumCertificateError when the inertia count below mu differs from n,
-    i.e. the solver missed or invented a pair, or when the count's factor has
-    a backward error not below that tolerance: the count is exact only for a
-    Hermitian matrix that close to H - mu.
-    """
-    vals = low.values
-    if not 0 < n < len(vals):
-        raise ValueError(f"certified count {n} needs 1 <= n < {len(vals)} returned values")
-    guard_cut(vals, n, cfg, slack=float(low.residuals[n - 1]))
-    mu = 0.5 * float(vals[n - 1] + vals[n])
-    tol = _cluster_tol(vals, cfg)
-    count, error = _inertia(a, mu, tol)
-    if count != n or not error < tol:
-        raise SpectrumCertificateError(
-            f"{count} eigenvalues lie below {mu} to within the count's backward error "
-            f"{error:.3e} (cluster tolerance {tol:.3e}), the eigensolver returned {n}"
-        )
-    return mu, count
-
-
 def _kahan_certificate(
     a: scipy.sparse.csc_matrix, low: LowSpectrum, n: int, above: float, norm: float
 ) -> tuple[float, int]:
@@ -692,12 +685,23 @@ def _kahan_certificate(
     V)^-1/2 and Ostrowski's theorem, those n eigenvalues lie at or below
     theta_n + 2 rho + 4 d (rho + max |Theta|). Raises SpectrumCertificateError
     unless that clears `above`.
+
+    R is formed in one D x (n + 1) array: the product with the contiguous
+    returned block (scipy copies a column view first), V Theta subtracted a
+    column at a time, and the last column zeroed. The Gram matrix is BLAS's
+    Hermitian rank-k update of the same block, the conjugate of V^dag V,
+    since V^dag would be a copy.
     """
-    vals, v = low.values[:n], low.vectors[:, :n]
-    drift = n * float(np.abs(v.conj().T @ v - np.eye(n)).max())
+    vals, vectors = low.values[:n], low.vectors[:, : n + 1]
+    r = a @ vectors
+    for j, value in enumerate(vals):
+        r[:, j] -= value * vectors[:, j]
+    r[:, n:] = 0.0
+    gram = np.triu(scipy.linalg.blas.zherk(1.0, vectors.T)[:n, :n])  # its upper triangle
+    drift = n * float(np.abs(gram - np.eye(n)).max())
     theta = float(np.abs(vals).max())
     gamma = (np.diff(a.indptr).max() + 4) * np.finfo(float).eps
-    rho = float(np.linalg.norm(a @ v - v * vals)) + gamma * (norm + theta) * np.sqrt(2 * n)
+    rho = float(np.sqrt(np.vdot(r, r).real)) + gamma * (norm + theta) * np.sqrt(2 * n)
     top = float(vals[-1]) + 2 * rho + 4 * drift * (rho + theta)
     if not (drift <= 1e-6 and top < above):
         raise SpectrumCertificateError(
@@ -814,7 +818,9 @@ def check_hmk_lemma(
         clock = build_kitaev(circuit, kappa) if unary else kh
         # the history states span the kernel of H_0, H_MK at kappa = 0
         history = _history_columns(circuit, np.eye(w, dtype=complex), ClockRep.CLOCK_SUBSPACE)
-        _low = _low_spectrum(clock.h_mk_operator(), w, cfg, start=history, floor=0.0)
+        _low = _low_spectrum(
+            clock.h_mk_operator(), w, start=history, floor=0.0, above=hmk_excited_floor(t)
+        )
     vals, vecs = _low.values, _low.vectors
 
     q_desc = np.sort(acc.eigen.values)[::-1]

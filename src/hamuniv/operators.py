@@ -1,4 +1,4 @@
-"""Complex operators on multi-site layouts: dense algebra, and sparse Hermitian inertia counts.
+"""Complex operators on multi-site layouts: dense algebra and sparse embeddings.
 
 Conventions used throughout the package:
   * little-endian site ordering: site 0 is the fastest-varying index of the
@@ -11,7 +11,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import logging
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass
 from functools import cache, cached_property
@@ -25,8 +24,6 @@ from .config import DEFAULT, Config
 PHASE_TOL = 1e-8  # first component above this magnitude anchors the phase
 ZERO_ANGLE = 1e-13  # a principal-angle sine at or below this is rounding: no rotation there
 
-_log = logging.getLogger("hamuniv")
-
 
 class DimensionCapError(ValueError):
     """A construction would exceed the configured dense-dimension cap."""
@@ -39,8 +36,9 @@ class ClusterSplitError(ValueError):
 class SpectrumCertificateError(ValueError):
     """A low-spectrum result cannot be certified.
 
-    An eigenvalue count made apart from the eigensolver contradicts it, or the
-    iterative solver did not converge.
+    Kahan's bound does not place the returned pairs below the caller's bound
+    on the next eigenvalue, or the iterative solver broke down or did not
+    converge.
     """
 
 
@@ -258,106 +256,6 @@ def _full_eigh(h: DenseOperator | np.ndarray, name: str) -> tuple[np.ndarray, np
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Average away sub-tolerance asymmetry accumulated by sums of products."""
     return (m + m.conj().T) / 2
-
-
-def negative_count(a: scipy.sparse.csc_matrix, mu: float) -> int:
-    """Number of eigenvalues of the Hermitian CSC matrix `a` below mu, from the inertia of an
-    LDL^dag factor of a - mu.
-
-    SuperLU factors a - mu as the solve factors H - sigma (_hermitian_splu),
-    P (a - mu) P^T = L U with U = D L^dag up to rounding and D = Re diag(U),
-    and by Sylvester's law of inertia the count is D's negative entries. It
-    is exact for the Hermitian L D L^dag, within the factor's backward error
-    of a - mu. Unpivoted elimination does not bound that error, so _inertia
-    bounds it from the factor and _count_certificate refuses a cut it does
-    not resolve. Raises SpectrumCertificateError when a - mu is exactly
-    singular, or the factor exchanges a row (no congruence) or has a zero or
-    non-finite pivot. Dense off-diagonal clock blocks fill the factor: 4
-    random dense blocks of 648 x 648 took 2.0 s and about 56 such arrays. No
-    Hamiltonian this package builds has such blocks.
-    """
-    return _inertia(a, mu)[0]
-
-
-def _inertia(a: scipy.sparse.csc_matrix, mu: float, tol: float = np.inf) -> tuple[int, float]:
-    """(eigenvalues of the Hermitian CSC matrix `a` below mu, a bound on the factor's 2-norm
-    backward error).
-
-    While the bound is not below `tol`, up to three times, the pivots whose
-    L columns grew past 64 are delayed to the end of the order and a - mu is
-    factored again, as multifrontal solvers delay pivots (Duff & Reid, ACM
-    TOMS 9 (1983)); the smallest bound is kept.
-    """
-    shifted = a - mu * scipy.sparse.identity(a.shape[0], format="csc")
-    order, found = None, []  # SuperLU's minimum-degree ordering first
-    for _ in range(4):
-        *result, order, grown = _ldl_inertia(shifted, order, tol)
-        found.append(result)
-        if result[1] < tol:
-            break
-        order = np.concatenate([order[~grown], order[grown]])
-    count, error, nnz = min(found, key=lambda r: r[1])
-    _log.debug(
-        "inertia count: %d eigenvalues below %.6g, backward error %.3e, L + U nonzeros %d",
-        count, mu, error, nnz,
-    )
-    return count, error
-
-
-def _ldl_inertia(
-    a: scipy.sparse.csc_matrix, order: np.ndarray | None, tol: float
-) -> tuple[int, float, int, np.ndarray, np.ndarray]:
-    """LDL^dag of a Hermitian `a` in SuperLU's minimum-degree ordering, or in `order`: (negative
-    pivots, backward-error bound, L + U nonzeros, elimination order, pivots that grew L).
-
-    L D L^dag - P a P^T = (L U - P a P^T) + L (D L^dag - U), and the first term is
-    at most gamma |L| |U| entrywise (Higham 2002, Theorem 9.3 and §3.6), gamma =
-    (terms per entry + 4) eps, which also covers forming D L^dag - U. Where that
-    bound is not below `tol`, the residual is formed and its rounding added.
-    """
-    permuted = a if order is None else a[order][:, order]
-    try:
-        lu = _hermitian_splu(permuted, "MMD_AT_PLUS_A" if order is None else "NATURAL")
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SpectrumCertificateError(f"H - mu has no LDL^dag factor: {exc}") from None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SpectrumCertificateError("the factor of H - mu exchanged rows: no congruence")
-    low, up = lu.L, lu.U
-    pivots = up.diagonal().real
-    if not np.all(np.isfinite(pivots)) or np.any(pivots == 0):
-        raise SpectrumCertificateError("the factor of H - mu has a zero or non-finite pivot")
-    scaled = low.conj().T  # D L^dag, CSR: row j is column j of L times pivot j
-    scaled.data *= np.repeat(pivots, np.diff(scaled.indptr))
-    gamma = (np.bincount(low.indices, minlength=low.shape[0]).max() + 4) * np.finfo(float).eps
-    error = float(gamma * _abs_product_norm(low, up) + _abs_product_norm(low, scaled - up))
-    eliminated = np.argsort(lu.perm_c)  # eliminated[k]: the index of permuted factored k-th
-    if not error < tol:  # G D G^dag - permuted, G = P^T L: L's rows relabelled
-        g = scipy.sparse.csc_matrix((low.data, eliminated[low.indices], low.indptr), low.shape)
-        dg = scipy.sparse.csr_matrix((scaled.data, eliminated[scaled.indices], scaled.indptr))
-        residual = float(np.linalg.norm((g @ dg - permuted).data))
-        rounding = _abs_product_norm(low, scaled) + abs(permuted).sum(axis=0).max()
-        error = min(error, residual + float(gamma * rounding))
-    grown = np.maximum.reduceat(np.abs(low.data), low.indptr[:-1]) > 64.0
-    order = eliminated if order is None else order[eliminated]
-    return int(np.count_nonzero(pivots < 0)), error, low.nnz + up.nnz, order, grown
-
-
-def _abs_product_norm(a: scipy.sparse.spmatrix, b: scipy.sparse.spmatrix) -> float:
-    """sqrt(|M|_1 |M|_inf) for M = |a| |b|, a bound on |M|_2 from four products with vectors."""
-    a, b = abs(a), abs(b)
-    ones = np.ones(b.shape[1])
-    return float(np.sqrt((ones @ a @ b).max() * (a @ (b @ ones)).max()))
-
-
-def _hermitian_splu(a: scipy.sparse.csc_matrix, ordering: str = "MMD_AT_PLUS_A"):
-    """SuperLU factor of a Hermitian matrix in a symmetric ordering, by default minimum degree,
-    with diagonal pivots: without row exchanges it is a congruence P a P^T = L U, and on a
-    positive definite matrix it is stable and smaller than with partial pivoting."""
-    import scipy.sparse.linalg  # here: a module-level import would slow every start-up
-
-    return scipy.sparse.linalg.splu(
-        a, permc_spec=ordering, diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-    )
 
 
 @dataclass(frozen=True)

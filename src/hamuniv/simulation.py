@@ -266,7 +266,7 @@ def verify_simulation(
         raise ValueError(f"encoding target dimension {enc.target_dim} != dim(h) = {d_t}")
     if enc.sim_dim != hp_mat.shape[0]:
         raise ValueError("encoding simulator dimension does not match h_prime")
-    low = _low if _low is not None else _low_spectrum(h_prime, expected, cfg)
+    low = _low if _low is not None else _low_spectrum(h_prime, expected)
     vals = low.values
     k = int(np.searchsorted(vals, delta, side="right"))
     if k != expected:

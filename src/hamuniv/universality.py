@@ -39,13 +39,13 @@ from .kitaev import (
     build_kitaev,
     check_hmk_lemma,
     default_kappa,
+    hmk_excited_floor,
     idling_state,
 )
 from .operators import (
     DenseOperator,
     Register,
     SystemLayout,
-    _cluster_tol,
     eigh,
     hermitize,
     op_norm,
@@ -566,7 +566,8 @@ def end_to_end(
     # start the solve. Both solves go through this module's _low_spectrum,
     # H_MK first, which is how perfbench's tracer tells them apart
     history = _history_columns(idled, np.eye(w_dim, dtype=complex), ClockRep.CLOCK_SUBSPACE)
-    mk = _low_spectrum(h_mk, w_dim, cfg, start=history, floor=0.0)
+    floor_mk = hmk_excited_floor(t_prime)
+    mk = _low_spectrum(h_mk, w_dim, start=history, floor=0.0, above=floor_mk)
     hmk_report = check_hmk_lemma(kh, cfg, _low=mk, _acc=acc)
     lam_min = float(mk.values[0])
     gap_mk = hmk_report.gap_above_low_space
@@ -591,18 +592,15 @@ def end_to_end(
     # flag terms are positive semidefinite, and delta > 0, so H_sim's spectrum
     # lies at or above -delta lam_min - alignment, and by Weyl's inequality its
     # (w+1)-th value at or above delta (lambda_{w+1}(H_MK) - lam_min) -
-    # alignment. H_MK's count places lambda_{w+1}(H_MK) above mu less the
-    # cluster tolerance. e_asm bounds the rounding of H_sim's assembly and of
-    # this bound: at most len(flags) + 8 roundings of the terms each entry sums
-    floor = -delta * lam_min - alignment
-    above = None
-    if mk.certificate is not None:
-        mu = mk.certificate[0]
-        scale = delta * (float(abs(h_mk).sum(axis=1).max()) + abs(mu) + abs(lam_min))
-        e_asm = (len(flags) + 8) * np.finfo(float).eps * (scale + flag_sum_norm + alignment)
-        above = delta * (mu - _cluster_tol(mk.values, cfg) - lam_min) - alignment - e_asm
+    # alignment, where lambda_{w+1}(H_MK) >= floor_mk. e_asm bounds the
+    # rounding of H_sim's assembly and of this bound: at most len(flags) + 8
+    # roundings of the terms each entry sums
+    scale = delta * (float(abs(h_mk).sum(axis=1).max()) + floor_mk + abs(lam_min))
+    e_asm = (len(flags) + 8) * np.finfo(float).eps * (scale + flag_sum_norm + alignment)
+    above = delta * (floor_mk - lam_min) - alignment - e_asm
     sim = _low_spectrum(
-        h_sim, w_dim, cfg, start=mk.vectors, floor=floor, above=above, sectors=mk.sectors
+        h_sim, w_dim, start=mk.vectors, floor=-delta * lam_min - alignment, above=above,
+        sectors=mk.sectors,
     )
 
     wtilde = wtilde_encodings(target, fam, cfg)

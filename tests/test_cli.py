@@ -648,6 +648,42 @@ class TestRunSettings:
         args = ["--const", "dim_cap=3", "--cap", "2"]
         assert main(["spectrum", "--input", inp, "--output", str(out)] + args) == 2
 
+    def test_env_seed_is_read_as_the_const_seed(self, tmp_path, monkeypatch):
+        inp = write_json(
+            tmp_path / "c.json", {"circuit": circuit_to_dict(cnot_verifier()), "kappa": 0.02}
+        )
+        outs = [tmp_path / "env.json", tmp_path / "const.json"]
+        monkeypatch.setenv("HAMUNIV_SEED", "1e3")
+        assert main(["hmk-check", "--input", inp, "--output", str(outs[0])]) == 0
+        monkeypatch.delenv("HAMUNIV_SEED")
+        args = ["--const", "seed=1e3"]
+        assert main(["hmk-check", "--input", inp, "--output", str(outs[1])] + args) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())["seed"] == 1000
+
+    @pytest.mark.parametrize(
+        "env, args, named",
+        [
+            ({}, ["--const", "c_dev=nan"], "--const c_dev"),
+            ({"HAMUNIV_C_PROJ": "inf"}, [], "HAMUNIV_C_PROJ"),
+            ({}, ["--const", "cluster_rtol=-1"], "--const cluster_rtol"),
+            ({}, ["--seed", "-1"], "--seed"),
+            ({"HAMUNIV_C_DEV": "twelve"}, [], "HAMUNIV_C_DEV"),
+        ],
+        ids=["const-nan", "env-inf", "const-negative", "negative-seed-flag", "env-not-numeric"],
+    )
+    def test_constant_out_of_range_exits_two(self, tmp_path, monkeypatch, capsys, env, args, named):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        inp = write_json(
+            tmp_path / "c.json", {"circuit": circuit_to_dict(cnot_verifier()), "kappa": 0.02}
+        )
+        out = tmp_path / "hmk.json"
+        assert main(["hmk-check", "--input", inp, "--output", str(out)] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {named} ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_non_integral_seed_constant_still_rejected_beside_seed_flag(self, tmp_path, capsys):
         inp = write_json(tmp_path / "in.json", {"operator": diag_operator_doc([0.0, 1.0])})
         out = tmp_path / "out.csv"

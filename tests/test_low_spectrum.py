@@ -1,9 +1,12 @@
-"""Low-spectrum solvers: dense agreement, determinism and the inertia count certificate."""
+"""Low-spectrum solvers: dense agreement, determinism, and the Kahan count certificate under
+the clock construction's gap floor."""
 
 import ctypes
+import importlib
 import logging
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,23 +32,21 @@ from hamuniv.kitaev import (
     _SI_OVERSAMPLE,
     ClockRep,
     LowSpectrum,
-    _count_certificate,
     _dense_entries,
     _low_spectrum,
     build_kitaev,
     check_hmk_lemma,
     default_kappa,
+    hmk_excited_floor,
     kappa_limit,
     spectral_gap_above,
 )
 from hamuniv.operators import (
-    ClusterSplitError,
     DenseOperator,
     Register,
     SpectrumCertificateError,
     SystemLayout,
     expm_i,
-    negative_count,
 )
 from hamuniv.simulation import check_partition_function, plain_encoding, verify_simulation
 from hamuniv.universality import TargetHamiltonian, end_to_end, qpe_verifier
@@ -85,10 +86,13 @@ def spectator_verifier(seed: int, n_spectators: int, n_ancilla: int, t_steps: in
     )
 
 
-def spectator_hmk(seed: int, n_spectators: int, n_ancilla: int, t_steps: int) -> tuple:
+def spectator_hmk(
+    seed: int, n_spectators: int, n_ancilla: int, t_steps: int, kappa_share: float = 0.5
+) -> tuple:
+    """(H_MK, w, the floor on its (w+1)-th eigenvalue) at kappa_share of the kappa limit."""
     circuit = spectator_verifier(seed, n_spectators, n_ancilla, t_steps)
-    kh = build_kitaev(circuit, 0.5 * kappa_limit(t_steps), ClockRep.CLOCK_SUBSPACE)
-    return kh.h_mk_operator(), circuit.witness_dim
+    kh = build_kitaev(circuit, kappa_share * kappa_limit(t_steps), ClockRep.CLOCK_SUBSPACE)
+    return kh.h_mk_operator(), circuit.witness_dim, hmk_excited_floor(t_steps)
 
 
 def cluster_ranges(vals: np.ndarray, tol: float) -> list[tuple[int, int]]:
@@ -99,15 +103,19 @@ def cluster_ranges(vals: np.ndarray, tol: float) -> list[tuple[int, int]]:
 @pytest.fixture(scope="module")
 def large_hmk():
     """Clock-subspace H_MK above the dense switch (D = 128 x 11) with 4-fold clusters."""
-    h, w = spectator_hmk(seed=5, n_spectators=2, n_ancilla=3, t_steps=10)
+    h, w, _ = spectator_hmk(seed=5, n_spectators=2, n_ancilla=3, t_steps=10)
     assert h.shape[0] > _SHIFT_INVERT_DIM
     dense = _dense_entries(h)
     vals, vecs = np.linalg.eigh(dense)
     return h, w, dense, vals, vecs
 
 
+LARGE_ABOVE = hmk_excited_floor(10)  # large_hmk's floor on its (w+1)-th eigenvalue
+
+
 ROADMAP_TARGET = TargetHamiltonian.from_matrix(np.diag([0.0, 0.5]).astype(complex), (2,))
 ROADMAP_C_DIM = 648  # circuit states of the ROADMAP verifier; its clock has T' + 1 = 5 states
+ROADMAP_ABOVE = hmk_excited_floor(4)
 
 
 @pytest.fixture(scope="module")
@@ -123,9 +131,9 @@ def roadmap_hmk():
 class TestShiftInvertAgreesWithDense:
     def test_certified_pairs_match_dense(self, large_hmk):
         h, w, dense, vals, vecs = large_hmk
-        low = _low_spectrum(h, w, floor=0.0)
+        low = _low_spectrum(h, w, floor=0.0, above=LARGE_ABOVE)
         norm = float(np.abs(dense).sum(axis=1).max())
-        assert low.certificate is not None and low.certificate[1] == w
+        assert low.certificate == (LARGE_ABOVE, w)
         assert np.abs(low.values[:w] - vals[:w]).max() <= 1e-12 * norm
         # Ritz values beyond the certified pairs are upper bounds
         assert np.all(low.values[w:] >= vals[w : len(low.values)] - 1e-12 * norm)
@@ -139,11 +147,11 @@ class TestShiftInvertAgreesWithDense:
         # H_MK - 5 has the floor -5: the shift-invert solve shifts below it and
         # certifies H_MK's values minus 5
         h, w, dense = large_hmk[:3]
-        low = _low_spectrum(h, w, floor=0.0)
+        low = _low_spectrum(h, w, floor=0.0, above=LARGE_ABOVE)
         shifted = h - 5.0 * scipy.sparse.identity(h.shape[0], format="csr")
-        moved = _low_spectrum(shifted, w, floor=-5.0)
+        moved = _low_spectrum(shifted, w, floor=-5.0, above=LARGE_ABOVE - 5.0)
         norm = float(np.abs(dense).sum(axis=1).max())
-        assert moved.certificate is not None and moved.certificate[1] == w
+        assert moved.certificate == (LARGE_ABOVE - 5.0, w)
         assert np.abs(moved.values[:w] - (low.values[:w] - 5.0)).max() <= 1e-12 * norm
 
     def test_sparse_solve_without_floor_raises(self, large_hmk):
@@ -156,9 +164,16 @@ class TestShiftInvertAgreesWithDense:
         with pytest.raises(ValueError, match="lower bound on the spectrum"):
             verify_simulation(np.zeros((w, w)), h, enc, 1.0)
 
+    def test_sparse_solve_without_above_raises(self, large_hmk):
+        # the certificate rests on a bound on the (n+1)-th eigenvalue that only the
+        # caller can give
+        h, w = large_hmk[:2]
+        with pytest.raises(ValueError, match=r"lower bound on the \(n\+1\)-th eigenvalue"):
+            _low_spectrum(h, w, floor=0.0)
+
     def test_cluster_projectors_match_dense(self, large_hmk):
         h, w, _, vals, vecs = large_hmk
-        low = _low_spectrum(h, w, floor=0.0)
+        low = _low_spectrum(h, w, floor=0.0, above=LARGE_ABOVE)
         clusters = cluster_ranges(vals[: w + 1], 1e-9)
         assert any(stop - start > 1 for start, stop in clusters[:-1])
         for start, stop in clusters[:-1]:  # whole clusters inside the certified band
@@ -168,7 +183,7 @@ class TestShiftInvertAgreesWithDense:
 
     def test_repeated_call_is_bit_identical(self, large_hmk):
         h, w = large_hmk[:2]
-        first, second = _low_spectrum(h, w, floor=0.0), _low_spectrum(h, w, floor=0.0)
+        first, second = (_low_spectrum(h, w, floor=0.0, above=LARGE_ABOVE) for _ in range(2))
         for name in ("values", "vectors", "residuals"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
         assert first.certificate == second.certificate
@@ -193,8 +208,10 @@ class TestShiftInvertSteps:
 
     def test_warm_start_is_bit_identical_and_exact(self, large_hmk):
         h, w, dense, vals, _ = large_hmk
-        start = _low_spectrum(h, w, floor=0.0).vectors
-        first, second = (_low_spectrum(h, w, start=start, floor=0.0) for _ in range(2))
+        start = _low_spectrum(h, w, floor=0.0, above=LARGE_ABOVE).vectors
+        first, second = (
+            _low_spectrum(h, w, start=start, floor=0.0, above=LARGE_ABOVE) for _ in range(2)
+        )
         for name in ("values", "vectors", "residuals"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
         assert first.certificate == second.certificate
@@ -213,7 +230,7 @@ class TestShiftInvertSteps:
 
         monkeypatch.setattr(np.linalg, "cholesky", indefinite_third_gram)
         with pytest.raises(SpectrumCertificateError, match="broke down at step 3"):
-            _low_spectrum(h, w, floor=0.0)
+            _low_spectrum(h, w, floor=0.0, above=LARGE_ABOVE)
 
     def test_lost_orthonormality_raises(self, large_hmk, monkeypatch):
         h, w = large_hmk[:2]
@@ -225,21 +242,37 @@ class TestShiftInvertSteps:
 
         monkeypatch.setattr(kitaev, "_cholesky_ritz", stretched)
         with pytest.raises(SpectrumCertificateError, match="orthonormality"):
-            _low_spectrum(h, w, floor=0.0)
+            _low_spectrum(h, w, floor=0.0, above=LARGE_ABOVE)
 
     def test_roadmap_solve_holds_three_blocks(self, roadmap_hmk):
         # z, its conjugate (then the new block) and H z are the only D x m
         # arrays live at once; a fourth would break the bound, which is
         # 5.6 MB here, against a 4.7 MB peak
         h, w = roadmap_hmk
-        _low_spectrum(h, w, floor=0.0)  # imports scipy.sparse.linalg
+        _low_spectrum(h, w, floor=0.0, above=ROADMAP_ABOVE)  # imports scipy.sparse.linalg
         tracemalloc.start()
         try:
-            _low_spectrum(h, w, floor=0.0)
+            _low_spectrum(h, w, floor=0.0, above=ROADMAP_ABOVE)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * h.shape[0] * (w + 1 + _SI_OVERSAMPLE) * 16
+
+    def test_roadmap_certificate_holds_under_one_and_a_half_blocks(self, roadmap_hmk):
+        # R = H V - V Theta is formed in one D x (w + 1) array, and the Gram matrix of V
+        # without a copy of V: no D x w temporary is made beside it
+        h, w = roadmap_hmk
+        low = _low_spectrum(h, w, floor=0.0, above=ROADMAP_ABOVE)
+        a = h.tocsc()
+        norm = float(abs(a).sum(axis=1).max())
+        tracemalloc.start()
+        try:
+            certificate = kitaev._kahan_certificate(a, low, w, ROADMAP_ABOVE, norm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert certificate == (ROADMAP_ABOVE, w)
+        assert peak < 1.5 * a.shape[0] * w * 16
 
 
 def recorded_solves(monkeypatch) -> list:
@@ -247,8 +280,8 @@ def recorded_solves(monkeypatch) -> list:
     result)."""
     calls = []
 
-    def record(h, n, config=None, start=None, floor=None, above=None, sectors=None):
-        low = _low_spectrum(h, n, config, start, floor, above, sectors)
+    def record(h, n, start=None, floor=None, above=None, sectors=None):
+        low = _low_spectrum(h, n, start, floor, above, sectors)
         calls.append((len(low.values), n, start, low))
         return low
 
@@ -258,8 +291,8 @@ def recorded_solves(monkeypatch) -> list:
 
 
 def recorded_assembly(monkeypatch, h) -> tuple[list, list]:
-    """Record the CSC conversions of `h` and the matrices every inertia count factors."""
-    tocsc, inertia, converted, counted = type(h).tocsc, kitaev._inertia, [], []
+    """Record the CSC conversions of `h` and the matrices every Kahan certificate reads."""
+    tocsc, kahan, converted, certified = type(h).tocsc, kitaev._kahan_certificate, [], []
 
     def record_tocsc(self, *args, **kwargs):
         out = tocsc(self, *args, **kwargs)
@@ -267,13 +300,13 @@ def recorded_assembly(monkeypatch, h) -> tuple[list, list]:
             converted.append(out)
         return out
 
-    def record_inertia(a, *args):
-        counted.append(a)
-        return inertia(a, *args)
+    def record_kahan(a, *args):
+        certified.append(a)
+        return kahan(a, *args)
 
     monkeypatch.setattr(type(h), "tocsc", record_tocsc)
-    monkeypatch.setattr(kitaev, "_inertia", record_inertia)
-    return converted, counted
+    monkeypatch.setattr(kitaev, "_kahan_certificate", record_kahan)
+    return converted, certified
 
 
 class TestSolvesSizedToTheCertificate:
@@ -289,11 +322,10 @@ class TestSolvesSizedToTheCertificate:
             circuit, np.eye(w, dtype=complex), ClockRep.CLOCK_SUBSPACE
         )
         assert (k, n) == (w + 1, w) and np.array_equal(start, history)
-        cold = _low_spectrum(h, w, floor=0.0)
+        cold = _low_spectrum(h, w, floor=0.0, above=ROADMAP_ABOVE)
         norm = float(abs(h).sum(axis=1).max())
         assert np.abs(warm.values[:w] - cold.values[:w]).max() <= 1e-12 * norm
-        assert warm.certificate == (0.5 * float(warm.values[w - 1] + warm.values[w]), w)
-        assert cold.certificate[1] == w
+        assert warm.certificate == cold.certificate == (ROADMAP_ABOVE, w)
 
     def test_end_to_end_solves_return_one_value_above_the_count(self, monkeypatch):
         calls = recorded_solves(monkeypatch)
@@ -309,7 +341,8 @@ class TestSolvesSizedToTheCertificate:
     def test_hermitian_factor_is_smaller(self, roadmap_hmk, monkeypatch):
         # the minimum-degree ordering of H - sigma's symmetric pattern with
         # diagonal pivots: 27 412 L + U nonzeros, against 32 557 with the
-        # default column ordering and partial pivoting
+        # default column ordering and partial pivoting; the certificate
+        # factors nothing
         h, w = roadmap_hmk
         splu, factors = scipy.sparse.linalg.splu, []
 
@@ -318,8 +351,8 @@ class TestSolvesSizedToTheCertificate:
             return factors[-1]
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
-        _low_spectrum(h, w, floor=0.0)
-        solve, _ = factors  # H - sigma for the solve, then H - mu for its count
+        _low_spectrum(h, w, floor=0.0, above=ROADMAP_ABOVE)
+        [solve] = factors
         assert solve.L.nnz + solve.U.nnz < 30_000
 
 
@@ -333,25 +366,38 @@ def hsim_solve(monkeypatch, target: TargetHamiltonian, a: float = 2.0, **kwargs)
     """Run end_to_end and return (report, the keywords of its H_sim solve, that solve's result)."""
     calls = []
 
-    def record(h, n, config=None, start=None, floor=None, above=None, sectors=None):
-        low = _low_spectrum(h, n, config, start, floor, above, sectors)
+    def record(h, n, start=None, floor=None, above=None, sectors=None):
+        low = _low_spectrum(h, n, start, floor, above, sectors)
         calls.append((dict(h=h, n=n, start=start, floor=floor, above=above, sectors=sectors), low))
         return low
 
     monkeypatch.setattr(universality, "_low_spectrum", record)
     report = end_to_end(target, a, 2, idle_steps=1, tau=np.pi, **kwargs)
     (mk_call, _), (sim_call, sim) = calls
-    assert mk_call["above"] is None and mk_call["sectors"] is None
+    assert mk_call["above"] == ROADMAP_ABOVE and mk_call["sectors"] is None
     return report, sim_call, sim
 
 
+def sector_eigvalsh(h: scipy.sparse.spmatrix) -> np.ndarray:
+    """The spectrum of a sparse Hermitian h: the union of the dense spectra of the connected
+    components of its pattern, over which h is block diagonal."""
+    from scipy.sparse.csgraph import connected_components
+
+    a = h.tocsr()
+    pattern = scipy.sparse.csr_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+    count, labels = connected_components(pattern, directed=False)
+    blocks = (np.flatnonzero(labels == c) for c in range(count))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(a[r][:, r].toarray()) for r in blocks]))
+
+
 class TestHsimOnTheHmkCertificate:
-    """end_to_end solves H_sim with a Weyl lower bound on its (w+1)-th value, in H_MK's
-    sectors, and certifies its count with the Kahan bound instead of an inertia count."""
+    """end_to_end solves H_MK under hmk_excited_floor and H_sim under the Weyl bound derived
+    from it, in H_MK's sectors; the Kahan bound certifies both counts."""
 
     @pytest.mark.parametrize("a", [2.0, 8.0, 32.0])
-    def test_one_count_and_one_labelling_per_end_to_end(self, a, monkeypatch, caplog):
-        counted = {"_inertia": 0, "_sector_labels": 0}
+    def test_two_kahan_bounds_one_labelling(self, a, monkeypatch, caplog):
+        # per end_to_end: one certificate for each solve, one labelling for H_MK
+        counted = {"_kahan_certificate": 0, "_sector_labels": 0}
         for name in counted:
 
             def counting(*args, _fn=getattr(kitaev, name), _name=name):
@@ -361,35 +407,32 @@ class TestHsimOnTheHmkCertificate:
             monkeypatch.setattr(kitaev, name, counting)
         with caplog.at_level(logging.DEBUG, logger="hamuniv"):
             report = end_to_end(ROADMAP_TARGET, a, 2, idle_steps=1, tau=np.pi)
-        assert report.ok and counted == {"_inertia": 1, "_sector_labels": 1}
+        assert report.ok and counted == {"_kahan_certificate": 2, "_sector_labels": 1}
         solves = [
             r.getMessage() for r in caplog.records if r.getMessage().startswith("shift-invert")
         ]
-        assert "by the inertia count" in solves[0] and "by the Kahan bound" in solves[1]
+        assert all("by the Kahan bound" in msg for msg in solves) and len(solves) == 2
         # the same sectors hold the same start columns, and H_sim's blocks take no extra ones
         blocks = [int(re.search(r"block=(\d+)", msg).group(1)) for msg in solves]
         assert blocks[1] == blocks[0] - _SI_OVERSAMPLE
 
     @pytest.mark.parametrize("target", [ROADMAP_TARGET, ROTATED_TARGET], ids=["roadmap", "rotated"])
-    def test_weyl_bound_agrees_with_an_inertia_count(self, target, monkeypatch):
+    def test_weyl_bound_agrees_with_eigvalsh(self, target, monkeypatch):
         report, call, sim = hsim_solve(monkeypatch, target)
         w = len(report.hmk.rows)
+        assert call["h"].shape[0] > _SHIFT_INVERT_DIM
         assert sim.certificate == (call["above"], w)
-        assert sim.values[w - 1] < call["above"]
-        assert negative_count(call["h"].tocsc(), call["above"]) == w
+        vals = sector_eigvalsh(call["h"])
+        assert np.count_nonzero(vals < call["above"]) == w
 
-    def test_bound_under_the_last_value_falls_back_to_the_count(self, monkeypatch, caplog):
+    def test_bound_under_the_last_value_raises(self, monkeypatch):
+        # no other certificate stands behind the Kahan bound: the split and the whole
+        # matrix are both refused
         report, call, sim = hsim_solve(monkeypatch, ROADMAP_TARGET)
         w = len(report.hmk.rows)
         call["above"] = float(sim.values[w - 1]) * (1 - 1e-9)
-        with caplog.at_level(logging.DEBUG, logger="hamuniv"):
-            low = _low_spectrum(config=None, **call)
-        [msg] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("shift-invert")]
-        assert "by the inertia count" in msg
-        assert low.certificate == (0.5 * float(low.values[w - 1] + low.values[w]), w)
-        today = _low_spectrum(**(call | {"above": None}))
-        for name in ("values", "vectors", "residuals", "certificate"):
-            assert np.array_equal(getattr(low, name), getattr(today, name))
+        with pytest.raises(SpectrumCertificateError, match="not below the bound"):
+            _low_spectrum(**call)
 
     @pytest.mark.parametrize("delta", [None, 1e7, 1e6])
     def test_user_delta_certifies(self, delta, caplog):
@@ -443,7 +486,8 @@ def logged_sectors(caplog) -> tuple[int, int]:
 
 class TestSectorSplit:
     """Four sectors of 60, 50, 40 and 70 states; the three lowest values 0, 0.05 and 0.1 lie
-    in the first two, and the next at 1 (sector 0) unless a spectrum below moves it."""
+    in the first two, and the next at 1 (sector 0) unless a spectrum below moves it, so 0.5
+    bounds the fourth eigenvalue from below."""
 
     @staticmethod
     def spectra(third_low: float = 3.0, second_next: float = 1.2) -> list:
@@ -461,14 +505,14 @@ class TestSectorSplit:
     def test_history_aligned_start_splits(self, monkeypatch, caplog):
         h, owner, bases = sector_problem(self.spectra())
         start = sector_start(owner, bases, [(0, 0), (0, 1), (1, 0)])
-        cold = _low_spectrum(h, 3, floor=0.0)
-        converted, counted = recorded_assembly(monkeypatch, h)
+        cold = _low_spectrum(h, 3, floor=0.0, above=0.5)
+        converted, certified = recorded_assembly(monkeypatch, h)
         with caplog.at_level(logging.DEBUG, logger="hamuniv"):
-            low = _low_spectrum(h, 3, start=start, floor=0.0)
+            low = _low_spectrum(h, 3, start=start, floor=0.0, above=0.5)
         assert logged_sectors(caplog) == (2, 60)  # sectors 2 and 3 are not solved
-        assert len(converted) == 1 and len(counted) == 1 and counted[0] is converted[0]
+        assert len(converted) == 1 and len(certified) == 1 and certified[0] is converted[0]
         norm = float(abs(h).sum(axis=1).max())
-        assert low.certificate[1] == cold.certificate[1] == 3
+        assert low.certificate == cold.certificate == (0.5, 3)
         assert np.abs(low.values[:3] - cold.values[:3]).max() <= 1e-12 * norm
         assert np.abs(low.values[:3] - [0.0, 0.05, 0.1]).max() <= 1e-12 * norm
         for column in low.vectors.T:
@@ -489,10 +533,10 @@ class TestSectorSplit:
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
         with caplog.at_level(logging.DEBUG, logger="hamuniv"):
-            low = _low_spectrum(h, 3, start=start, floor=0.0)
-        solve, _ = factors  # H - sigma for the solve, then H - mu for its count
+            low = _low_spectrum(h, 3, start=start, floor=0.0, above=0.5)
+        [solve] = factors
         assert solve.shape == h.shape and logged_sectors(caplog) == (1, h.shape[0])
-        assert low.certificate[1] == 3
+        assert low.certificate == (0.5, 3)
 
     def test_one_held_sector_among_several_fills_the_whole_block(self, caplog):
         spectra = self.spectra()
@@ -500,14 +544,14 @@ class TestSectorSplit:
         h, owner, bases = sector_problem(spectra)
         start = sector_start(owner, bases, [(0, 0), (0, 1)])
         with caplog.at_level(logging.DEBUG, logger="hamuniv"):
-            low = _low_spectrum(h, 2, start=start, floor=0.0)
+            low = _low_spectrum(h, 2, start=start, floor=0.0, above=0.5)
         assert logged_sectors(caplog) == (1, 60)
         assert low.vectors.shape == (h.shape[0], 3) and not low.vectors[owner != 0].any()
         vals = np.linalg.eigvalsh(h.toarray())
         norm = float(abs(h).sum(axis=1).max())
         assert np.abs(low.values[:2] - vals[:2]).max() <= 1e-12 * norm
         assert vals[2] - 1e-12 * norm <= low.values[2]  # a Ritz value: an upper bound
-        assert low.certificate == (0.5 * float(low.values[1] + low.values[2]), 2)
+        assert low.certificate == (0.5, 2)
 
     def test_sector_breakdown_falls_back_to_the_whole_matrix(self, monkeypatch, caplog):
         # the Rayleigh-Ritz step breaks down on the sectors' blocks (11 and 10 columns),
@@ -524,39 +568,41 @@ class TestSectorSplit:
 
         monkeypatch.setattr(kitaev, "_cholesky_ritz", narrow_blocks_break_down)
         with caplog.at_level(logging.DEBUG, logger="hamuniv"):
-            low = _low_spectrum(h, 3, start=start, floor=0.0)
+            low = _low_spectrum(h, 3, start=start, floor=0.0, above=0.5)
         assert widths[0] < 3 + 1 + _SI_OVERSAMPLE  # the split was tried first
         assert logged_sectors(caplog) == (1, h.shape[0])
         vals = np.linalg.eigvalsh(h.toarray())
         norm = float(abs(h).sum(axis=1).max())
         assert np.abs(low.values[:3] - vals[:3]).max() <= 1e-12 * norm
-        assert low.certificate == (0.5 * float(low.values[2] + low.values[3]), 3)
+        assert low.certificate == (0.5, 3)
 
     @pytest.mark.parametrize(
-        "spectra",
+        "spectra, picks, above",
         [
-            # sector 2's lowest value, 0.5, lies below the merged mu of 0.55
-            {"third_low": 0.5},
-            # sector 1's second value, 0.07, lies below sector 0's second, 0.1
-            {"second_next": 0.07},
+            # the start misses sector 1, whose 0.05 lies below the bound 0.3: the
+            # merged third value, sector 2's 0.5, does not clear it
+            ({"third_low": 0.5}, [(0, 0), (0, 1), (2, 0)], 0.3),
+            # sector 1's second value, 0.07, lies below sector 0's second, 0.1:
+            # the merge refuses
+            ({"second_next": 0.07}, [(0, 0), (0, 1), (1, 0)], 0.09),
         ],
         ids=["unsolved-sector-below-mu", "start-misplaces-the-low-space"],
     )
-    def test_split_that_does_not_certify_falls_back(self, spectra, caplog):
+    def test_split_that_does_not_certify_falls_back(self, spectra, picks, above, caplog):
         h, owner, bases = sector_problem(self.spectra(**spectra))
-        start = sector_start(owner, bases, [(0, 0), (0, 1), (1, 0)])
+        start = sector_start(owner, bases, picks)
         with caplog.at_level(logging.DEBUG, logger="hamuniv"):
-            low = _low_spectrum(h, 3, start=start, floor=0.0)
+            low = _low_spectrum(h, 3, start=start, floor=0.0, above=above)
         assert logged_sectors(caplog) == (1, h.shape[0])
         vals = np.linalg.eigvalsh(h.toarray())
         norm = float(abs(h).sum(axis=1).max())
         assert np.abs(low.values[:3] - vals[:3]).max() <= 1e-12 * norm
         assert vals[3] - 1e-12 * norm <= low.values[3] < 1.0
-        assert low.certificate == (0.5 * float(low.values[2] + low.values[3]), 3)
+        assert low.certificate == (above, 3)
 
 
 def test_small_clock_blocks_take_the_dense_path():
-    h, w = spectator_hmk(seed=1, n_spectators=1, n_ancilla=1, t_steps=4)
+    h, w, _ = spectator_hmk(seed=1, n_spectators=1, n_ancilla=1, t_steps=4)
     assert h.shape[0] <= _SHIFT_INVERT_DIM
     low = _low_spectrum(h, w, floor=0.0)
     vals, vecs = np.linalg.eigh(_dense_entries(h))
@@ -620,79 +666,137 @@ small_hmk = st.builds(
     n_spectators=st.just(1),
     n_ancilla=st.integers(1, 2),
     t_steps=st.integers(2, 5),
+    kappa_share=st.floats(0.01, 0.99),
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def crossval_circuit(monkeypatch) -> VerifierCircuit:
+    """The benchmark's clock_crossval circuit 2 at seed 1 (D = 1664, one sector)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    rng = workloads._rng(1, "clock_crossval")
+    return [workloads.random_verifier(rng, spec) for spec, _ in workloads.CLOCK_CIRCUITS][2]
+
+
+def always_accepting_verifier() -> VerifierCircuit:
+    """X on the flag, then 11 Haar two-qubit gates on sites 1-6 (D = 1664, w = 2)."""
+    rng = np.random.default_rng(5)
+    layout = SystemLayout(
+        (2,) * 7,
+        registers=(
+            Register("flag", (0,), role="flag"),
+            Register("witness", (1,), role="witness"),
+            Register("ancilla", tuple(range(2, 7)), role="ancilla"),
+        ),
+    )
+    gates = [Gate.from_matrix(np.array([[0, 1], [1, 0]], dtype=complex), (0,), layout, "x")]
+    for k in range(11):
+        pair = tuple(int(s) for s in rng.choice(range(1, 7), size=2, replace=False))
+        gates.append(Gate.from_matrix(random_unitary(rng, 4), pair, layout, label=f"g{k}"))
+    return VerifierCircuit(
+        layout=layout,
+        gates=tuple(gates),
+        witness_register=("witness",),
+        output_site=0,
+        completeness=1.0,
+        soundness=0.5,
+    )
+
+
+def default_kappa_of(circuit: VerifierCircuit) -> float:
+    gap = acceptance_gap(acceptance_operator(circuit), circuit.completeness).gap
+    return default_kappa(gap, circuit.n_steps)
+
+
+class TestExcitedFloor:
+    """hmk_excited_floor lies above lambda_w and at or below lambda_{w+1} of H_MK."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(hw=small_hmk)
+    def test_floor_separates_the_low_space(self, hw):
+        h, w, floor = hw
+        vals = np.linalg.eigvalsh(_dense_entries(h))
+        assert vals[w - 1] < floor <= vals[w]
+
+    @pytest.mark.parametrize("instance", ["roadmap", "crossval", "always-accepting"])
+    def test_floor_separates_the_low_space_of_the_named_instances(self, instance, monkeypatch):
+        if instance == "roadmap":
+            circuit = idle_prefix(qpe_verifier(ROADMAP_TARGET, 2.0, 2, tau=np.pi), 1)
+            kappa = default_kappa_of(circuit)
+        elif instance == "crossval":
+            circuit = crossval_circuit(monkeypatch)
+            kappa = default_kappa_of(circuit)
+        else:  # accepts every witness, so its gap is undefined: half the limit
+            circuit = always_accepting_verifier()
+            kappa = 0.5 * kappa_limit(circuit.n_steps)
+        h = build_kitaev(circuit, kappa).h_mk_operator()
+        w, floor = circuit.witness_dim, hmk_excited_floor(circuit.n_steps)
+        assert h.shape[0] > _SHIFT_INVERT_DIM
+        vals = sector_eigvalsh(h)
+        assert vals[w - 1] < floor <= vals[w]
+        report = check_hmk_lemma(build_kitaev(circuit, kappa))
+        assert len(report.rows) == w
+
+    def test_roadmap_floor(self):
+        # (1 - cos(pi/5)) (1 - sqrt(4/5)), against lambda_{w+1} = 0.0489 and lambda_w = 3.9e-5
+        assert 0.0201 < hmk_excited_floor(4) < 0.0202
+
+
+def dense_pairs(h: scipy.sparse.spmatrix) -> LowSpectrum:
+    dense = _dense_entries(h)
+    vals, vecs = np.linalg.eigh(dense)
+    return LowSpectrum(vals, vecs, np.linalg.norm(dense @ vecs - vecs * vals, axis=0))
+
+
+def drop_pair(low: LowSpectrum, j: int) -> LowSpectrum:
+    keep = np.arange(len(low.values)) != j
+    return LowSpectrum(low.values[keep], low.vectors[:, keep], low.residuals[keep])
+
+
+def kahan(h: scipy.sparse.spmatrix, low: LowSpectrum, n: int, above: float) -> tuple:
+    a = h.tocsc()
+    return kitaev._kahan_certificate(a, low, n, above, float(abs(a).sum(axis=1).max()))
 
 
 class TestCountCertificate:
+    """The Kahan bound certifies that n returned pairs are all the eigenvalues below a given
+    lower bound on the (n+1)-th."""
+
     @settings(max_examples=25, deadline=None)
     @given(hw=small_hmk, data=st.data())
     def test_missing_cluster_member_raises(self, hw, data):
-        h, _ = hw
+        # without one of the w lowest pairs, the w-th value returned is lambda_{w+1},
+        # which lies at or above the floor
+        h, w, floor = hw
         low = dense_pairs(h)
-        tol = DEFAULT.cluster_rtol * max(1.0, float(np.abs(low.values).max()))
-        bounds = [stop for _, stop in cluster_ranges(low.values, tol)[:-1]]
-        n = data.draw(st.sampled_from(bounds), label="cut")
-        a = h.tocsc()
-        assert _count_certificate(a, low, n, DEFAULT)[1] == n  # the complete result certifies
-        j = data.draw(st.integers(0, n - 1), label="dropped")
-        with pytest.raises(SpectrumCertificateError):
-            _count_certificate(a, drop_pair(low, j), n - 1, DEFAULT)
+        assert kahan(h, low, w, floor) == (floor, w)  # the complete result certifies
+        j = data.draw(st.integers(0, w - 1), label="dropped")
+        with pytest.raises(SpectrumCertificateError, match="not below the bound"):
+            kahan(h, drop_pair(low, j), w, floor)
 
     @settings(max_examples=25, deadline=None)
     @given(hw=small_hmk, data=st.data())
     def test_cut_inside_cluster_raises(self, hw, data):
-        h, _ = hw
+        # the (n+1)-th eigenvalue of a cut inside a cluster is the n-th, up to
+        # rounding: no bound on it lies above the n-th value by the residual bound
+        h = hw[0]
         low = dense_pairs(h)
         tol = DEFAULT.cluster_rtol * max(1.0, float(np.abs(low.values).max()))
         clusters = cluster_ranges(low.values, tol)
-        cut = data.draw(
-            st.sampled_from([(i, stop) for start, stop in clusters for i in range(start + 1, stop)]),
+        n = data.draw(
+            st.sampled_from([i for start, stop in clusters for i in range(start + 1, stop)]),
             label="cut",
         )
-        n, stop = cut
-        a = h.tocsc()
-        with pytest.raises(ClusterSplitError):
-            _count_certificate(a, low, n, DEFAULT)
-        # a solver that misplaces the cluster's upper members feigns a gap at
-        # the cut; only the inertia count can see the members left below it
-        vals = low.values
-        lift = vals[stop] - vals[n - 1] if stop < len(vals) else 1.0
-        feigned = LowSpectrum(
-            np.concatenate([vals[:n], vals[n:] + lift]), low.vectors, low.residuals
-        )
-        with pytest.raises(SpectrumCertificateError):
-            _count_certificate(a, feigned, n, DEFAULT)
-
-    def test_negative_count_holds_few_dense_blocks(self):
-        # three clock states (T = 2) of c_dim = 512 circuit states: the count's
-        # arrays stay below four dense c_dim x c_dim blocks
-        h, _ = spectator_hmk(seed=3, n_spectators=3, n_ancilla=4, t_steps=2)
-        c_dim = h.shape[0] // 3
-        assert c_dim >= 512
-        a = h.tocsc()
-        tracemalloc.start()
-        try:
-            count = negative_count(a, 0.3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * c_dim * c_dim * 16
-        assert count == int(np.sum(np.linalg.eigvalsh(_dense_entries(h)) < 0.3))
-
-    @settings(max_examples=25, deadline=None)
-    @given(hw=small_hmk, frac=st.floats(0.0, 1.0))
-    def test_negative_count_matches_dense(self, hw, frac):
-        h, _ = hw
-        vals = np.linalg.eigvalsh(_dense_entries(h))
-        mu = float(vals[0] - 0.1 + frac * (vals[-1] - vals[0] + 0.2))
-        if np.abs(vals - mu).min() < 1e-8:
-            return
-        assert negative_count(h.tocsc(), mu) == int(np.sum(vals < mu))
+        with pytest.raises(SpectrumCertificateError, match="not below the bound"):
+            kahan(h, low, n, float(low.values[n]))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_dense_blocks_count_as_eigvalsh(self, seed):
+    def test_dense_blocks_count_as_eigvalsh(self, seed, monkeypatch):
         # block tridiagonal with dense random blocks: the factor fills in, and the
-        # unpivoted LDL^dag still counts right
+        # certified count below each midpoint is eigvalsh's
+        monkeypatch.setattr(kitaev, "_SHIFT_INVERT_DIM", 32)
         rng = np.random.default_rng(seed)
         c_dim, n_clock = 12, 4
         shape = (c_dim, c_dim)
@@ -704,88 +808,31 @@ class TestCountCertificate:
             grid[t - 1][t] = grid[t][t - 1].conj().T
         h = scipy.sparse.bmat(grid, format="csc")
         vals = np.linalg.eigvalsh(h.toarray())
-        for mu in np.linspace(vals[0] - 1.0, vals[-1] + 1.0, 41):
-            if np.abs(vals - mu).min() > 1e-8:
-                assert negative_count(h, mu) == int(np.sum(vals < mu))
-
-    def test_shift_on_isolated_diagonal_entry_raises(self):
-        h, _ = spectator_hmk(seed=2, n_spectators=1, n_ancilla=1, t_steps=3)
-        c_dim = h.shape[0] // 4  # T = 3: four clock states
-        s_0 = h[:c_dim, :c_dim].tocsc()  # the t = 0 block
-        off_diagonal = abs(s_0 - scipy.sparse.diags(s_0.diagonal()))
-        isolated = np.flatnonzero(
-            (np.asarray(off_diagonal.sum(axis=0)).ravel() == 0)
-            & (np.asarray(off_diagonal.sum(axis=1)).ravel() == 0)
-        )
-        assert len(isolated) > 0
-        mu = float(np.real(s_0.diagonal()[isolated[0]]))
-        # mu zeroes that diagonal entry: the factor of H_MK - mu, and of the t = 0
-        # block alone, meets a zero pivot
-        for a in (h.tocsc(), s_0):
-            with pytest.raises(SpectrumCertificateError):
-                negative_count(a, mu)
-
-    def test_roadmap_count_holds_less_than_one_dense_block(self, roadmap_hmk):
-        h, _ = roadmap_hmk
-        a = h.tocsc()
-        assert a.shape[0] == 5 * ROADMAP_C_DIM
-        assert negative_count(a, 0.025) == 18  # the first count also imports scipy.sparse.linalg
-        tracemalloc.start()
-        try:
-            negative_count(a, 0.025)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < ROADMAP_C_DIM * ROADMAP_C_DIM * 16
-
-    def test_backward_error_above_the_cluster_tolerance_refuses(self):
-        # H - mu = [[eps, 1], [1, -eps]]: the unpivoted factor takes the pivot eps,
-        # so L D L^dag holds entries of 1e12, and its backward error (about 1e-4,
-        # bounded at about 3e-3) cannot resolve a cut at the 1e-9 cluster
-        # tolerance, though the count itself is right
-        eps = 1e-12
-        m = np.array([[eps, 1.0], [1.0, -eps]], dtype=complex)
-        h = scipy.sparse.csc_matrix(m)
-        vals, vecs = np.linalg.eigh(m)
-        low = LowSpectrum(vals, vecs, np.linalg.norm(m @ vecs - vecs * vals, axis=0))
-        assert 0.5 * (vals[0] + vals[1]) == 0.0 and negative_count(h, 0.0) == 1
-        with pytest.raises(SpectrumCertificateError, match="backward error"):
-            _count_certificate(h, low, 1, DEFAULT)
+        norm = float(abs(h).sum(axis=1).max())
+        for n in range(1, 13):
+            mu = 0.5 * float(vals[n - 1] + vals[n])
+            low = _low_spectrum(h, n, floor=float(vals[0]) - 1.0, above=mu)
+            assert low.certificate == (mu, int(np.sum(vals < mu)))
+            assert np.abs(low.values[:n] - vals[:n]).max() <= 1e-10 * norm
 
     def test_one_assembly_per_solve(self, monkeypatch):
-        # the solve converts H_MK to CSC once, and its count factors that same matrix
+        # the solve converts H_MK to CSC once, and its certificate reads that same matrix
         circuit = idle_prefix(qpe_verifier(ROADMAP_TARGET, 2.0, 2, tau=np.pi), 1)
         kh = build_kitaev(circuit, 0.5 * kappa_limit(circuit.n_steps), ClockRep.CLOCK_SUBSPACE)
         h, w = kh.h_mk_operator(), circuit.witness_dim
-        converted, counted = recorded_assembly(monkeypatch, h)
-        low = _low_spectrum(h, w, floor=0.0)
+        converted, certified = recorded_assembly(monkeypatch, h)
+        low = _low_spectrum(h, w, floor=0.0, above=hmk_excited_floor(circuit.n_steps))
         assert low.certificate[1] == w and len(converted) == 1
-        assert len(counted) == 1 and counted[0] is converted[0]
+        assert len(certified) == 1 and certified[0] is converted[0]
 
-    def test_count_factor_holds_less_than_one_dense_block(self, roadmap_hmk, monkeypatch):
-        h, _ = roadmap_hmk
-        splu, factors = scipy.sparse.linalg.splu, []
-
-        def record(*args, **kwargs):
-            factors.append(splu(*args, **kwargs))
-            return factors[-1]
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", record)
-        assert negative_count(h.tocsc(), 0.025) == 18
-        [lu] = factors
-        assert lu.L.nnz + lu.U.nnz < ROADMAP_C_DIM * ROADMAP_C_DIM
-
-    def test_count_logs_one_debug_record(self, caplog):
-        h, _ = spectator_hmk(seed=4, n_spectators=1, n_ancilla=1, t_steps=3)
-        a = h.tocsc()
+    def test_count_logs_one_debug_record(self, large_hmk, caplog):
+        h, w = large_hmk[:2]
         with caplog.at_level(logging.DEBUG, logger="hamuniv"):
-            count = negative_count(a, 0.3)
-        records = [r for r in caplog.records if "inertia count" in r.getMessage()]
+            _low_spectrum(h, w, floor=0.0, above=LARGE_ABOVE)
+        records = [r for r in caplog.records if "certified by" in r.getMessage()]
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
         message = records[0].getMessage()
-        assert f"{count} eigenvalues below 0.3," in message
-        error = float(re.search(r"backward error (\S+),", message).group(1))
-        assert 0 <= error < 1e-12
+        assert f"{w} eigenvalues below {LARGE_ABOVE:.6g} certified by the Kahan bound" in message
 
 
 @pytest.fixture
@@ -854,7 +901,7 @@ class TestSerialScipyBlas:
 
         monkeypatch.setattr(kitaev, "_cholesky_ritz", breakdown)
         with pytest.raises(SpectrumCertificateError):
-            _low_spectrum(h, w, floor=0.0)
+            _low_spectrum(h, w, floor=0.0, above=LARGE_ABOVE)
         assert scipy_blas_threads() == 3
 
     def test_bundled_openblas_resolves_the_thread_symbols(self):
