@@ -11,7 +11,7 @@ from .operators import (
     DenseOperator,
     EigenSystem,
     SystemLayout,
-    _embedding_rows,
+    _site_offsets,
     eigh,
     hermitize,
     tensor_embed,
@@ -204,7 +204,7 @@ def initial_state(circuit: VerifierCircuit, witness: np.ndarray) -> np.ndarray:
         raise ValueError(f"witness dimension {witness.shape[0]} != {circuit.witness_dim}")
     layout = circuit.layout
     vec = np.zeros((layout.total_dim,) + witness.shape[1:], dtype=complex)
-    vec[_embedding_rows(layout, circuit.witness_sites)[1]] = witness  # the flat witness indices
+    vec[_site_offsets(layout, circuit.witness_sites)] = witness  # the flat witness indices
     return vec
 
 

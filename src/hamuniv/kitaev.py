@@ -43,18 +43,15 @@ from .operators import (
     Subspace,
     SystemLayout,
     _cluster_tol,
-    _embedding_rows,
     _hermitian,
     _principal_residual,
-    _row_lengths,
     _serial_scipy_blas,
-    _write_embedded,
     cluster_bounds,
     eigh,
     guard_cut,
     hermitize,
     projector_distance_from_bases,
-    sparse_embed,
+    sparse_sum,
 )
 
 # above this dimension sparse matrices (every H_MK, H_sim) go to shift-invert
@@ -90,7 +87,8 @@ def hmk_excited_floor(t_steps: int) -> float:
     kappa build_kitaev admits, w the witness dimension.
 
     H_prop is 1/2 the path Laplacian of the T + 1 clock states, conjugated by
-    the gates: its kernel is the history states, its gap 1 - cos(pi/(T+1)).
+    the gates, as KitaevHamiltonian.parts builds it from the clock graph of
+    _clock_steps: its kernel is the history states, its gap 1 - cos(pi/(T+1)).
     H_in >= 1 off the valid inputs, and the two kernels meet in the w
     valid-input history states. Outside them, a history state of an invalid
     input keeps T/(T+1) of its weight in H_in's kernel, so the kernels meet
@@ -120,18 +118,43 @@ def _kitaev_layout(circuit: VerifierCircuit, rep: ClockRep) -> SystemLayout:
     return SystemLayout(base.site_dims + clock_dims, registers, dim_cap=base.dim_cap)
 
 
+def _clock_steps(rep: ClockRep, t_steps: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """The clock graph's edges, one per step t: (window, before, after), the clock sites step t
+    reads (0 the first clock site, the fastest local digit) and their local index before and
+    after it. In the clock subspace, level t - 1 moves to t; in the unary representation, clock
+    qubit t flips 0 -> 1 where qubit t - 1 is 1 and qubit t + 1 is 0, a condition each endpoint
+    drops."""
+    if rep is ClockRep.CLOCK_SUBSPACE:
+        return [((0,), t - 1, t) for t in range(1, t_steps + 1)]
+    steps = []
+    for t in range(1, t_steps + 1):  # qubit k is clock site k - 1
+        window = tuple(range(max(t - 2, 0), min(t + 1, t_steps)))
+        before = int(t > 1)  # qubit t - 1 reads 1
+        steps.append((window, before, before + 2 ** int(t > 1)))
+    return steps
+
+
+def _diagonal(targets: tuple[int, ...], weights: np.ndarray, level: int = 0) -> tuple:
+    """sparse_sum term of the diagonal operator with `weights` on the local index of the leading
+    targets, where the remaining ones read local index `level`; zero weights are not stored."""
+    rows = np.flatnonzero(weights)
+    return targets, rows + level * weights.size, rows + level * weights.size, weights[rows] + 0j
+
+
 @dataclass(frozen=True)
 class KitaevHamiltonian:
     """The modified clock Hamiltonian of one verifier circuit, kept as its recipe.
 
     `parts`, assembled on first read and then kept, holds (H_in, H_prop,
-    H_out, H_clock) as sparse CSR matrices in both representations, each
-    term the Kronecker product of a clock matrix and a circuit block; the
-    clock-subspace H_prop is written straight into its CSR arrays, each gate's
-    local nonzeros by operators._write_embedded, the writer sparse_embed uses
-    for the unary gates. The pin and reject penalties are diagonals without
-    stored zeros, so no dense c_dim x c_dim array is formed. The h_*
-    properties, h0() and h_mk() materialize dense operators on demand.
+    H_out, H_clock) as CSR matrices, each written by one operators.sparse_sum
+    call from local terms on the Kitaev layout, where the clock is one site
+    or T qubit sites after the circuit's. H_prop is 1/2 the gate-labelled
+    Laplacian of the clock graph (_clock_steps): step t's hop is U_t on its
+    targets times the clock move it makes, and its diagonal is 1/2 each clock
+    state's degree. H_in, H_out and H_clock are diagonals, a clock weight
+    times a circuit diagonal. No dense D x D or c_dim x c_dim array is
+    formed, and no zero is stored. The h_* properties, h0() and h_mk()
+    materialize dense operators on demand.
     """
 
     circuit: VerifierCircuit
@@ -147,60 +170,45 @@ class KitaevHamiltonian:
 
     @cached_property
     def parts(self) -> tuple:
-        circuit, rep, layout, t_steps = self.circuit, self.rep, self.layout, self.t_steps
-        c_dim = circuit.layout.total_dim
-        if rep is ClockRep.CLOCK_SUBSPACE:
-            # first: its assembly is the peak, and holds nothing else then
-            h_prop = _clock_subspace_h_prop(circuit)
-        # diagonal penalties, stored without zeros: at t = 0 one unit for each of the
-        # flag qubit and ancillas off |0>, at t = T one for an output qubit off |1>
-        digits = circuit.layout.digit_table()
-        pin_count = (digits[list(circuit.ancilla_sites)] != 0).sum(axis=0)
-        pin = scipy.sparse.diags(pin_count.astype(complex), format="csr")
-        reject = scipy.sparse.diags((digits[circuit.output_site] != 1).astype(complex), format="csr")
-        zero = scipy.sparse.csr_matrix((layout.total_dim,) * 2, dtype=complex)
-        if rep is ClockRep.CLOCK_SUBSPACE:
-
-            def at(t: int, circ) -> scipy.sparse.csr_matrix:
-                # |t><t| (x) circ, the clock the slow factor
-                clock = scipy.sparse.csr_matrix(([1.0], ([t], [t])), shape=(t_steps + 1,) * 2)
-                return scipy.sparse.kron(clock, circ, format="csr")
-
-            h_in = at(0, pin)
-            h_out = at(t_steps, reject)
-            h_clock = zero
-        else:
-            eye2 = np.eye(2, dtype=complex)
-            proj0 = np.diag([1.0, 0.0]).astype(complex)
-            proj1 = np.diag([0.0, 1.0]).astype(complex)
-            flip01 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
-
-            def term(clock: dict[int, np.ndarray], circ) -> scipy.sparse.csr_matrix:
-                # clock (x) circ with the clock the slow factor; clock maps a clock
-                # qubit k (1-based, at digit k-1) to a 2x2 matrix, identity elsewhere
-                lo, hi = min(clock), max(clock)
-                local = np.ones((1, 1), dtype=complex)
-                for k in range(hi, lo - 1, -1):
-                    local = np.kron(local, clock.get(k, eye2))
-                factor = scipy.sparse.kron(scipy.sparse.identity(2 ** (t_steps - hi)), local)
-                factor = scipy.sparse.kron(factor, scipy.sparse.identity(2 ** (lo - 1)))
-                return scipy.sparse.kron(factor, circ, format="csr")
-
-            embedded = [sparse_embed(g.unitary, g.targets, circuit.layout) for g in circuit.gates]
-            eye_c = scipy.sparse.identity(c_dim, dtype=complex, format="csr")
-            h_in = term({1: proj0}, pin)
-            h_out = term({t_steps: proj1}, reject)
-            h_clock = h_prop = zero
-            for t in range(1, t_steps):
-                h_clock += term({t: proj0, t + 1: proj1}, eye_c)
-            for t in range(1, t_steps + 1):
-                # qubit t-1 is 1 and qubit t+1 is 0 around step t; the endpoints drop one
-                window = ({t - 1: proj1} if t > 1 else {}) | ({t + 1: proj0} if t < t_steps else {})
-                fwd = term(window | {t: flip01}, embedded[t - 1])
-                stay = term(window | {t: proj0}, eye_c) + term(window | {t: proj1}, eye_c)
-                h_prop += 0.5 * (stay - fwd - fwd.conj().T)
-
-        # every component is an elementwise-Hermitian combination of Hermitian
+        circuit, layout = self.circuit, self.layout
+        first, last = circuit.layout.n_sites, layout.n_sites - 1  # the clock sites
+        clock_sites = tuple(range(first, last + 1))
+        clock = SystemLayout(layout.site_dims[first:], dim_cap=layout.dim_cap)
+        steps = _clock_steps(self.rep, self.t_steps)
+        # H_prop first: its assembly is the peak, and holds nothing else then. Step t's hop
+        # -U_t/2 is 0.0 - 0.5 U_t, not -0.5 U_t, so every zero part is +0.0; its adjoint adds
+        # 0.0 to restore the zero parts that conj() flips
+        bits = clock.digit_table()  # each clock state's digits
+        degree = np.zeros(clock.total_dim)  # each clock state's steps to or from it
+        forward, backward = [], []
+        for g, (window, before, after) in zip(circuit.gates, steps):
+            rows, cols = np.nonzero(g.unitary.entries)
+            hop = 0.0 - 0.5 * g.unitary.entries[rows, cols]
+            targets, d = g.targets + tuple(first + s for s in window), g.unitary.dim
+            forward.append((targets, rows + d * after, cols + d * before, hop))
+            backward.append((targets, cols + d * before, rows + d * after, np.conj(hop) + 0.0))
+            dims = [clock.site_dims[s] for s in window]
+            local = np.ravel_multi_index(bits[list(window)], dims, order="F")
+            degree += (local == before) | (local == after)
+        # each row's columns ascend: hops from lower clock states (larger steps first), the
+        # diagonal, hops to higher clock states (smaller steps first)
+        laplacian = forward[::-1] + [_diagonal(clock_sites, 0.5 * degree)] + backward
+        h_prop = sparse_sum(layout, laplacian)
+        # H_in: one unit for each of the flag qubit and ancillas off |0>, where the first
+        # clock site is at level 0 (t = 0); H_out: one where the output qubit is off |1> and
+        # the last clock site is at its top level (t = T)
+        ancillas = circuit.ancilla_sites
+        ancilla_dims = tuple(layout.site_dims[s] for s in ancillas)
+        pin = (SystemLayout(ancilla_dims, dim_cap=layout.dim_cap).digit_table() != 0).sum(axis=0)
+        h_in = sparse_sum(layout, [_diagonal(ancillas + (first,), pin)])
+        reject = np.arange(layout.site_dims[circuit.output_site]) != 1
+        top = layout.site_dims[last] - 1
+        h_out = sparse_sum(layout, [_diagonal((circuit.output_site, last), reject, top)])
+        # H_clock: one unit for each clock qubit at 0 followed by one at 1; the clock
+        # subspace's one site has no such pair
+        illegal = ((bits[:-1] == 0) & (bits[1:] == 1)).sum(axis=0)
+        h_clock = sparse_sum(layout, [_diagonal(clock_sites, illegal)])
+        # every part is an elementwise-Hermitian combination of Hermitian
         # blocks and adjoint pairs, so no symmetrization pass is needed
         return h_in, h_prop, h_out, h_clock
 
@@ -233,48 +241,6 @@ def _dense_entries(m: scipy.sparse.spmatrix) -> np.ndarray:
     out = m.toarray()
     out += 0.0
     return out
-
-
-def _clock_subspace_h_prop(circuit: VerifierCircuit) -> scipy.sparse.csr_matrix:
-    """H_prop on the clock subspace, its CSR arrays sized first and then filled.
-
-    Block row t is [-U_t/2, e_t I, -U_{t+1}^dag/2], e_t = 1/2 at the two ends of
-    the clock and 1 between. A sum of Kronecker terms would copy its operands
-    at every +; here each row's length comes from the gates' local patterns,
-    and _write_embedded writes each gate's local nonzeros, and their adjoint,
-    straight into the arrays, so the assembly holds the result and one gate.
-    """
-    layout, t_steps, gates = circuit.layout, circuit.n_steps, circuit.gates
-    c_dim = layout.total_dim
-    counts = np.ones((t_steps + 1, c_dim), dtype=np.int32)
-    for t, g in enumerate(gates, start=1):
-        # U_t's local row (column) a fills each row of block t (t - 1) whose digits read a
-        rows, cols = np.nonzero(g.unitary.entries)
-        embedding = _embedding_rows(layout, g.targets)
-        counts[t] += _row_lengths(rows, embedding)
-        counts[t - 1] += _row_lengths(cols, embedding)
-    indptr = np.zeros(counts.size + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    data = np.empty(indptr[-1], dtype=complex)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    cursor = counts  # reused: each row's next free position
-    cursor.flat = indptr[:-1]
-    index = np.arange(c_dim)
-    for t in range(t_steps + 1):  # each row: hop in, e_t, hop out, so its columns ascend
-        if t > 0:
-            # -U_t/2 as 0.0 - 0.5 U_t, not -0.5 U_t: every zero part is +0.0. The
-            # adjoint's embedding embeds the swapped, conjugated local nonzeros,
-            # and adding 0.0 restores the zero parts that conj() flips
-            g = gates[t - 1]
-            rows, cols = np.nonzero(g.unitary.entries)
-            hop = 0.0 - 0.5 * g.unitary.entries[rows, cols]
-            fill = (_embedding_rows(layout, g.targets), data, indices)
-            _write_embedded(rows, cols, hop, *fill, cursor[t], (t - 1) * c_dim)
-            _write_embedded(cols, rows, np.conj(hop) + 0.0, *fill, cursor[t - 1], t * c_dim)
-        data[cursor[t]] = 0.5 * ((t > 0) + (t < t_steps))
-        indices[cursor[t]] = index + t * c_dim
-        cursor[t] += 1
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(counts.size,) * 2)
 
 
 def build_kitaev(

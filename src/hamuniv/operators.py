@@ -11,6 +11,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
+import math
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass
 from functools import cache, cached_property
@@ -320,17 +322,15 @@ def _cluster_tol(values: np.ndarray, config: Config | None = None) -> float:
     return (config or DEFAULT).cluster_rtol * max(1.0, float(np.abs(values).max(initial=0.0)))
 
 
-def guard_cut(
-    values: np.ndarray, k: int, config: Config | None = None, slack: float = 0.0
-) -> None:
+def guard_cut(values: np.ndarray, k: int, config: Config | None = None) -> None:
     """Raise ClusterSplitError when a cut after the k lowest ascending values splits a cluster.
 
     The cut is sound when values[k] - values[k-1] exceeds
-    cluster_rtol * max(1, max |values|) + slack; a cut at either end is.
+    cluster_rtol * max(1, max |values|); a cut at either end is.
     """
     if not 0 < k < len(values):
         return
-    tol = _cluster_tol(values, config) + slack
+    tol = _cluster_tol(values, config)
     if values[k] - values[k - 1] <= tol:
         raise ClusterSplitError(
             f"cut after {k} eigenvalues splits a degeneracy cluster: "
@@ -366,48 +366,78 @@ def expm_i(op: DenseOperator, t: float) -> DenseOperator:
     return DenseOperator(op.layout, u, hermitian=False)
 
 
-def _embedding_rows(layout: SystemLayout, targets: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(local, offset) for an operator on `targets`, targets[0] its fastest local digit: flat
-    index i is offset[local[i]], the offset of the local index its target digits read, plus
-    the other sites' part, which an embedding keeps."""
-    strides, index = layout.strides(), np.arange(layout.total_dim)
-    local, offset = np.zeros_like(index), np.zeros(1, dtype=np.int64)
-    for s in targets:  # each site the slower local digit, weighted by the local size so far
-        local += index // strides[s] % layout.site_dims[s] * offset.size
-        offset = (np.arange(layout.site_dims[s])[:, None] * strides[s] + offset).ravel()
-    return local, offset
+def _site_offsets(layout: SystemLayout, sites) -> np.ndarray:
+    """Flat-index part of each local index of `sites`, sites[0] its fastest digit: a flat index
+    is the offset of the local index its target digits read plus that of the other sites'."""
+    dims, offset = layout.site_dims, np.zeros(1, dtype=np.int64)
+    # each run of consecutive ascending sites is one slower local digit
+    for _, run in itertools.groupby(enumerate(sites), lambda item: item[1] - item[0]):
+        run = [s for _, s in run]
+        stride, size = math.prod(dims[: run[0]]), math.prod(dims[run[0] : run[-1] + 1])
+        offset = np.add.outer(np.arange(0, stride * size, stride), offset).ravel()
+    return offset
 
 
-def _row_lengths(rows: np.ndarray, embedding: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Entries in each flat row of the embedding of local nonzeros in local rows `rows`."""
-    local, offset = embedding
-    return np.bincount(rows, minlength=offset.size)[local]
-
-
-def _write_embedded(rows, cols, values, embedding, data, indices, cursor, column_offset=0) -> None:
-    """Write local nonzeros (rows, cols, values), embedded by the _embedding_rows map, into CSR
-    arrays: flat row i's entries go to data and indices from cursor[i] on, their columns
-    ascending and shifted by column_offset, and cursor[i] moves past them. One pass per slot
-    of the longest local row, on flat-dimension arrays: no temporary grows with the entries."""
-    local, offset = embedding
-    order = np.lexsort((offset[cols], rows))  # by local row, then by flat column
+def _embedded_rows(layout: SystemLayout, targets, rows, cols, values) -> tuple:
+    """One term's nonzero local entries and the flat rows they land on: (flat, first, length,
+    shift, values), the entries sorted by local row and then by flat column, flat[:, j] the
+    flat rows of the j-th local row with entries, whose entries are first[j] up to first[j] +
+    length[j], each at flat column flat row + shift."""
+    offset = _site_offsets(layout, targets)
+    rest = _site_offsets(layout, [s for s in range(layout.n_sites) if s not in targets])
+    order = np.lexsort((offset[cols], rows))
+    order = order[values[order] != 0]
     rows, cols, values = rows[order], cols[order], values[order]
-    first = np.searchsorted(rows, np.arange(offset.size))  # each local row's first triplet
-    length = _row_lengths(rows, embedding)
-    shift = np.arange(local.size) - offset[local] + column_offset
-    for k in range(length.max(initial=0)):
-        live = np.flatnonzero(length > k)
-        pick = first[local[live]] + k
-        at = cursor[live]
-        data[at] = values[pick]
-        indices[at] = shift[live] + offset[cols[pick]]
-        cursor[live] += 1
+    first = np.flatnonzero(np.diff(rows, prepend=-1))  # each local row's first entry
+    length = np.diff(first, append=rows.size)
+    flat = np.add(rest[:, None], offset[rows[first]], dtype=np.int32)
+    return flat, first, length, (offset[cols] - offset[rows]).astype(np.int32), values
+
+
+def sparse_sum(layout: SystemLayout, terms: list) -> scipy.sparse.csr_matrix:
+    """CSR matrix of a sum of local operators, each embedded in the layout (identity elsewhere).
+
+    Each term is (targets, rows, cols, values): the local entries of an
+    operator on the target sites, targets[0] its fastest local digit. Each
+    nonzero local entry is stored once per basis state of the other sites,
+    bit for bit; zero entries are not stored. Each row's length is counted
+    over the terms, the arrays are allocated once, and the terms are written
+    in their order, each row's columns ascending within a term: the matrix is
+    canonical when no two terms store the same position and the terms that
+    share a row come in the order of their columns. One term's flat rows are
+    held at a time, and one pass per slot of its longest local row writes
+    them: no temporary grows with the entries.
+    """
+    dim = layout.total_dim
+    count = np.zeros(dim, dtype=np.int32)
+    for term in terms:
+        flat, _, length, _, _ = _embedded_rows(layout, *term)
+        count[flat] += length
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(count, out=indptr[1:])
+    data = np.empty(indptr[-1], dtype=complex)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    cursor = count  # reused: each row's next free position
+    cursor[:] = indptr[:-1]
+    for term in terms:
+        flat, first, length, shift, values = _embedded_rows(layout, *term)
+        for k in range(length.max(initial=0)):
+            live = np.flatnonzero(length > k)
+            pick, rows = first[live] + k, flat[:, live]
+            at = cursor[rows]
+            # put repeats values[pick] along each row of `at`, where an assignment would
+            # broadcast it into a copy the size of the rows
+            np.put(data, at, values[pick])
+            np.put(indices, at, rows + shift[pick])
+            cursor[rows] += 1
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def sparse_embed(
     local_op: DenseOperator, target_sites: tuple[int, ...] | list[int], layout: SystemLayout
 ) -> scipy.sparse.csr_matrix:
-    """CSR matrix of an operator on target_sites embedded in the full layout (identity elsewhere).
+    """CSR matrix of an operator on target_sites embedded in the full layout (identity elsewhere):
+    the one-term case of sparse_sum.
 
     The local operator's own layout lists the target sites' dimensions in
     target order, with target_sites[0] the fastest-varying local index. Each
@@ -427,14 +457,7 @@ def sparse_embed(
             f"target site dims {local_dims}"
         )
     rows, cols = np.nonzero(local_op.entries)
-    embedding = _embedding_rows(layout, targets)
-    indptr = np.zeros(layout.total_dim + 1, dtype=np.int32)
-    np.cumsum(_row_lengths(rows, embedding), out=indptr[1:])
-    data = np.empty(indptr[-1], dtype=complex)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    values = local_op.entries[rows, cols]
-    _write_embedded(rows, cols, values, embedding, data, indices, indptr[:-1].copy())
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(layout.total_dim,) * 2)
+    return sparse_sum(layout, [(targets, rows, cols, local_op.entries[rows, cols])])
 
 
 def tensor_embed(

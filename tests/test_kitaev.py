@@ -155,6 +155,15 @@ class TestBuildKitaev:
         assert peak < c_dim * c_dim * 16 / 8
 
     @pytest.mark.parametrize("rep", BOTH_REPS)
+    @pytest.mark.parametrize("t_steps", range(1, 6))
+    def test_parts_are_canonical_without_stored_zeros(self, rep, t_steps):
+        # the sparse LU orders by the stored pattern, and the solvers read each part as stored
+        circuit = random_verifier(np.random.default_rng(t_steps), t_steps, 1 + t_steps % 2)
+        kh = build_kitaev(circuit, 0.5 * kappa_limit(t_steps), rep)
+        for part in kh.parts:
+            assert part.has_canonical_format and np.all(part.data != 0)
+
+    @pytest.mark.parametrize("rep", BOTH_REPS)
     def test_parts_assembled_once_on_first_read(self, rep):
         kh = build_kitaev(cnot_verifier(), 0.01, rep)
         assert "parts" not in vars(kh)

@@ -22,6 +22,7 @@ from hamuniv.operators import (
     op_norm,
     projector_distance_from_bases,
     sparse_embed,
+    sparse_sum,
     subspace_distance,
     tensor_embed,
 )
@@ -170,6 +171,79 @@ class TestSparseEmbed:
         dense = dense.copy()
         dense[emb.row, emb.col] = 1.0
         assert not np.signbit(dense.view(float)).any()
+
+
+def _all_entries(local: np.ndarray) -> tuple:
+    """(rows, cols, values) of every entry of a local matrix, its zeros included."""
+    rows, cols = np.indices(local.shape).reshape(2, -1)
+    return rows, cols, local.ravel()
+
+
+def _draw_local(draw, dims: tuple, targets: tuple) -> np.ndarray:
+    """A local matrix on `targets` of _EMBED_ENTRIES, zeros of both signs among them."""
+    d_loc = int(np.prod([dims[t] for t in targets]))
+    entries = draw(st.lists(_EMBED_ENTRIES, min_size=d_loc**2, max_size=d_loc**2))
+    return np.array(entries).reshape(d_loc, d_loc)
+
+
+@st.composite
+def sum_cases(draw):
+    """A layout and 1-4 terms on random target tuples, descending and non-contiguous ones
+    included, with zero entries."""
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4)))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(range(len(dims))))
+        targets = tuple(order[: draw(st.integers(1, min(3, len(dims))))])
+        terms.append((targets, _draw_local(draw, dims, targets)))
+    return SystemLayout(dims), terms
+
+
+@st.composite
+def disjoint_cases(draw):
+    """Terms A_k (x) |a_k><b_k| with the last, slowest site moving from level b_k to a_k, on
+    distinct (a_k, b_k) and sorted by b_k: no two share a position, and the terms that share
+    a row come in the order of their columns."""
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4)))
+    last = len(dims) - 1
+    level = st.integers(0, dims[last] - 1)
+    moves = draw(st.lists(st.tuples(level, level), min_size=1, max_size=4, unique=True))
+    terms = []
+    for a, b in sorted(moves, key=lambda move: move[1]):
+        order = draw(st.permutations(range(last)))
+        inner = tuple(order[: draw(st.integers(1, last))])
+        local = _draw_local(draw, dims, inner)
+        move = np.zeros((dims[last],) * 2)
+        move[a, b] = 1.0
+        terms.append((inner + (last,), np.kron(move, local)))  # the last target the slowest
+    return SystemLayout(dims), terms
+
+
+def _sum_of_embeddings(lay: SystemLayout, terms: list) -> tuple:
+    """(sparse_sum of every entry of the terms, zeros included; the dense sum of their
+    tensor_embed)."""
+    m = sparse_sum(lay, [(targets, *_all_entries(local)) for targets, local in terms])
+    dense = 0
+    for targets, local in terms:
+        local_layout = SystemLayout(tuple(lay.site_dims[t] for t in targets))
+        dense = dense + tensor_embed(DenseOperator(local_layout, local), targets, lay).entries
+    return m, dense
+
+
+class TestSparseSum:
+    @settings(max_examples=60, deadline=None)
+    @given(case=sum_cases())
+    def test_equals_the_dense_sum_of_embeddings(self, case):
+        m, dense = _sum_of_embeddings(*case)
+        assert np.all(m.data != 0)
+        assert np.array_equal(m.toarray(), dense)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=disjoint_cases())
+    def test_disjoint_terms_in_column_order_are_canonical(self, case):
+        m, dense = _sum_of_embeddings(*case)
+        assert m.has_canonical_format and np.all(m.data != 0)
+        assert np.array_equal(m.toarray(), dense)
 
 
 class TestEigh:
